@@ -14,11 +14,9 @@ import sys
 import time
 
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
-from .complexes import ComplexError, SimplicialComplex, homology
-from .cupforms import FormError
-from .flags import FlagError
-from .smallness import CertificateError, INCONCLUSIVE, VERIFIED, VIOLATION
-from .surfaces import SurfaceError
+from .complexes import SimplicialComplex, homology
+from .normalform import PivotExplosion
+from .smallness import INCONCLUSIVE, VERIFIED, VIOLATION
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -215,8 +213,17 @@ def cmd_suite(args, data):
             {"criteria": [r.to_json() for r in results]})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 3 (bad input), not
+    argparse's 2, which would read as "inconclusive"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT["error"], f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="smallmodel",
         description="stabilizer-dimension and cup-product verification toolkit",
     )
@@ -246,8 +253,6 @@ def build_parser():
 
     sp = add("lemma-upper", cmd_lemma_upper, help="forced-zero sweep")
     sp.add_argument("--m", type=int, default=6)
-    sp.add_argument("--exhaustive", action="store_true",
-                    help="accepted for compatibility; the sweep is always exhaustive")
 
     sp = add("orbit-codim", cmd_orbit_codim, help="orbit codimension bound")
     sp.add_argument("--m", type=int, default=5)
@@ -302,12 +307,11 @@ def main(argv=None) -> int:
         elif getattr(args, "needs_in", False):
             raise ValueError(f"{args.command} requires --in")
         status, details = args.fn(args, data)
-    except (ComplexError, FlagError, SurfaceError, CertificateError, FormError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        report = _report(args.command, inputs, "error",
-                         {"error": f"{type(exc).__name__}: {exc}"}, args.seed, t0)
-        _emit(report, args.json)
-        return 3
+    except PivotExplosion as exc:
+        # a tripped bit bound decides nothing about the input
+        status, details = INCONCLUSIVE, {"reason": f"PivotExplosion: {exc}"}
+    except Exception as exc:
+        status, details = "error", {"error": f"{type(exc).__name__}: {exc}"}
     report = _report(args.command, inputs, status, details, args.seed, t0)
     _emit(report, args.json)
     return EXIT.get(status, 3)

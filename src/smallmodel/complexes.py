@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .normalform import DEFAULT_BIT_BOUND, invariant_factors, rank_mod_p
+from .normalform import invariant_factors, rank_mod_p
 
 
 class ComplexError(ValueError):
@@ -192,10 +192,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, f={self.f_vector()})"
 
 
-def downward_closure(vertices, facets) -> SimplicialComplex:
-    return SimplicialComplex(vertices, facets)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -298,14 +294,14 @@ class ChainComplex:
     def boundary_columns(self, k):
         return self.boundaries.get(k, [{} for _ in range(self.rank(k))])
 
-    def homology(self, bit_bound: int = DEFAULT_BIT_BOUND) -> HomologyTable:
+    def homology(self) -> HomologyTable:
         lowest = -1 if self.augmented else 0
         degrees = range(lowest, self.top + 1)
         if self.ring == "Z":
             facs = {}
             for k in degrees:
                 cols = self.boundaries.get(k)
-                facs[k] = invariant_factors(cols, bit_bound) if cols else []
+                facs[k] = invariant_factors(cols) if cols else []
             entries = []
             for k in degrees:
                 r = self.rank(k) - len(facs.get(k, [])) - len(facs.get(k + 1, []))
@@ -343,10 +339,9 @@ def chain_complex(K: SimplicialComplex, ring="Z", reduced=False) -> ChainComplex
     return ChainComplex(ring, ranks, boundaries, augmented=reduced, check=False)
 
 
-def homology(K: SimplicialComplex, ring="Z", reduced=True,
-             bit_bound: int = DEFAULT_BIT_BOUND) -> HomologyTable:
+def homology(K: SimplicialComplex, ring="Z", reduced=True) -> HomologyTable:
     """Simplicial homology of K over Z or F_p (reduced by default)."""
-    return chain_complex(K, ring, reduced=reduced).homology(bit_bound)
+    return chain_complex(K, ring, reduced=reduced).homology()
 
 
 def tensor_total(A: ChainComplex, B: ChainComplex) -> ChainComplex:

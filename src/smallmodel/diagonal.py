@@ -23,7 +23,6 @@ from .complexes import (
     homology,
     tensor_total,
 )
-from .normalform import DEFAULT_BIT_BOUND
 
 
 class ProductChainComplex:
@@ -131,13 +130,12 @@ class CheckReport:
         return {"check": self.name, "passed": self.passed, "details": self.details}
 
 
-def check_retraction(K: SimplicialComplex, ring="Z",
-                     bit_bound=DEFAULT_BIT_BOUND) -> CheckReport:
+def check_retraction(K: SimplicialComplex, ring="Z") -> CheckReport:
     """Degreewise H(diagonal) == H(C): the computable shadow of the
     straight-line retraction of the diagonal onto the base."""
     parts = build_diagonal(K, ring, warn_non_flag=False)
-    h_diag = parts.diagonal.homology(bit_bound)
-    h_base = homology(K, ring, reduced=False, bit_bound=bit_bound)
+    h_diag = parts.diagonal.homology()
+    h_base = homology(K, ring, reduced=False)
     ok = h_diag.same_groups(h_base)
     return CheckReport(
         "retraction",
@@ -173,15 +171,14 @@ def decomposition_check(K: SimplicialComplex) -> CheckReport:
     return CheckReport("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
 
 
-def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None,
-                       bit_bound=DEFAULT_BIT_BOUND) -> CheckReport:
+def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None) -> CheckReport:
     """Relative homology H_k(C x C, diagonal) through the quotient complex.
 
     Reports every degree and whether it vanishes; when a threshold n is
     given, flags the degrees k >= n-1 that fail to vanish.
     """
     parts = build_diagonal(K, ring, warn_non_flag=False)
-    h = parts.quotient.homology(bit_bound)
+    h = parts.quotient.homology()
     nz = h.nonzero_degrees()
     details = {"H(CxC, diagonal)": h.to_json(), "nonzero_degrees": nz}
     if n is None:

@@ -66,7 +66,7 @@ class RationalFlag:
 
     def padded(self):
         """Subspace chain with 0 and Q^m attached as conventions."""
-        full = rref([[Fraction(int(i == j)) for j in range(self.m)] for i in range(self.m)])
+        full = tuple(tuple(Fraction(int(i == j)) for j in range(self.m)) for i in range(self.m))
         return ((),) + self.subspaces + (full,)
 
     def disjoint_from(self, other: "RationalFlag") -> bool:
@@ -139,26 +139,36 @@ def forced_zero_count(spec: CoordinateFlagSpec) -> int:
 # Stabilizer dimensions by exact nullspace computations.
 
 
+def _containment_rows(m: int, pairs):
+    """Sparse rows over the m*m matrix entries cutting out
+    {A : A src <= dst for every (src, dst) pair}: one row u.A.b per
+    basis vector b of src and annihilating vector u of dst."""
+    rows = []
+    for src, dst in pairs:
+        ann = ratlin.nullspace(dst, m)
+        for b in src:
+            for u in ann:
+                rows.append({
+                    i * m + j: ui * bj
+                    for i, ui in enumerate(u) if ui
+                    for j, bj in enumerate(b) if bj
+                })
+    return rows
+
+
 @functools.lru_cache(maxsize=None)
 def _stab_constraint_rows(flag: RationalFlag):
-    """Sparse rows over the m*m matrix entries cutting out the stabilizer
-    algebra {A : A V <= V for every flag subspace}."""
-    m = flag.m
-    rows = []
-    for basis in flag.subspaces:
-        ann = ratlin.nullspace(basis, m)
-        for b in basis:
-            for u in ann:
-                row = {}
-                for i, ui in enumerate(u):
-                    if ui == 0:
-                        continue
-                    for j, bj in enumerate(b):
-                        if bj == 0:
-                            continue
-                        row[i * m + j] = row.get(i * m + j, Fraction(0)) + ui * bj
-                rows.append(row)
-    return rows
+    """Rows cutting out the stabilizer algebra {A : A V <= V for every
+    flag subspace}."""
+    return _containment_rows(flag.m, ((v, v) for v in flag.subspaces))
+
+
+@functools.lru_cache(maxsize=None)
+def _nilpotent_constraint_rows(e: RationalFlag):
+    """Rows cutting out {A : A E_{i+1} <= E_i} (the strictly block-upper
+    algebra of the flag)."""
+    padded = e.padded()
+    return _containment_rows(e.m, zip(padded[1:], padded))
 
 
 def stab_dim(flag: RationalFlag) -> int:
@@ -189,7 +199,7 @@ class SplitDims:
     dim_stab: int
 
 
-def split_dims(flag: RationalFlag, cross_check: bool = True) -> SplitDims:
+def split_dims(flag: RationalFlag) -> SplitDims:
     dims = [0] + [len(b) for b in flag.subspaces] + [flag.m]
     graded = tuple(b - a for a, b in zip(dims, dims[1:]))
     dim_n = sum(
@@ -199,7 +209,7 @@ def split_dims(flag: RationalFlag, cross_check: bool = True) -> SplitDims:
     )
     dim_levi = sum(d * d for d in graded)
     total = dim_n + dim_levi
-    if cross_check and total != stab_dim(flag):
+    if total != stab_dim(flag):
         raise FlagError("splitting dimensions disagree with the nullspace computation")
     return SplitDims(graded, dim_n, dim_levi, total)
 
@@ -209,33 +219,36 @@ def split_dims(flag: RationalFlag, cross_check: bool = True) -> SplitDims:
 # chain.
 
 
-def _induced_pieces(e: RationalFlag, f: RationalFlag):
-    """For each graded level i return the chain of intermediate spaces
-    (E_{i+1} & F_j) + E_i, deduplicated, with trivial and full levels
-    dropped. Spaces are represented inside Q^m."""
-    m = e.m
+@functools.lru_cache(maxsize=1)
+def _graded_images(e: RationalFlag, f: RationalFlag):
+    """Table of the images (E_{i+1} & F_j) + E_i inside Q^m, one row per
+    graded level i of E and one entry per member F_j of F. Cached for the
+    last pair, which induced_flags and f0_subflag both read."""
     padded = e.padded()
-    out = []
-    for i in range(len(padded) - 1):
-        lo, hi = padded[i], padded[i + 1]
-        chain = []
-        for fj in f.subspaces:
-            inter = ratlin.intersection(hi, fj, m) if fj else ()
-            w = ratlin.sum_space(inter, lo)
-            if len(w) == len(lo) or len(w) == len(hi):
-                continue  # trivial or full in the graded piece
-            if w not in chain:
-                chain.append(w)
-        chain.sort(key=len)
-        out.append(chain)
-    return out
+    return tuple(
+        tuple(ratlin.sum_space(ratlin.intersection(hi, fj, e.m), lo) for fj in f.subspaces)
+        for lo, hi in zip(padded, padded[1:])
+    )
+
+
+def _proper(w, lo, hi) -> bool:
+    """Whether the image w is neither trivial nor full in the graded piece
+    hi / lo."""
+    return len(lo) < len(w) < len(hi)
 
 
 def induced_flags(e: RationalFlag, f: RationalFlag):
-    """Induced chains per graded piece and their lengths."""
+    """Induced chains per graded piece and their lengths: the distinct
+    proper images (E_{i+1} & F_j) + E_i, shortest first."""
     if e.m != f.m:
         raise FlagError("ambient dimensions differ")
-    pieces = _induced_pieces(e, f)
+    padded = e.padded()
+    # the images of the nested F_j are nested, so distinct ones differ in
+    # dimension and sorting by it is a total order
+    pieces = [
+        sorted({w for w in images if _proper(w, lo, hi)}, key=len)
+        for lo, hi, images in zip(padded, padded[1:], _graded_images(e, f))
+    ]
     return pieces, [len(c) for c in pieces]
 
 
@@ -244,47 +257,14 @@ def f0_subflag(e: RationalFlag, f: RationalFlag) -> RationalFlag:
     every graded piece of E."""
     if not e.disjoint_from(f):
         raise FlagError("flags share a subspace")
-    m = e.m
     padded = e.padded()
-    keep = []
-    for fj in f.subspaces:
-        inert = True
-        for i in range(len(padded) - 1):
-            lo, hi = padded[i], padded[i + 1]
-            inter = ratlin.intersection(hi, fj, m)
-            w = ratlin.sum_space(inter, lo)
-            if len(w) != len(lo) and len(w) != len(hi):
-                inert = False
-                break
-        if inert:
-            keep.append(fj)
-    return RationalFlag(m, tuple(keep))
-
-
-@functools.lru_cache(maxsize=None)
-def _nilpotent_constraint_rows(e: RationalFlag):
-    """Sparse rows cutting out {A : A E_{i+1} <= E_i} (the strictly
-    block-upper algebra of the flag)."""
-    m = e.m
-    padded = e.padded()
-    rows = []
-    for i in range(len(padded) - 1):
-        lo, hi = padded[i], padded[i + 1]
-        ann = ratlin.nullspace(lo, m) if lo else tuple(
-            tuple(Fraction(int(a == b)) for b in range(m)) for a in range(m)
-        )
-        for b in hi:
-            for u in ann:
-                row = {}
-                for ii, ui in enumerate(u):
-                    if ui == 0:
-                        continue
-                    for j, bj in enumerate(b):
-                        if bj == 0:
-                            continue
-                        row[ii * m + j] = row.get(ii * m + j, Fraction(0)) + ui * bj
-                rows.append(row)
-    return rows
+    table = _graded_images(e, f)
+    keep = tuple(
+        fj for j, fj in enumerate(f.subspaces)
+        if not any(_proper(images[j], lo, hi)
+                   for lo, hi, images in zip(padded, padded[1:], table))
+    )
+    return RationalFlag(e.m, keep)
 
 
 @dataclass

@@ -8,8 +8,6 @@ intermediate entries explode instead of silently producing garbage.
 
 from __future__ import annotations
 
-from math import gcd
-
 DEFAULT_BIT_BOUND = 4096
 
 
@@ -146,13 +144,10 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
             mat.row_op(i0, offender, -1)
         factors.append(abs(v))
         mat.drop_cross(i0, j0)
-    # safety: normalize the divisibility chain
-    factors.sort()
-    for a in range(len(factors)):
-        for b in range(a + 1, len(factors)):
-            if factors[b] % factors[a]:
-                g = gcd(factors[a], factors[b])
-                factors[a], factors[b] = g, factors[a] * factors[b] // g
+    # every accepted pivot divides all later entries, so the factors come
+    # out as a divisibility chain; anything else is a reduction bug
+    if any(b % a for a, b in zip(factors, factors[1:])):
+        raise ArithmeticError(f"Smith factors out of divisibility order: {factors}")
     return factors
 
 

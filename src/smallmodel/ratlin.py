@@ -35,8 +35,6 @@ def rref(rows) -> Mat:
     if not work:
         return ()
     ncols = len(work[0])
-    out = []
-    pivot_cols = []
     r = 0
     for c in range(ncols):
         pivot = None
@@ -53,13 +51,10 @@ def rref(rows) -> Mat:
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(c)
         r += 1
         if r == len(work):
             break
-    for i in range(r):
-        out.append(tuple(work[i]))
-    return tuple(out)
+    return tuple(tuple(row) for row in work[:r])
 
 
 def rank(rows) -> int:
@@ -92,15 +87,6 @@ def sparse_rank(rows) -> int:
     return rk
 
 
-def row_space_contains(basis: Mat, v) -> bool:
-    return rank(tuple(basis) + (vec(v),)) == len(rref(basis))
-
-
-def annihilator(basis: Mat, m: int) -> Mat:
-    """Canonical basis of {u : u . b = 0 for every row b of basis}."""
-    return nullspace(basis, m)
-
-
 def nullspace(rows, ncols: int) -> Mat:
     """Canonical basis of the right kernel {u : rows . u = 0}."""
     R = rref(rows)
@@ -129,16 +115,10 @@ def intersection(a: Mat, b: Mat, m: int) -> Mat:
     """Canonical basis of the intersection of two row spaces in Q^m."""
     if not a or not b:
         return ()
-    # Zassenhaus: row-reduce [A|A; B|0]; rows with zero left half carry
-    # the intersection in the right half.
-    big = []
-    for r in a:
-        big.append(tuple(r) + tuple(r))
-    for r in b:
-        big.append(tuple(r) + tuple(Fraction(0) for _ in range(m)))
-    R = rref(big)
-    inter = []
-    for r in R:
-        if all(x == 0 for x in r[:m]):
-            inter.append(r[m:])
-    return rref(inter)
+    # Zassenhaus: row-reduce [A|A; B|0]. The rows with zero left half
+    # carry the intersection in their right half, and since they are the
+    # trailing rows of a reduced echelon form they are already its
+    # canonical basis.
+    zero = (Fraction(0),) * m
+    big = [tuple(r) + tuple(r) for r in a] + [tuple(r) + zero for r in b]
+    return tuple(r[m:] for r in rref(big) if not any(r[:m]))

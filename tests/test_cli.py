@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from smallmodel import cli
 from smallmodel.cli import main
+from smallmodel.normalform import PivotExplosion
 
 
 def run(capsys, *argv):
@@ -95,6 +97,45 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     path.write_text("{nope")
     code, rep = run_json(capsys, "homology", "--in", str(path))
     assert code == 3
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("homology", {"vertices": [1, 2], "facets": 5}),
+    ("check-small", [1, 2]),
+])
+def test_wrongly_shaped_input_is_input_error(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, rep = run_json(capsys, command, "--in", str(path))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"].startswith("TypeError")
+
+
+def test_usage_error_exits_3(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["harer", "--g", "x", "--r", "0", "--s", "0"])
+    assert exc.value.code == 3
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_pivot_explosion_is_inconclusive(tmp_path, capsys, monkeypatch):
+    def explode(*args, **kwargs):
+        raise PivotExplosion("entry at (0,0) exceeds 16 bits")
+
+    monkeypatch.setattr(cli, "homology", explode)
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"vertices": "abc", "facets": ["ab", "bc", "ac"]}))
+    code, rep = run_json(capsys, "homology", "--in", str(path))
+    assert code == 2
+    assert rep["status"] == "inconclusive"
+    assert "PivotExplosion" in rep["details"]["reason"]
 
 
 def test_missing_required_input(capsys):

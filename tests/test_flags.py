@@ -5,6 +5,7 @@ import pytest
 
 from smallmodel.complexes import homology
 from smallmodel.flags import (
+    _nilpotent_constraint_rows,
     CoordinateFlagSpec,
     FlagError,
     RationalFlag,
@@ -25,6 +26,7 @@ from smallmodel.flags import (
     stab_pair_dim,
     subset_chains,
 )
+from smallmodel.ratlin import sparse_rank
 
 
 def test_flag_canonicalization_and_validation():
@@ -112,6 +114,46 @@ def test_induced_and_inert():
     assert lengths == [0, 1]
     f0 = f0_subflag(e, f)
     assert f0.length == 0
+
+
+def test_induced_and_inert_match_set_arithmetic():
+    """On coordinate flags the image of T_j in the graded piece S_{i+1}/S_i
+    spans the coordinates (S_{i+1} & T_j) | S_i."""
+    for m in (2, 3, 4):
+        chains = subset_chains(m)
+        for ce in chains:
+            e = coordinate_flag(m, ce)
+            levels = [frozenset()] + list(ce) + [frozenset(range(m))]
+            for cf in chains:
+                if set(ce) & set(cf):
+                    continue
+                f = coordinate_flag(m, cf)
+                images = [[(hi & t) | lo for t in cf] for lo, hi in zip(levels, levels[1:])]
+                proper = [
+                    sorted({w for w in row if len(lo) < len(w) < len(hi)}, key=len)
+                    for lo, hi, row in zip(levels, levels[1:], images)
+                ]
+                pieces, lengths = induced_flags(e, f)
+                assert lengths == [len(p) for p in proper], (ce, cf)
+                assert pieces == [list(coordinate_flag(m, p).subspaces) for p in proper]
+                inert = [
+                    t for j, t in enumerate(cf)
+                    if all(row[j] in (lo, hi)
+                           for lo, hi, row in zip(levels, levels[1:], images))
+                ]
+                assert f0_subflag(e, f) == coordinate_flag(m, inert), (ce, cf)
+
+
+def test_nilpotent_rows_cut_out_dim_n():
+    rng = random.Random(3)
+    cases = [coordinate_flag(m, c) for m in (2, 3, 4) for c in subset_chains(m)]
+    for m in (3, 4, 5):
+        for _ in range(6):
+            dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+            cases.append(random_flag(m, dims, rng))
+    for e in cases:
+        dim_nil = e.m * e.m - sparse_rank(_nilpotent_constraint_rows(e))
+        assert dim_nil == split_dims(e).dim_n, e
 
 
 def test_slm_report_consistency():
