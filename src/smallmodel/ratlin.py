@@ -3,14 +3,22 @@
 Vectors and matrices are tuples of fractions.Fraction. Everything is
 canonicalized through reduced row echelon form so equal subspaces
 compare equal as tuples. No floating point anywhere.
+
+Elimination (rref, sparse_rank) is fraction-free over Z: each input row
+is scaled by the lcm of its denominators and reduced with integer row
+operations a*row - b*pivot_row. Fractions appear only in outputs, where
+rref divides each pivot row by its pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = tuple
 Mat = tuple
+
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
@@ -29,32 +37,52 @@ def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
+def _primitive(ints: list) -> list:
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _integer_row(row) -> list:
+    """A rational row scaled by the lcm of its denominators, made primitive."""
+    ratios = [x.as_integer_ratio() for x in row]
+    d = lcm(*(q for _, q in ratios))
+    return _primitive([p * (d // q) for p, q in ratios])
+
+
 def rref(rows) -> Mat:
-    """Canonical reduced row echelon form; zero rows dropped."""
-    work = [list(r) for r in rows]
+    """Canonical reduced row echelon form; zero rows dropped.
+
+    The integer rows are made primitive again after every update, which
+    keeps their entries small. Each pivot row is divided by its pivot only
+    to build the output, so every entry is a Fraction and every pivot is
+    Fraction(1)."""
+    work = [_integer_row(r) for r in rows]
     if not work:
         return ()
     ncols = len(work[0])
-    r = 0
+    pivot_cols = []
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot = i
-                break
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
+        prow = work[r]
+        pv = prow[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                work[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivot_cols.append(c)
+        if len(pivot_cols) == len(work):
             break
-    return tuple(tuple(row) for row in work[:r])
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+        for row, c in zip(work, pivot_cols)
+    )
 
 
 def rank(rows) -> int:
@@ -63,28 +91,34 @@ def rank(rows) -> int:
 
 def sparse_rank(rows) -> int:
     """Rank of sparse rational rows ({col: Fraction}). Used for the large
-    stabilizer constraint systems, which are mostly elementary rows."""
-    pivots = {}  # col -> normalized sparse row with that leading col
-    rk = 0
+    stabilizer constraint systems, which are mostly elementary rows.
+
+    Elimination is fraction-free over Z, as in rref. Rows enter and pivot
+    rows are stored primitive; in between, a row under reduction is the
+    exact rational intermediate times its starting scale and the
+    multipliers a applied to it, so its entries stay polynomial in size
+    without a gcd per step."""
+    pivots = {}  # col -> primitive integer sparse row with that leading col
     for row in rows:
-        work = {c: v for c, v in row.items() if v}
+        work = {c: v for c, v in zip(row, _integer_row(row.values())) if v}
         while work:
             lead = min(work)
-            if lead not in pivots:
+            prow = pivots.get(lead)
+            if prow is None:
+                g = gcd(*work.values())
+                pivots[lead] = {c: v // g for c, v in work.items()} if g > 1 else work
                 break
-            f = work[lead]
-            for c, v in pivots[lead].items():
-                nv = work.get(c, 0) - f * v
+            g = gcd(prow[lead], work[lead])
+            a, b = prow[lead] // g, work[lead] // g
+            if a != 1:
+                work = {c: a * v for c, v in work.items()}
+            for c, v in prow.items():
+                nv = work.get(c, 0) - b * v
                 if nv:
                     work[c] = nv
-                elif c in work:
-                    del work[c]
-        if work:
-            lead = min(work)
-            lv = work[lead]
-            pivots[lead] = {c: v / lv for c, v in work.items()}
-            rk += 1
-    return rk
+                else:
+                    work.pop(c, None)
+    return len(pivots)
 
 
 def nullspace(rows, ncols: int) -> Mat:
