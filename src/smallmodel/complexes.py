@@ -40,17 +40,20 @@ class SimplicialComplex:
             if not fs:
                 raise ComplexError("empty facet")
             fsets.append(fs)
-        # drop facets contained in others
-        maximal = [f for f in fsets if not any(f < g for g in fsets)]
-        self.facets = frozenset(maximal)
-        if not self.facets:
+        if not fsets:
             raise ComplexError("complex has no facets (empty complex rejected)")
-        # downward closure, per dimension
+        # one pass, largest first: a facet already in the downward closure
+        # of the earlier ones is a face of one of them (or a repeat)
+        maximal = []
         seen = set()
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for sub in itertools.combinations(sorted(f), k):
-                    seen.add(sub)
+        for f in sorted(fsets, key=len, reverse=True):
+            t = tuple(sorted(f))
+            if t in seen:
+                continue
+            maximal.append(f)
+            for k in range(1, len(t) + 1):
+                seen.update(itertools.combinations(t, k))
+        self.facets = frozenset(maximal)
         by_dim: dict[int, list[tuple[int, ...]]] = {}
         for s in seen:
             by_dim.setdefault(len(s) - 1, []).append(s)
@@ -292,7 +295,8 @@ class ChainComplex:
                         raise ComplexError("boundary composition is nonzero")
 
     def boundary_columns(self, k):
-        return self.boundaries.get(k, [{} for _ in range(self.rank(k))])
+        cols = self.boundaries.get(k)
+        return cols if cols is not None else [{} for _ in range(self.rank(k))]
 
     def homology(self) -> HomologyTable:
         lowest = -1 if self.augmented else 0
@@ -365,17 +369,19 @@ def tensor_total(A: ChainComplex, B: ChainComplex) -> ChainComplex:
                     cl.append((i, a, j, b))
         cells[n] = cl
     ranks = [len(cells[n]) for n in range(top + 1)]
+    a_cols = {i: A.boundary_columns(i) for i in range(1, A.top + 1)}
+    b_cols = {j: B.boundary_columns(j) for j in range(1, B.top + 1)}
     boundaries = {}
     for n in range(1, top + 1):
         cols = []
         for (i, a, j, b) in cells[n]:
             col = {}
             if i > 0:
-                for a2, v in A.boundary_columns(i)[a].items():
+                for a2, v in a_cols[i][a].items():
                     col[index[(i - 1, a2, j, b)]] = v
             if j > 0:
                 sign = (-1) ** i
-                for b2, v in B.boundary_columns(j)[b].items():
+                for b2, v in b_cols[j][b].items():
                     key = index[(i, a, j - 1, b2)]
                     col[key] = col.get(key, 0) + sign * v
             cols.append({k: v for k, v in col.items() if v})

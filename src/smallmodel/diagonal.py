@@ -97,8 +97,9 @@ def build_diagonal(K: SimplicialComplex, ring="Z", warn_non_flag=True) -> Subquo
             if n == 0:
                 continue
             cols = []
+            src_cols = prod.chain.boundary_columns(n)
             for idx in cell_lists[n]:
-                src = prod.chain.boundary_columns(n)[idx]
+                src = src_cols[idx]
                 col = {}
                 for i, v in src.items():
                     p = pos_of.get((n - 1, i))

@@ -408,31 +408,6 @@ def random_disjoint_pair(m: int, rng: random.Random):
 # Finite-field building generator.
 
 
-def _gf_rref(rows, p):
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r])
-
-
 def gf_subspaces(m: int, q: int, d: int):
     """Canonical echelon bases of the d-dimensional subspaces of F_q^m."""
     out = []
@@ -453,8 +428,19 @@ def gf_subspaces(m: int, q: int, d: int):
 
 
 def _gf_contains(small, big, p):
-    stacked = _gf_rref(list(big) + list(small), p)
-    return len(stacked) == len(big)
+    """span(small) <= span(big) for bases in reduced echelon form (as
+    :func:`gf_subspaces` returns them): every row of ``small`` must
+    reduce to zero against the pivot rows of ``big``."""
+    pivots = [(row, next(c for c, x in enumerate(row) if x)) for row in big]
+    for row in small:
+        rest = list(row)
+        for prow, c in pivots:
+            f = rest[c]
+            if f:
+                rest = [(a - f * b) % p for a, b in zip(rest, prow)]
+        if any(rest):
+            return False
+    return True
 
 
 def finite_building(m: int, q: int, max_m: int = 4, max_q: int = 3) -> SimplicialComplex:

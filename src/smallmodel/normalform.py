@@ -4,9 +4,18 @@ Sparse elimination over Z (Smith invariant factors) and over F_p (rank).
 Matrices are given as lists of sparse columns, {row_index: coefficient}.
 All arithmetic is exact; a configurable bit bound aborts loudly if
 intermediate entries explode instead of silently producing garbage.
+
+Smith reduction eliminates the +-1 pivots first, shortest column and
+then shortest row first to limit fill (Dumas-Saunders-Villard 2001),
+and runs the Euclidean loop only on the residual, with its entries
+reduced modulo a nonzero maximal minor (Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4.14) so they cannot grow.
 """
 
 from __future__ import annotations
+
+import heapq
+from math import gcd
 
 DEFAULT_BIT_BOUND = 4096
 
@@ -28,16 +37,21 @@ def _round_div(a: int, v: int) -> int:
 class _Sparse:
     """Mutable sparse integer matrix with row and column indexes."""
 
-    def __init__(self, columns, bit_bound):
+    def __init__(self, columns, bit_bound, modulus=None):
         self.cols = {}
         self.rows = {}
         self.bit_bound = bit_bound
+        self.modulus = modulus  # entries kept as residues in (-modulus/2, modulus/2]
         for j, col in enumerate(columns):
             for i, v in col.items():
                 if v:
                     self._set(i, j, v)
 
     def _set(self, i, j, v):
+        if self.modulus:
+            v %= self.modulus
+            if 2 * v > self.modulus:
+                v -= self.modulus
         if v:
             if abs(v).bit_length() > self.bit_bound:
                 raise PivotExplosion(
@@ -88,6 +102,70 @@ class _Sparse:
             self._set(ii, j, 0)
 
 
+def _eliminate_units(mat) -> int:
+    """Pivot on +-1 entries until none is left; return the pivot count.
+
+    Columns come off a heap shortest first; in each, the unit with the
+    shortest row is the pivot. Its column is cleared by exact row
+    operations, after which its row is cleared by column operations that
+    change nothing else, so the pivot's row and column are dropped, each
+    pivot a factor 1. Only the pivot row's columns change, and they are
+    queued again with their new lengths; older heap entries are skipped.
+    """
+    heap = [(len(col), j) for j, col in mat.cols.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        n, j0 = heapq.heappop(heap)
+        col = mat.cols.get(j0)
+        if col is None or len(col) != n:
+            continue
+        units = [i for i, v in col.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        i0 = min(units, key=lambda i: len(mat.rows[i]))
+        v = col[i0]
+        for i, w in list(col.items()):
+            if i != i0:
+                mat.row_op(i, i0, w * v)
+        touched = [j for j in mat.rows[i0] if j != j0]
+        mat.drop_cross(i0, j0)
+        pivots += 1
+        for j in touched:
+            if j in mat.cols:
+                heapq.heappush(heap, (len(mat.cols[j]), j))
+    return pivots
+
+
+def _rank_and_minor(columns):
+    """Rank r over Q and the absolute value of a nonzero r x r minor, by
+    fraction-free (Bareiss) elimination; every entry it makes is a minor."""
+    rows = sorted({i for col in columns for i in col})
+    at = {i: k for k, i in enumerate(rows)}
+    work = []
+    for col in columns:
+        dense = [0] * len(rows)
+        for i, v in col.items():
+            dense[at[i]] = v
+        work.append(dense)
+    rank, prev = 0, 1
+    for c in range(len(rows)):
+        piv = next((k for k in range(rank, len(work)) if work[k][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        for k in range(rank + 1, len(work)):
+            w = work[k]
+            a = w[c]
+            w[c] = 0
+            for cc in range(c + 1, len(rows)):
+                w[cc] = (top[c] * w[cc] - a * top[cc]) // prev
+        prev = top[c]
+        rank += 1
+    return rank, abs(prev)
+
+
 def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
     """Nonzero Smith invariant factors (positive, divisibility-ordered).
 
@@ -95,7 +173,18 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
     factors equals the rank of the matrix over Q.
     """
     mat = _Sparse(columns, bit_bound)
-    factors = []
+    factors = [1] * _eliminate_units(mat)
+    if not mat.cols:
+        return factors
+    # The residual's columns span a lattice L of rank r, and det, a nonzero
+    # r x r minor, is a multiple of each of its invariant factors. Adding
+    # the columns det * I gives factors s_1..s_r followed only by copies
+    # of det, and lets every entry be reduced mod det; a pivot v then
+    # stands for gcd(v, det).
+    residual = list(mat.cols.values())
+    rank, det = _rank_and_minor(residual)
+    mat = _Sparse(residual, bit_bound, modulus=det)
+    pivots = []
     while True:
         entry = mat.min_entry()
         if entry is None:
@@ -128,7 +217,10 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
                     if mat.get(i0, j):
                         j0, v = j, mat.get(i0, j)
                         changed = True
-            # pivot is isolated; enforce that it divides the rest
+            # pivot is isolated; enforce that it divides the rest (a unit
+            # divides everything, so there is nothing to look for)
+            if v == 1 or v == -1:
+                break
             offender = None
             for i, row in mat.rows.items():
                 if i == i0:
@@ -142,9 +234,13 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
             if offender is None:
                 break
             mat.row_op(i0, offender, -1)
-        factors.append(abs(v))
+        pivots.append(gcd(v, det))
         mat.drop_cross(i0, j0)
-    # every accepted pivot divides all later entries, so the factors come
+    if len(pivots) > rank:
+        raise ArithmeticError(f"{len(pivots)} Smith pivots for a residual of rank {rank}")
+    factors += pivots + [det] * (rank - len(pivots))
+    # every accepted pivot divides all later entries, so its gcd with det
+    # divides them and det after any reduction mod det: the factors come
     # out as a divisibility chain; anything else is a reduction bug
     if any(b % a for a, b in zip(factors, factors[1:])):
         raise ArithmeticError(f"Smith factors out of divisibility order: {factors}")

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallmodel.complexes import (
     ComplexError,
@@ -133,3 +136,30 @@ def test_dd_zero_enforced():
     c.boundaries[2][0][0] += 1
     with pytest.raises(ComplexError):
         c.check_dd_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_facet_filter_against_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    facets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+    # nested faces, repeats and equal-size facets, in shuffled order
+    for _ in range(rng.randint(0, 6)):
+        f = rng.choice(facets)
+        facets.append(rng.sample(f, rng.randint(1, len(f))))
+    for _ in range(rng.randint(0, 3)):
+        facets.append(list(reversed(rng.choice(facets))))
+    rng.shuffle(facets)
+    K = SimplicialComplex(range(n), facets)
+    sets = {frozenset(f) for f in facets}
+    maximal = {f for f in sets if not any(f < g for g in sets)}
+    assert K.facets == maximal
+    faces = {
+        sub
+        for f in maximal
+        for k in range(1, len(f) + 1)
+        for sub in itertools.combinations(sorted(f), k)
+    }
+    for d in range(-1, n + 1):
+        assert K.simplices(d) == sorted(s for s in faces if len(s) == d + 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from smallmodel.complexes import homology
 from smallmodel.flags import (
+    _gf_contains,
     _nilpotent_constraint_rows,
     CoordinateFlagSpec,
     FlagError,
@@ -202,12 +204,37 @@ def test_gf_subspace_counts():
             assert len(gf_subspaces(m, q, d)) == gaussian_binomial(m, d, q)
 
 
+def _gf_span(basis, q):
+    m = len(basis[0])
+    return {
+        tuple(sum(c * row[k] for c, row in zip(coeffs, basis)) % q for k in range(m))
+        for coeffs in itertools.product(range(q), repeat=len(basis))
+    }
+
+
+def test_gf_contains_against_spans():
+    for m, q in ((3, 2), (3, 3), (4, 2)):
+        subs = [s for d in range(1, m) for s in gf_subspaces(m, q, d)]
+        spans = {s: _gf_span(s, q) for s in subs}
+        for small in subs:
+            for big in subs:
+                assert _gf_contains(small, big, q) == (spans[small] <= spans[big])
+
+
 def test_building_3_2():
     K = finite_building(3, 2)
     assert len(K.vertices) == 7 + 7
     assert len(K.facets) == complete_flag_count(3, 2) == 21
     h = homology(K, "Z", reduced=True)
     assert h.to_json() == [{"degree": 1, "rank": 8, "torsion": []}]
+
+
+def test_building_5_2_over_z():
+    # Solomon-Tits: the building of GL_5(F_2) is a wedge of 2^10 3-spheres
+    K = finite_building(5, 2, max_m=5)
+    assert len(K.facets) == complete_flag_count(5, 2) == 9765
+    h = homology(K, "Z", reduced=True)
+    assert h.to_json() == [{"degree": 3, "rank": 1024, "torsion": []}]
 
 
 def test_building_size_guard():

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from smallmodel.normalform import (
     DEFAULT_BIT_BOUND,
     PivotExplosion,
+    _eliminate_units,
+    _rank_and_minor,
+    _Sparse,
     invariant_factors,
     rank_mod_p,
 )
@@ -68,6 +71,90 @@ def test_against_sympy_smith_form(seed):
     theirs = sorted(abs(smith[i, i]) for i in range(min(nr, nc)) if smith[i, i] != 0)
     assert sorted(mine) == theirs
     assert len(mine) == M.rank()
+
+
+def sympy_factors(dense):
+    smith = smith_normal_form(sympy.Matrix(dense))
+    return sorted(abs(smith[i, i]) for i in range(min(smith.shape)) if smith[i, i] != 0)
+
+
+def unit_heavy(seed):
+    """Sparse matrix up to 20x20, mostly +-1 entries, with a few entries
+    of 2 or -3 and a few rows scaled by 2, 3 or 6 to plant torsion."""
+    rng = random.Random(seed)
+    nr = rng.randint(1, 20)
+    nc = rng.randint(1, 20)
+    density = rng.uniform(0.05, 0.4)
+    dense = [
+        [rng.choice((1, -1, 1, -1, 1, -1, 2, -3)) if rng.random() < density else 0
+         for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    for i in rng.sample(range(nr), rng.randint(0, min(3, nr))):
+        t = rng.choice((2, 3, 6))
+        dense[i] = [t * x for x in dense[i]]
+    return dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_unit_heavy_against_sympy_smith_form(seed):
+    dense = unit_heavy(seed)
+    cols = cols_from_dense(dense)
+    mine = invariant_factors(cols)
+    assert sorted(mine) == sympy_factors(dense)
+    # rank over F_p counts the factors p does not divide
+    for p in (2, 3):
+        assert rank_mod_p(cols, p) == sum(1 for f in mine if f % p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_unit_phase_leaves_no_unit(seed):
+    dense = unit_heavy(seed)
+    mat = _Sparse(cols_from_dense(dense), DEFAULT_BIT_BOUND)
+    pivots = _eliminate_units(mat)
+    assert all(v not in (1, -1) for row in mat.rows.values() for v in row.values())
+    # the unit pivots and the residual's factors make up the whole Smith form
+    residual = [mat.cols.get(j, {}) for j in range(len(dense[0]))]
+    assert sorted([1] * pivots + invariant_factors(residual)) == sympy_factors(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_rank_and_minor(seed):
+    dense = unit_heavy(seed)
+    rank, det = _rank_and_minor(cols_from_dense(dense))
+    theirs = sympy_factors(dense)
+    assert rank == len(theirs)
+    # any nonzero maximal minor is a multiple of the product of the factors
+    product = 1
+    for f in theirs:
+        product *= f
+    assert det > 0 and det % product == 0
+
+
+def test_residual_entries_stay_bounded():
+    # without the modulus, the Euclidean loop on what the unit pivots leave
+    # of this 14 x 13 matrix drives its entries past DEFAULT_BIT_BOUND
+    dense = [
+        [-1, -1, 0, 0, -1, 0, 0, 0, 1, 0, -1, 1, -1],
+        [0, 0, -3, -1, -1, 0, 0, 0, 0, 1, 0, 1, -3],
+        [0, 0, 0, 1, 0, 0, -1, -1, 2, -1, 1, 0, 0],
+        [2, -3, 0, -3, 0, -1, -1, 1, 0, 0, 1, 0, 1],
+        [-3, 2, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, -1],
+        [-3, -3, 0, 0, -1, 0, 0, 0, 0, 2, 0, 1, 0],
+        [0, 0, 0, -1, 2, 0, -1, 1, 0, 1, 1, 0, 0],
+        [-1, 0, 0, 0, 2, 0, -3, 0, 0, -1, 0, 2, 1],
+        [-1, 0, 1, -1, 0, -1, 0, -1, 0, 0, 2, 0, 0],
+        [2, 0, 0, 0, 0, -2, -2, 4, 0, 0, 0, 0, -2],
+        [1, 1, 1, 0, 2, 0, 1, 1, 0, -1, 1, 0, 1],
+        [0, 12, -6, 0, 0, 0, 0, -18, 0, 0, 0, 0, 6],
+        [0, -1, 0, 1, 0, 0, -3, 1, 0, 2, 0, -3, 0],
+        [0, -2, 0, 0, 0, 4, 0, 0, -6, 0, 0, 0, 0],
+    ]
+    assert invariant_factors(cols_from_dense(dense)) == [1] * 10 + [2, 2, 8]
+    assert sympy_factors(dense) == [1] * 10 + [2, 2, 8]
 
 
 def dense_rank_mod_p(rows, p):
