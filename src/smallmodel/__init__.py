@@ -17,7 +17,6 @@ from .complexes import (
     tensor_total,
 )
 from .cupforms import (
-    B2Verdict,
     FormError,
     RankOneRing,
     SurjectionWitness,
@@ -50,6 +49,7 @@ from .flags import (
     stab_pair_dim,
 )
 from .normalform import DEFAULT_BIT_BOUND, PivotExplosion, invariant_factors, rank_mod_p
+from .report import Report
 from .smallness import (
     Hdim,
     HomologySupportProblem,

@@ -1,7 +1,8 @@
 """The full verification battery, shared by the test suite and the CLI.
 
-Each criterion is a function returning a CriterionResult; run_all executes
-the battery in order. Random sweeps are seeded and deterministic.
+Each criterion is a function returning a Report whose details carry its
+number and name; run_all executes the battery in order and times each
+criterion. Random sweeps are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -9,54 +10,30 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import networkx as nx
 
 from . import cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, chain_complex, homology, tensor_total
-from .smallness import VERIFIED
+from .report import VERIFIED, VIOLATION, Report
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    runtime_s: float = 0.0
-    details: dict = field(default_factory=dict)
-
-    def line(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
-        return f"[{tag}] criterion {self.number:2d} {self.name} ({self.runtime_s:.1f}s)"
-
-    def to_json(self):
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "runtime_s": round(self.runtime_s, 3),
-            "details": self.details,
-        }
+def _criterion(number: int, name: str, ok: bool, details: dict) -> Report:
+    return Report(VERIFIED if ok else VIOLATION, {"number": number, "name": name, **details})
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.runtime_s = time.perf_counter() - t0
-        return result
-
-    return wrapper
+def line(report: Report) -> str:
+    d = report.details
+    tag = "PASS" if report.passed else "FAIL"
+    return f"[{tag}] criterion {d['number']:2d} {d['name']} ({d['runtime_s']:.1f}s)"
 
 
 # ---------------------------------------------------------------------------
 # 1. forced zeros of permuted coordinate flags
 
 
-@_timed
-def criterion_forced_zeros(max_m: int = 6) -> CriterionResult:
+def criterion_forced_zeros(max_m: int = 6) -> Report:
     checked = 0
     violations = []
     for m in range(2, max_m + 1):
@@ -73,11 +50,9 @@ def criterion_forced_zeros(max_m: int = 6) -> CriterionResult:
                 if count < len(dims):
                     violations.append({"m": m, "dims": list(dims), "w": list(w),
                                        "count": count})
-    return CriterionResult(
-        1, "forced zeros >= flag length, exhaustive",
-        passed=not violations and checked > 0,
-        details={"checked": checked, "violations": violations},
-    )
+    return _criterion(1, "forced zeros >= flag length, exhaustive",
+                      not violations and checked > 0,
+                      {"checked": checked, "violations": violations})
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +77,8 @@ def _coordinate_pairs(m: int):
             yield flags.coordinate_flag(m, ce), flags.coordinate_flag(m, cf)
 
 
-@_timed
 def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
-                          seed: int = 0) -> CriterionResult:
+                          seed: int = 0) -> Report:
     checked = 0
     violations = []
     for m in range(2, max_m + 1):
@@ -124,17 +98,14 @@ def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
                 violations.append({"m": m, "kind": "random",
                                    "e": e.to_json(), "f": f.to_json(),
                                    "codim": codim})
-    return CriterionResult(
-        2, "orbit codimension >= flag length",
-        passed=not violations and checked > 0,
-        details={"checked": checked, "violations": violations,
-                 "note": "m=5 exhaustive sweep reduced by coordinate symmetry"},
-    )
+    return _criterion(2, "orbit codimension >= flag length",
+                      not violations and checked > 0,
+                      {"checked": checked, "violations": violations,
+                       "note": "m=5 exhaustive sweep reduced by coordinate symmetry"})
 
 
-@_timed
 def criterion_slm_pipeline(max_m: int = 5, random_per_m: int = 500,
-                           seed: int = 0) -> CriterionResult:
+                           seed: int = 0) -> Report:
     checked = 0
     violations = []
 
@@ -142,7 +113,7 @@ def criterion_slm_pipeline(max_m: int = 5, random_per_m: int = 500,
         nonlocal checked
         checked += 1
         rep = flags.slm_inequality(e, f)
-        if not (rep.codim_ok and rep.inequality_ok and rep.chain_ok):
+        if not rep.passed:
             violations.append({"m": m, "kind": kind, "e": e.to_json(),
                                "f": f.to_json(), "report": rep.to_json()})
 
@@ -153,19 +124,16 @@ def criterion_slm_pipeline(max_m: int = 5, random_per_m: int = 500,
         for _ in range(random_per_m):
             e, f = flags.random_disjoint_pair(m, rng)
             run(m, e, f, "random")
-    return CriterionResult(
-        3, "codim chain and stabilizer-dimension inequality",
-        passed=not violations and checked > 0,
-        details={"checked": checked, "violations": violations},
-    )
+    return _criterion(3, "codim chain and stabilizer-dimension inequality",
+                      not violations and checked > 0,
+                      {"checked": checked, "violations": violations})
 
 
 # ---------------------------------------------------------------------------
 # 4. finite building homology
 
 
-@_timed
-def criterion_buildings() -> CriterionResult:
+def criterion_buildings() -> Report:
     cases = []
     ok = True
     for m, q in ((3, 2), (3, 3), (4, 2)):
@@ -184,16 +152,15 @@ def criterion_buildings() -> CriterionResult:
                       "expected_facets": expected_facets,
                       "homology": h.to_json(), "expected_rank": expected_rank,
                       "ok": good})
-    return CriterionResult(4, "building homology: one degree, rank q^(m(m-1)/2)",
-                           passed=ok, details={"cases": cases})
+    return _criterion(4, "building homology: one degree, rank q^(m(m-1)/2)", ok,
+                      {"cases": cases})
 
 
 # ---------------------------------------------------------------------------
 # 5. pants anchor
 
 
-@_timed
-def criterion_pants(max_g: int = 5) -> CriterionResult:
+def criterion_pants(max_g: int = 5) -> Report:
     rows = []
     ok = True
     for g in range(2, max_g + 1):
@@ -203,16 +170,14 @@ def criterion_pants(max_g: int = 5) -> CriterionResult:
         ok = ok and good
         rows.append({"g": g, "types": len(types), "hdims": dims,
                      "expected": 3 * g - 3, "ok": good})
-    return CriterionResult(5, "pants stabilizer dimension = 3g-3",
-                           passed=ok, details={"rows": rows})
+    return _criterion(5, "pants stabilizer dimension = 3g-3", ok, {"rows": rows})
 
 
 # ---------------------------------------------------------------------------
 # 6. multicurve stabilizer sweep
 
 
-@_timed
-def criterion_multicurve_sweep() -> CriterionResult:
+def criterion_multicurve_sweep() -> Report:
     rows = []
     ok = True
     for g in (2, 3):
@@ -223,16 +188,14 @@ def criterion_multicurve_sweep() -> CriterionResult:
                      "max_exact_lhs": rep["max_exact_lhs"],
                      "expected_max": 6 * g - 8,
                      "witness": rep["max_exact_witness"], "ok": good})
-    return CriterionResult(6, "stabilizer sweep < 6g-7, extreme case 6g-8",
-                           passed=ok, details={"rows": rows})
+    return _criterion(6, "stabilizer sweep < 6g-7, extreme case 6g-8", ok, {"rows": rows})
 
 
 # ---------------------------------------------------------------------------
 # 7. certificates pass the smallness checks with equality attained
 
 
-@_timed
-def criterion_certificates() -> CriterionResult:
+def criterion_certificates() -> Report:
     rows = []
     ok = True
 
@@ -240,18 +203,16 @@ def criterion_certificates() -> CriterionResult:
         nonlocal ok
         rep = smallness.check_small(cert)
         van = smallness.vanishing_certificate(cert)
-        good = (rep.status == VERIFIED and van.status == VERIFIED
-                and bool(rep.equality_orbits))
+        good = rep.passed and van.passed and bool(rep.details["equality_orbits"])
         ok = ok and good
         rows.append({"model": label, "check": rep.status, "vanishing": van.status,
-                     "equality_orbits": rep.equality_orbits, "ok": good})
+                     "equality_orbits": rep.details["equality_orbits"], "ok": good})
 
     for g in (2, 3):
         examine(f"curve systems g={g}", surfaces.curve_complex_certificate(g))
     for d in range(2, 7):
         examine(f"join model d={d}", smallness.generate_join_model(d))
-    return CriterionResult(7, "certificates verified with equality attained",
-                           passed=ok, details={"rows": rows})
+    return _criterion(7, "certificates verified with equality attained", ok, {"rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +246,7 @@ def non_flag_witness() -> tuple:
     return K, sigma, h
 
 
-@_timed
-def criterion_diagonal(count: int = 50, seed: int = 0) -> CriterionResult:
+def criterion_diagonal(count: int = 50, seed: int = 0) -> Report:
     rng = random.Random((seed, "diagonal").__repr__())
     failures = []
     for idx in range(count):
@@ -314,19 +274,16 @@ def criterion_diagonal(count: int = 50, seed: int = 0) -> CriterionResult:
                                      "input": K.to_json()})
     Kw, sigma, hw = non_flag_witness()
     witness_ok = (not Kw.is_flag()) and (not hw.is_trivial())
-    return CriterionResult(
-        8, "diagonal retraction, acyclicity, decomposition",
-        passed=not failures and witness_ok,
-        details={"complexes": count, "failures": failures,
-                 "non_flag_witness": {"facets": Kw.to_json()["facets"],
-                                      "sigma": list(sigma),
-                                      "N_homology": hw.to_json(),
-                                      "ok": witness_ok}},
-    )
+    return _criterion(8, "diagonal retraction, acyclicity, decomposition",
+                      not failures and witness_ok,
+                      {"complexes": count, "failures": failures,
+                       "non_flag_witness": {"facets": Kw.to_json()["facets"],
+                                            "sigma": list(sigma),
+                                            "N_homology": hw.to_json(),
+                                            "ok": witness_ok}})
 
 
-@_timed
-def criterion_chaincore(pairs: int = 20, seed: int = 0) -> CriterionResult:
+def criterion_chaincore(pairs: int = 20, seed: int = 0) -> Report:
     rng = random.Random((seed, "chaincore").__repr__())
     failures = []
     for idx in range(pairs):
@@ -356,19 +313,15 @@ def criterion_chaincore(pairs: int = 20, seed: int = 0) -> CriterionResult:
         if not homology(A, "Z").same_groups(homology(A.relabel(mapping), "Z")):
             failures.append({"pair": idx, "check": "relabel", "A": A.to_json(),
                              "mapping": {str(k): v for k, v in mapping.items()}})
-    return CriterionResult(
-        9, "dd=0, Kunneth ranks over F2/F3, relabeling invariance",
-        passed=not failures,
-        details={"pairs": pairs, "failures": failures},
-    )
+    return _criterion(9, "dd=0, Kunneth ranks over F2/F3, relabeling invariance",
+                      not failures, {"pairs": pairs, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
 # 10. cup-product module
 
 
-@_timed
-def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> CriterionResult:
+def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> Report:
     failures = []
     for n in (3, 5, 7):
         verdict = cupforms.rank_one_obstruction(cupforms.projective_space_ring(n))
@@ -377,14 +330,16 @@ def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> CriterionRes
 
     T = cupforms.TripleForm(1, 1, 1, 0)
     v = cupforms.compression_criterion_b2(T)
-    bad = cupforms.verify_witness(T, v.witness) if v.witness else ["no witness"]
+    witness = v.details["witness"]
+    bad = cupforms.verify_witness(T, witness) if witness else ["no witness"]
     if v.status != cupforms.SATISFIABLE or bad:
         failures.append({"case": "(1,1,1,0)", "status": v.status, "violations": bad})
 
     T2 = cupforms.TripleForm(1, 2, 1, 0)
     v2 = cupforms.compression_criterion_b2(T2)
-    if v2.status != cupforms.OBSTRUCTED or not any("-2" in n for n in v2.notes):
-        failures.append({"case": "(1,2,1,0)", "status": v2.status, "notes": v2.notes})
+    notes = v2.details["notes"]
+    if v2.status != cupforms.OBSTRUCTED or not any("-2" in n for n in notes):
+        failures.append({"case": "(1,2,1,0)", "status": v2.status, "notes": notes})
 
     rng = random.Random((seed, "squares").__repr__())
     primes = (2, 3, 5, 7, 11, 13)
@@ -401,20 +356,16 @@ def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> CriterionRes
             square_fails += 1
     if square_fails:
         failures.append({"case": "rational_is_square", "failures": square_fails})
-    return CriterionResult(
-        10, "cup-product obstructions and rational squares",
-        passed=not failures,
-        details={"failures": failures, "square_cases": square_cases,
-                 "witness": v.witness.to_json() if v.witness else None},
-    )
+    return _criterion(10, "cup-product obstructions and rational squares", not failures,
+                      {"failures": failures, "square_cases": square_cases,
+                       "witness": witness})
 
 
 # ---------------------------------------------------------------------------
 # 11. simply-connected support checker
 
 
-@_timed
-def criterion_support() -> CriterionResult:
+def criterion_support() -> Report:
     from .complexes import HomologyTable
 
     failures = []
@@ -437,12 +388,9 @@ def criterion_support() -> CriterionResult:
     )
     if r3["verdict"] != smallness.NOT_OBSTRUCTED:
         failures.append({"case": "sphere boundary", "result": r3})
-    return CriterionResult(
-        11, "homology-support and parity obstructions",
-        passed=not failures,
-        details={"failures": failures,
-                 "results": {"torus_square": r1, "parity": r2, "sphere": r3}},
-    )
+    return _criterion(11, "homology-support and parity obstructions", not failures,
+                      {"failures": failures,
+                       "results": {"torus_square": r1, "parity": r2, "sphere": r3}})
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +417,8 @@ SEEDED = {criterion_orbit_codim, criterion_slm_pipeline, criterion_diagonal,
 def run_all(seed: int = 0):
     results = []
     for fn in CRITERIA:
-        if fn in SEEDED:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
+        t0 = time.perf_counter()
+        rep = fn(seed=seed) if fn in SEEDED else fn()
+        rep.details["runtime_s"] = round(time.perf_counter() - t0, 3)
+        results.append(rep)
     return results

@@ -16,7 +16,7 @@ import time
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, homology
 from .normalform import PivotExplosion
-from .smallness import INCONCLUSIVE, VERIFIED, VIOLATION
+from .report import INCONCLUSIVE, VERIFIED, VIOLATION
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -70,6 +70,7 @@ def _load(path):
 
 
 # -- subcommand implementations: each returns (status, details) -------------
+# args.infile, not data, says whether --in was given: the file may hold null.
 
 
 def cmd_homology(args, data):
@@ -99,8 +100,8 @@ def cmd_check_small(args, data):
 
 def cmd_certificate(args, data):
     X = smallness.OrbitComplex.from_json(data)
-    cert = smallness.vanishing_certificate(X)
-    return cert.status, cert.to_json()
+    rep = smallness.vanishing_certificate(X)
+    return rep.status, rep.to_json()
 
 
 def cmd_sc_obstruction(args, data):
@@ -121,33 +122,35 @@ def cmd_sc_obstruction(args, data):
 
 
 def cmd_lemma_upper(args, data):
-    res = acceptance.criterion_forced_zeros(max_m=args.m)
-    return (VERIFIED if res.passed else VIOLATION, res.to_json())
+    rep = acceptance.criterion_forced_zeros(max_m=args.m)
+    return rep.status, rep.to_json()
 
 
 def cmd_orbit_codim(args, data):
-    if data is not None:
+    if args.infile:
         e = flags.RationalFlag.from_json(data["e"])
         f = flags.RationalFlag.from_json(data["f"])
+        # the bound holds for disjoint flags only, as in slm_inequality
+        if not e.disjoint_from(f):
+            raise flags.FlagError("flags share a subspace")
         codim = flags.orbit_codim(e, f)
         ok = codim >= f.length
         return (VERIFIED if ok else VIOLATION,
                 {"codim": codim, "length_f": f.length, "ok": ok})
-    res = acceptance.criterion_orbit_codim(max_m=args.m, random_per_m=args.random,
+    rep = acceptance.criterion_orbit_codim(max_m=args.m, random_per_m=args.random,
                                            seed=args.seed)
-    return (VERIFIED if res.passed else VIOLATION, res.to_json())
+    return rep.status, rep.to_json()
 
 
 def cmd_slm_check(args, data):
-    if data is not None:
+    if args.infile:
         e = flags.RationalFlag.from_json(data["e"])
         f = flags.RationalFlag.from_json(data["f"])
         rep = flags.slm_inequality(e, f)
-        ok = rep.codim_ok and rep.inequality_ok and rep.chain_ok
-        return (VERIFIED if ok else VIOLATION, rep.to_json())
-    res = acceptance.criterion_slm_pipeline(max_m=args.m, random_per_m=args.random,
-                                            seed=args.seed)
-    return (VERIFIED if res.passed else VIOLATION, res.to_json())
+    else:
+        rep = acceptance.criterion_slm_pipeline(max_m=args.m, random_per_m=args.random,
+                                                seed=args.seed)
+    return rep.status, rep.to_json()
 
 
 def cmd_building(args, data):
@@ -189,7 +192,7 @@ def cmd_cc_certificate(args, data):
 
 
 def cmd_rank_one(args, data):
-    if data is not None:
+    if args.infile:
         R = cupforms.RankOneRing(int(data["k"]), int(data["m"]), data["top_value"])
     else:
         R = cupforms.RankOneRing(args.k, args.m, args.top)
@@ -197,17 +200,16 @@ def cmd_rank_one(args, data):
 
 
 def cmd_b2_criterion(args, data):
-    if data is None:
+    if not args.infile:
         data = json.loads(args.form)
     T = cupforms.TripleForm.from_json(data)
-    verdict = cupforms.compression_criterion_b2(T)
-    return VERIFIED, verdict.to_json()
+    return VERIFIED, cupforms.compression_criterion_b2(T).to_json()
 
 
 def cmd_suite(args, data):
     results = acceptance.run_all(seed=args.seed)
     for r in results:
-        print(r.line(), file=sys.stderr)
+        print(acceptance.line(r), file=sys.stderr)
     ok = all(r.passed for r in results)
     return (VERIFIED if ok else VIOLATION,
             {"criteria": [r.to_json() for r in results]})

@@ -10,9 +10,11 @@ triple intersection numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from .report import Report
 
 OBSTRUCTED = "OBSTRUCTED"
 SATISFIABLE = "SATISFIABLE"
@@ -190,10 +192,6 @@ class SurjectionWitness:
     x: Fraction
     y: Fraction
 
-    def to_json(self):
-        return {"beta": [str(b) for b in self.beta], "s": str(self.s),
-                "x": str(self.x), "y": str(self.y)}
-
 
 def verify_witness(T: TripleForm, w: SurjectionWitness) -> list:
     """Re-evaluate every witness relation from the form; returns the
@@ -222,25 +220,12 @@ def verify_witness(T: TripleForm, w: SurjectionWitness) -> list:
     return bad
 
 
-@dataclass
-class B2Verdict:
-    status: str
-    witness: SurjectionWitness | None = None
-    notes: list = field(default_factory=list)
-    zero_s_roots: list = field(default_factory=list)
-
-    def to_json(self):
-        out = {"status": self.status, "notes": list(self.notes),
-               "zero_s_roots": [[str(b) for b in beta] for beta in self.zero_s_roots]}
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
-
-
-def compression_criterion_b2(T: TripleForm) -> B2Verdict:
+def compression_criterion_b2(T: TripleForm) -> Report:
     """Sweep the candidate betas; SATISFIABLE with an exact witness when
     some beta admits a rational s != 0 with s = x s^2 + y, OBSTRUCTED
-    when none does. Degenerate pairings are noted, never guessed around."""
+    when none does. Degenerate pairings are noted, never guessed around.
+    The details hold the witness (None when there is none), the notes and
+    the candidates whose only solution is s = 0."""
     notes = []
     zero_s = []
     betas = find_betas(T)
@@ -248,17 +233,18 @@ def compression_criterion_b2(T: TripleForm) -> B2Verdict:
         notes.append("no rational beta with beta^3=0 and beta^2!=0")
     omega = (Fraction(1), Fraction(0))
     for beta in betas:
+        label = "(" + ", ".join(map(str, beta)) + ")"
         w2b = T.triple(omega, omega, beta)
         wb2 = T.triple(omega, beta, beta)
         if w2b == 0 or wb2 == 0:
-            notes.append(f"beta={beta}: degenerate pairing "
+            notes.append(f"beta={label}: degenerate pairing "
                          f"(int omega^2 beta = {w2b}, int omega beta^2 = {wb2})")
             continue
         x = wb2 / w2b
         y = w2b / wb2 - T.c111 / w2b
         disc = 1 - 4 * x * y
         if not rational_is_square(disc):
-            notes.append(f"beta={beta}: 1-4xy = {disc} is not a rational square")
+            notes.append(f"beta={label}: 1-4xy = {disc} is not a rational square")
             continue
         root = rational_sqrt(disc)
         found_zero = False
@@ -270,9 +256,10 @@ def compression_criterion_b2(T: TripleForm) -> B2Verdict:
             bad = verify_witness(T, witness)
             if bad:
                 raise FormError(f"witness failed re-verification: {bad}")
-            return B2Verdict(SATISFIABLE, witness, notes, zero_s)
+            return Report(SATISFIABLE, {"witness": witness, "notes": notes,
+                                        "zero_s_roots": zero_s})
         if found_zero:
             zero_s.append(beta)
-            notes.append(f"beta={beta}: only s=0 solves s=xs^2+y "
+            notes.append(f"beta={label}: only s=0 solves s=xs^2+y "
                          "(phi(omega)=0, not accepted as a surjection)")
-    return B2Verdict(OBSTRUCTED, None, notes, zero_s)
+    return Report(OBSTRUCTED, {"witness": None, "notes": notes, "zero_s_roots": zero_s})

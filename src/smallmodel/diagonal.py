@@ -12,7 +12,7 @@ equivariant statements reduce to ordinary ones).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import (
     ChainComplex,
@@ -23,6 +23,7 @@ from .complexes import (
     homology,
     tensor_total,
 )
+from .report import VERIFIED, VIOLATION, Report
 
 
 class ProductChainComplex:
@@ -121,31 +122,21 @@ def build_diagonal(K: SimplicialComplex, ring="Z", warn_non_flag=True) -> Subquo
     return SubquotientComplexes(prod, diag, quot, diag_cells, quot_cells)
 
 
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {"check": self.name, "passed": self.passed, "details": self.details}
+def _check(name: str, ok: bool, details: dict) -> Report:
+    return Report(VERIFIED if ok else VIOLATION, {"check": name, **details})
 
 
-def check_retraction(K: SimplicialComplex, ring="Z") -> CheckReport:
+def check_retraction(K: SimplicialComplex, ring="Z") -> Report:
     """Degreewise H(diagonal) == H(C): the computable shadow of the
     straight-line retraction of the diagonal onto the base."""
     parts = build_diagonal(K, ring, warn_non_flag=False)
     h_diag = parts.diagonal.homology()
     h_base = homology(K, ring, reduced=False)
-    ok = h_diag.same_groups(h_base)
-    return CheckReport(
-        "retraction",
-        ok,
-        {"H(diagonal)": h_diag.to_json(), "H(C)": h_base.to_json()},
-    )
+    return _check("retraction", h_diag.same_groups(h_base),
+                  {"H(diagonal)": h_diag.to_json(), "H(C)": h_base.to_json()})
 
 
-def decomposition_check(K: SimplicialComplex) -> CheckReport:
+def decomposition_check(K: SimplicialComplex) -> Report:
     """Exact rank bookkeeping: in first-degree i, the diagonal cells in
     total degree i+j are counted by the j-cells of the star closures of
     the i-simplices."""
@@ -169,10 +160,10 @@ def decomposition_check(K: SimplicialComplex) -> CheckReport:
             table[f"({i},{j})"] = [lhs, rhs]
             if lhs != rhs:
                 mism.append((i, j, lhs, rhs))
-    return CheckReport("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
+    return _check("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
 
 
-def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None) -> CheckReport:
+def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None) -> Report:
     """Relative homology H_k(C x C, diagonal) through the quotient complex.
 
     Reports every degree and whether it vanishes; when a threshold n is
@@ -183,14 +174,14 @@ def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None) -> 
     nz = h.nonzero_degrees()
     details = {"H(CxC, diagonal)": h.to_json(), "nonzero_degrees": nz}
     if n is None:
-        return CheckReport("quotient-vanishing", not nz, details)
+        return _check("quotient-vanishing", not nz, details)
     bad = [k for k in nz if k >= n - 1]
     details["threshold"] = n - 1
     details["failures_at_or_above_threshold"] = bad
-    return CheckReport("quotient-vanishing", not bad, details)
+    return _check("quotient-vanishing", not bad, details)
 
 
-def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> CheckReport:
+def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> Report:
     """Over F_p the alternating sums of dim H(CxC), dim H(diagonal) and
     dim H(CxC, diagonal) must satisfy chi(product) = chi(diag) + chi(rel)."""
     parts = build_diagonal(K, p, warn_non_flag=False)
@@ -199,9 +190,6 @@ def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> CheckReport:
     )
     chi_diag = parts.diagonal.homology().euler_characteristic()
     chi_rel = parts.quotient.homology().euler_characteristic()
-    ok = chi_prod == chi_diag + chi_rel
-    return CheckReport(
-        "long-exact-consistency",
-        ok,
-        {"chi_product": chi_prod, "chi_diagonal": chi_diag, "chi_relative": chi_rel},
-    )
+    return _check("long-exact-consistency", chi_prod == chi_diag + chi_rel,
+                  {"chi_product": chi_prod, "chi_diagonal": chi_diag,
+                   "chi_relative": chi_rel})

@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import ratlin
 from .complexes import SimplicialComplex
 from .ratlin import mat, rank, rref, sparse_rank
+from .report import VERIFIED, VIOLATION, Report
 
 
 class FlagError(ValueError):
@@ -267,29 +268,7 @@ def f0_subflag(e: RationalFlag, f: RationalFlag) -> RationalFlag:
     return RationalFlag(e.m, keep)
 
 
-@dataclass
-class SlmReport:
-    m: int
-    length_e: int
-    length_f: int
-    dim_n_quotient: int        # dim N / (Stab(F) & N)
-    induced_lengths: list
-    length_f0: int
-    codim: int
-    codim_bound: int           # length(E) + length(F) + 1
-    codim_ok: bool
-    dim_gk: int                # dim(G/K) = m(m+1)/2 - codim
-    lhs: int                   # dim(G/K) + |sigma| + |tau|
-    rhs: int                   # m(m+1)/2 - 3
-    inequality_ok: bool
-    chain_ok: bool             # both intermediate >= steps hold
-    counting_identity: bool    # length(F0) + sum L(i) == length(F); see note
-
-    def to_json(self):
-        return self.__dict__.copy()
-
-
-def slm_inequality(e: RationalFlag, f: RationalFlag) -> SlmReport:
+def slm_inequality(e: RationalFlag, f: RationalFlag) -> Report:
     """Assemble the codimension chain for a disjoint pair of nonempty
     flags and verify the final stabilizer-dimension inequality."""
     if e.m != f.m:
@@ -320,23 +299,25 @@ def slm_inequality(e: RationalFlag, f: RationalFlag) -> SlmReport:
     dim_gk = sym - codim
     lhs = dim_gk + (e.length - 1) + (f.length - 1)
     rhs = sym - 3
-    return SlmReport(
-        m=m,
-        length_e=e.length,
-        length_f=f.length,
-        dim_n_quotient=dim_n_quot,
-        induced_lengths=lengths,
-        length_f0=f0.length,
-        codim=codim,
-        codim_bound=bound,
-        codim_ok=codim >= bound,
-        dim_gk=dim_gk,
-        lhs=lhs,
-        rhs=rhs,
-        inequality_ok=lhs <= rhs,
-        chain_ok=step_orbit and step_count,
-        counting_identity=counting_identity,
-    )
+    codim_ok, inequality_ok = codim >= bound, lhs <= rhs
+    chain_ok = step_orbit and step_count
+    return Report(VERIFIED if codim_ok and inequality_ok and chain_ok else VIOLATION, {
+        "m": m,
+        "length_e": e.length,
+        "length_f": f.length,
+        "dim_n_quotient": dim_n_quot,         # dim N / (Stab(F) & N)
+        "induced_lengths": lengths,
+        "length_f0": f0.length,
+        "codim": codim,
+        "codim_bound": bound,                 # length(E) + length(F) + 1
+        "codim_ok": codim_ok,
+        "dim_gk": dim_gk,                     # dim(G/K) = m(m+1)/2 - codim
+        "lhs": lhs,                           # dim(G/K) + |sigma| + |tau|
+        "rhs": rhs,                           # m(m+1)/2 - 3
+        "inequality_ok": inequality_ok,
+        "chain_ok": chain_ok,                 # both intermediate >= steps hold
+        "counting_identity": counting_identity,  # see the note above
+    })
 
 
 # ---------------------------------------------------------------------------

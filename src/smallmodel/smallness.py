@@ -22,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import HomologyTable
-
-VERIFIED = "verified"
-VIOLATION = "counterexample"
-INCONCLUSIVE = "inconclusive"
+from .report import INCONCLUSIVE, VERIFIED, VIOLATION, Report
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "INCONCLUSIVE"
@@ -148,35 +145,7 @@ class OrbitComplex:
         )
 
 
-@dataclass
-class SmallnessReport:
-    status: str                     # verified / counterexample / inconclusive
-    single_rows: list
-    pair_rows: list
-    min_slack: int | None = None
-    max_slack: int | None = None
-    equality_orbits: list = field(default_factory=list)
-    witness: dict | None = None
-    reason: str = ""
-
-    @property
-    def is_small(self):
-        return self.status == VERIFIED
-
-    def to_json(self):
-        return {
-            "status": self.status,
-            "single": self.single_rows,
-            "pairs": self.pair_rows,
-            "min_slack": self.min_slack,
-            "max_slack": self.max_slack,
-            "equality_orbits": self.equality_orbits,
-            "witness": self.witness,
-            "reason": self.reason,
-        }
-
-
-def check_small(X: OrbitComplex) -> SmallnessReport:
+def check_small(X: OrbitComplex) -> Report:
     """Run the single and pair stabilizer-dimension checks.
 
     An incomplete pair table can only ever yield 'inconclusive', never a
@@ -254,37 +223,18 @@ def check_small(X: OrbitComplex) -> SmallnessReport:
         status = INCONCLUSIVE
     else:
         status = VERIFIED
-    return SmallnessReport(
-        status=status,
-        single_rows=single_rows,
-        pair_rows=pair_rows,
-        min_slack=min(slacks) if slacks else None,
-        max_slack=max(slacks) if slacks else None,
-        equality_orbits=equality,
-        witness=witness,
-        reason=inconclusive_reason,
-    )
+    return Report(status, {
+        "single": single_rows,
+        "pairs": pair_rows,
+        "min_slack": min(slacks) if slacks else None,
+        "max_slack": max(slacks) if slacks else None,
+        "equality_orbits": equality,
+        "witness": witness,
+        "reason": inconclusive_reason,
+    })
 
 
-@dataclass
-class VanishingCertificate:
-    status: str
-    rows: list
-    certified_total_degree: int | None
-    failing_bidegree: tuple | None = None
-    reason: str = ""
-
-    def to_json(self):
-        return {
-            "status": self.status,
-            "rows": self.rows,
-            "certified_total_degree": self.certified_total_degree,
-            "failing_bidegree": self.failing_bidegree,
-            "reason": self.reason,
-        }
-
-
-def vanishing_certificate(X: OrbitComplex) -> VanishingCertificate:
+def vanishing_certificate(X: OrbitComplex) -> Report:
     """Page-one vanishing table for total degrees >= boundary_dim.
 
     For a first-factor orbit of dimension i, the contribution of a
@@ -295,7 +245,7 @@ def vanishing_certificate(X: OrbitComplex) -> VanishingCertificate:
     base = check_small(X)
     if base.status == VIOLATION:
         # name a bidegree that cannot be certified
-        w = base.witness
+        w = base.details["witness"]
         if w and w["kind"] == "pair":
             a, b = w["pair"]
             oa, ob = X.orbit(a), X.orbit(b)
@@ -304,10 +254,10 @@ def vanishing_certificate(X: OrbitComplex) -> VanishingCertificate:
         else:
             o = X.orbit(w["orbit"])
             fail = (o.dim, o.hdim.value)
-        return VanishingCertificate(VIOLATION, [], None, failing_bidegree=fail,
-                                    reason="stabilizer-dimension check failed")
+        return _vanishing(VIOLATION, failing_bidegree=fail,
+                          reason="stabilizer-dimension check failed")
     if base.status == INCONCLUSIVE:
-        return VanishingCertificate(INCONCLUSIVE, [], None, reason=base.reason)
+        return _vanishing(INCONCLUSIVE, reason=base.details["reason"])
 
     n = X.boundary_dim
     rows = []
@@ -330,8 +280,14 @@ def vanishing_certificate(X: OrbitComplex) -> VanishingCertificate:
                 }
             )
     ok = all(r["ok"] for r in rows)
-    status = VERIFIED if ok else VIOLATION
-    return VanishingCertificate(status, rows, n if ok else None)
+    return _vanishing(VERIFIED if ok else VIOLATION, rows, n if ok else None)
+
+
+def _vanishing(status, rows=(), certified_total_degree=None, failing_bidegree=None,
+               reason=""):
+    return Report(status, {"rows": list(rows),
+                           "certified_total_degree": certified_total_degree,
+                           "failing_bidegree": failing_bidegree, "reason": reason})
 
 
 # ---------------------------------------------------------------------------

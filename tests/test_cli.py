@@ -196,3 +196,108 @@ def test_human_readable_mode(capsys):
     code, out = run(capsys, "harer", "--g", "2", "--r", "0", "--s", "0")
     assert code == 0
     assert "dim: 3" in out
+
+
+def write_json(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def orbit_certificate(pair_hdim):
+    return {
+        "boundary_dim": 3,
+        "orbits": [{"label": "v", "dim": 0, "hdim": 2}, {"label": "e", "dim": 1, "hdim": 1}],
+        "pairs": [{"a": "v", "b": "v", "disjoint": True, "hdim": 1},
+                  {"a": "e", "b": "v", "disjoint": True, "hdim": pair_hdim},
+                  {"a": "e", "b": "e", "disjoint": True, "hdim": 0}],
+        "complete": True,
+    }
+
+
+def coordinate_flag_json(m, sets):
+    return {"m": m, "subspaces": [[[int(j == i) for j in range(m)] for i in sorted(s)]
+                                  for s in sets]}
+
+
+def test_certificate_verified(tmp_path, capsys):
+    path = write_json(tmp_path, "cert.json", orbit_certificate(pair_hdim=1))
+    code, rep = run_json(capsys, "certificate", "--in", path)
+    assert code == 0
+    assert rep["status"] == rep["details"]["status"] == "verified"
+    assert rep["details"]["certified_total_degree"] == 3
+    assert rep["details"]["failing_bidegree"] is None
+    assert rep["details"]["rows"] and all(r["ok"] for r in rep["details"]["rows"])
+
+
+def test_certificate_counterexample_names_a_bidegree(tmp_path, capsys):
+    path = write_json(tmp_path, "cert.json", orbit_certificate(pair_hdim=4))
+    code, rep = run_json(capsys, "certificate", "--in", path)
+    assert code == 1
+    assert rep["status"] == rep["details"]["status"] == "counterexample"
+    # the pair (e, v) fails: e has dimension 1, hdim 4 plus dim(v) = 0
+    assert rep["details"]["failing_bidegree"] == [1, 4]
+    assert rep["details"]["certified_total_degree"] is None
+    assert rep["details"]["rows"] == []
+
+
+def test_diagonal_checks_share_the_report_shape(tmp_path, capsys):
+    path = write_json(tmp_path, "K.json", {"vertices": [0, 1, 2, 3],
+                                           "facets": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]})
+    code, rep = run_json(capsys, "diagonal", "--in", path)
+    assert code == 0
+    assert rep["status"] == "verified"
+    assert rep["details"]["flag"] is False
+    checks = rep["details"]["checks"]
+    assert [c["check"] for c in checks] == ["retraction", "decomposition",
+                                            "long-exact-consistency"]
+    assert all(c["status"] == "verified" and "passed" not in c for c in checks)
+    assert checks[0]["H(diagonal)"] == checks[0]["H(C)"]
+    assert checks[1]["mismatches"] == []
+    assert checks[1]["bidegree_counts"]["(1,1)"] == [5, 5]
+    assert checks[2]["chi_product"] == checks[2]["chi_diagonal"] + checks[2]["chi_relative"]
+
+
+def test_slm_check_single_pair(tmp_path, capsys):
+    path = write_json(tmp_path, "pair.json", {"e": coordinate_flag_json(4, [{0}, {0, 1}]),
+                                              "f": coordinate_flag_json(4, [{3}])})
+    code, rep = run_json(capsys, "slm-check", "--in", path)
+    assert code == 0
+    d = rep["details"]
+    assert rep["status"] == d["status"] == "verified"
+    assert set(d) == {"status", "m", "length_e", "length_f", "dim_n_quotient",
+                      "induced_lengths", "length_f0", "codim", "codim_bound", "codim_ok",
+                      "dim_gk", "lhs", "rhs", "inequality_ok", "chain_ok",
+                      "counting_identity"}
+    assert d["codim_ok"] and d["inequality_ok"] and d["chain_ok"]
+    assert (d["codim"], d["codim_bound"], d["lhs"], d["rhs"]) == (6, 4, 5, 7)
+
+
+def test_lemma_upper(capsys):
+    code, rep = run_json(capsys, "lemma-upper", "--m", "3")
+    assert code == 0
+    d = rep["details"]
+    assert rep["status"] == d["status"] == "verified"
+    assert (d["number"], d["checked"], d["violations"]) == (1, 12, [])
+    assert d["name"] == "forced zeros >= flag length, exhaustive"
+    # only the suite times its criteria
+    assert "runtime_s" not in d and "passed" not in d and "details" not in d
+
+
+def test_orbit_codim_rejects_shared_subspace(tmp_path, capsys):
+    flag = coordinate_flag_json(3, [{0}])
+    path = write_json(tmp_path, "pair.json", {"e": flag, "f": flag})
+    code, rep = run_json(capsys, "orbit-codim", "--in", path)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == "FlagError: flags share a subspace"
+
+
+@pytest.mark.parametrize("command", ["orbit-codim", "slm-check", "rank-one", "b2-criterion"])
+def test_null_input_is_not_a_missing_input(tmp_path, capsys, command):
+    # a file holding null is a wrongly shaped input, never the default run
+    path = write_json(tmp_path, "null.json", None)
+    code, rep = run_json(capsys, command, "--in", path)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"].startswith("TypeError")

@@ -90,20 +90,30 @@ def test_find_betas_examples():
 def test_satisfiable_with_exact_witness():
     v = compression_criterion_b2(TripleForm(1, 1, 1, 0))
     assert v.status == SATISFIABLE
-    assert v.witness.s == 1 and v.witness.x == 1 and v.witness.y == 0
-    assert verify_witness(TripleForm(1, 1, 1, 0), v.witness) == []
+    w = v.details["witness"]
+    assert w.s == 1 and w.x == 1 and w.y == 0
+    assert verify_witness(TripleForm(1, 1, 1, 0), w) == []
 
 
 def test_obstructed_by_nonsquare():
     v = compression_criterion_b2(TripleForm(1, 2, 1, 0))
     assert v.status == OBSTRUCTED
-    assert any("-2" in note for note in v.notes)
+    assert v.details["witness"] is None
+    # criterion 10 matches the "-2"; beta prints as exact rationals, not reprs
+    assert v.details["notes"] == ["beta=(0, 1): 1-4xy = -2 is not a rational square"]
+
+
+def test_notes_hold_no_reprs():
+    for T in (TripleForm(1, 2, 1, 0), TripleForm(1, 0, 1, 0),
+              TripleForm(1, Fraction(1, 2), Fraction(1, 3), -1)):
+        notes = compression_criterion_b2(T).details["notes"]
+        assert notes and not any("Fraction(" in note for note in notes), notes
 
 
 def test_degenerate_pairing_noted():
     v = compression_criterion_b2(TripleForm(1, 0, 0, 0))
     assert v.status == OBSTRUCTED
-    assert any("no rational beta" in note for note in v.notes)
+    assert any("no rational beta" in note for note in v.details["notes"])
 
 
 def test_json_round_trip():

@@ -162,9 +162,10 @@ def test_slm_report_consistency():
     e = coordinate_flag(4, [{0}, {0, 1}])
     f = coordinate_flag(4, [{3}])
     rep = slm_inequality(e, f)
-    assert rep.codim_ok and rep.inequality_ok and rep.chain_ok
-    assert rep.dim_gk == 4 * 5 // 2 - rep.codim
-    assert rep.lhs == rep.dim_gk + (e.length - 1) + (f.length - 1)
+    d = rep.details
+    assert d["codim_ok"] and d["inequality_ok"] and d["chain_ok"]
+    assert d["dim_gk"] == 4 * 5 // 2 - d["codim"]
+    assert d["lhs"] == d["dim_gk"] + (e.length - 1) + (f.length - 1)
 
 
 def test_slm_rejects_shared_subspace():

@@ -41,15 +41,15 @@ def test_hdim_parse_and_render():
 def test_verified_certificate():
     rep = check_small(tiny_complex())
     assert rep.status == VERIFIED
-    assert rep.is_small
-    assert rep.min_slack is not None
+    assert rep.passed
+    assert rep.details["min_slack"] is not None
 
 
 def test_exact_violation_names_a_witness():
     rep = check_small(tiny_complex(hdim_v=5))
     assert rep.status == VIOLATION
-    assert rep.witness["kind"] == "single"
-    assert rep.witness["orbit"] == "v"
+    assert rep.details["witness"]["kind"] == "single"
+    assert rep.details["witness"]["orbit"] == "v"
 
 
 def test_bound_violation_is_inconclusive():
@@ -61,7 +61,7 @@ def test_bound_violation_is_inconclusive():
 def test_incomplete_table_never_passes_silently():
     rep = check_small(tiny_complex(complete=False))
     assert rep.status == INCONCLUSIVE
-    assert "complete" in rep.reason
+    assert "complete" in rep.details["reason"]
 
 
 def test_missing_pair_detected():
@@ -69,14 +69,14 @@ def test_missing_pair_detected():
     del X.pairs[("e", "v")]
     rep = check_small(X)
     assert rep.status == INCONCLUSIVE
-    assert "missing" in rep.reason
+    assert "missing" in rep.details["reason"]
 
 
 def test_equality_detection():
     X = tiny_complex(hdim_v=3)
     rep = check_small(X)
     assert rep.status == VERIFIED
-    assert rep.equality_orbits == ["v"]
+    assert rep.details["equality_orbits"] == ["v"]
 
 
 def test_pass_with_upper_bounds_is_a_pass():
@@ -87,11 +87,11 @@ def test_pass_with_upper_bounds_is_a_pass():
 def test_vanishing_certificate_rows():
     cert = vanishing_certificate(tiny_complex())
     assert cert.status == VERIFIED
-    assert cert.certified_total_degree == 3
-    assert all(r["ok"] for r in cert.rows)
+    assert cert.details["certified_total_degree"] == 3
+    assert all(r["ok"] for r in cert.details["rows"])
     bad = vanishing_certificate(tiny_complex(pair_hdim=4))
     assert bad.status == VIOLATION
-    assert bad.failing_bidegree is not None
+    assert bad.details["failing_bidegree"] is not None
 
 
 def test_json_round_trip():
@@ -112,7 +112,7 @@ def test_join_model_values():
     assert entry.hdim == Hdim(2)
     rep = check_small(X)
     assert rep.status == VERIFIED
-    assert "f123" in rep.equality_orbits
+    assert "f123" in rep.details["equality_orbits"]
     assert vanishing_certificate(X).status == VERIFIED
 
 
