@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-import networkx as nx
-
 from . import cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, chain_complex, homology, tensor_total
 from .report import VERIFIED, VIOLATION, Report
@@ -219,20 +217,38 @@ def criterion_certificates() -> Report:
 # 8 and 9. diagonal machinery and chain properties on random flag complexes
 
 
+def _maximal_cliques(adj) -> list:
+    """Maximal cliques of the graph {vertex: set of neighbours}, by
+    Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi, 2006)."""
+    out = []
+
+    def expand(clique, cand, done):
+        if not cand and not done:
+            out.append(sorted(clique))
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
+        for u in list(cand - adj[pivot]):
+            expand(clique + [u], cand & adj[u], done & adj[u])
+            cand.remove(u)
+            done.add(u)
+
+    expand([], set(adj), set())
+    return out
+
+
 def random_flag_complex(rng: random.Random, max_vertices: int = 10,
                         max_cells: int = 60) -> SimplicialComplex:
     """Clique complex of a random graph, resampled until modestly sized."""
     while True:
         n = rng.randint(4, max_vertices)
         p = rng.uniform(0.25, 0.55)
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
+        adj = {a: set() for a in range(n)}
         for a in range(n):
             for b in range(a + 1, n):
                 if rng.random() < p:
-                    g.add_edge(a, b)
-        facets = [sorted(c) for c in nx.find_cliques(g)]
-        K = SimplicialComplex(range(n), facets)
+                    adj[a].add(b)
+                    adj[b].add(a)
+        K = SimplicialComplex(range(n), _maximal_cliques(adj))
         if sum(K.f_vector()) <= max_cells:
             return K
 

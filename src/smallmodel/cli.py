@@ -16,7 +16,7 @@ import time
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, homology
 from .normalform import PivotExplosion
-from .report import INCONCLUSIVE, VERIFIED, VIOLATION
+from .report import INCONCLUSIVE, VERIFIED, VIOLATION, json_int
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -108,16 +108,15 @@ def cmd_sc_obstruction(args, data):
     from .complexes import HomologyTable
 
     entries = tuple(
-        (int(e["degree"]), int(e["rank"]), tuple(int(t) for t in e.get("torsion", [])))
+        (json_int(e["degree"], "degree"), json_int(e["rank"], "rank"),
+         tuple(json_int(t, "torsion") for t in e.get("torsion", [])))
         for e in data["boundary_homology"]
     )
-    prob = smallness.HomologySupportProblem(
-        int(data["n"]), int(data["q"]), HomologyTable(False, "Z", entries)
-    )
+    n, q = json_int(data["n"], "n"), json_int(data["q"], "q")
+    prob = smallness.HomologySupportProblem(n, q, HomologyTable(False, "Z", entries))
     res = smallness.simply_connected_obstruction(prob)
     if data.get("chi_zero") is not None and res["verdict"] != smallness.OBSTRUCTED:
-        res = smallness.parity_obstruction(int(data["n"]), int(data["q"]),
-                                           bool(data["chi_zero"]))
+        res = smallness.parity_obstruction(n, q, bool(data["chi_zero"]))
     return VERIFIED, res
 
 
@@ -193,7 +192,8 @@ def cmd_cc_certificate(args, data):
 
 def cmd_rank_one(args, data):
     if args.infile:
-        R = cupforms.RankOneRing(int(data["k"]), int(data["m"]), data["top_value"])
+        R = cupforms.RankOneRing(json_int(data["k"], "k"), json_int(data["m"], "m"),
+                                 data["top_value"])
     else:
         R = cupforms.RankOneRing(args.k, args.m, args.top)
     return VERIFIED, cupforms.rank_one_obstruction(R)
@@ -233,10 +233,13 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_in=False, **kwargs):
+    def add(name, fn, reads_in=False, needs_in=False, **kwargs):
+        # only a subcommand that reads --in accepts it; a stray --in on any
+        # other is a usage error, not a file hashed into the digest unread
         sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(fn=fn, needs_in=needs_in)
-        sp.add_argument("--in", dest="infile", help="JSON input file")
+        sp.set_defaults(fn=fn, needs_in=needs_in, infile=None)
+        if reads_in or needs_in:
+            sp.add_argument("--in", dest="infile", help="JSON input file")
         return sp
 
     sp = add("homology", cmd_homology, needs_in=True,
@@ -256,11 +259,11 @@ def build_parser():
     sp = add("lemma-upper", cmd_lemma_upper, help="forced-zero sweep")
     sp.add_argument("--m", type=int, default=6)
 
-    sp = add("orbit-codim", cmd_orbit_codim, help="orbit codimension bound")
+    sp = add("orbit-codim", cmd_orbit_codim, reads_in=True, help="orbit codimension bound")
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--random", type=int, default=1000)
 
-    sp = add("slm-check", cmd_slm_check, help="codimension-chain inequality")
+    sp = add("slm-check", cmd_slm_check, reads_in=True, help="codimension-chain inequality")
     sp.add_argument("--m", type=int, default=5)
     sp.add_argument("--random", type=int, default=500)
 
@@ -284,12 +287,13 @@ def build_parser():
              help="orbit certificate for curve systems")
     sp.add_argument("--g", type=int, required=True)
 
-    sp = add("rank-one", cmd_rank_one, help="one-generator cup obstruction")
+    sp = add("rank-one", cmd_rank_one, reads_in=True, help="one-generator cup obstruction")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--top", default="1")
 
-    sp = add("b2-criterion", cmd_b2_criterion, help="two-generator surjection criterion")
+    sp = add("b2-criterion", cmd_b2_criterion, reads_in=True,
+             help="two-generator surjection criterion")
     sp.add_argument("--form", help="TripleForm JSON string")
 
     add("suite", cmd_suite, help="run the full verification battery")

@@ -1,4 +1,5 @@
-"""The one report shape every check returns: a status and its details."""
+"""The one report shape every check returns, a status and its details,
+and the one reader of integer fields in JSON inputs."""
 
 from __future__ import annotations
 
@@ -7,6 +8,20 @@ from dataclasses import asdict, dataclass
 VERIFIED = "verified"
 VIOLATION = "counterexample"
 INCONCLUSIVE = "inconclusive"
+
+
+def json_int(value, field: str) -> int:
+    """An integer field of a JSON input: an int or a string of one. A
+    float, a bool or any other value is refused, naming the field, never
+    truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass

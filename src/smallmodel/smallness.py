@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import HomologyTable
-from .report import INCONCLUSIVE, VERIFIED, VIOLATION, Report
+from .report import INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_int
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "INCONCLUSIVE"
@@ -48,12 +48,9 @@ class Hdim:
 
     @classmethod
     def parse(cls, raw):
-        if isinstance(raw, int):
-            return cls(raw, True)
-        s = str(raw).strip()
-        if s.startswith("<="):
-            return cls(int(s[2:]), False)
-        return cls(int(s), True)
+        if isinstance(raw, str) and raw.strip().startswith("<="):
+            return cls(json_int(raw.strip()[2:], "hdim"), False)
+        return cls(json_int(raw, "hdim"), True)
 
     def to_json(self):
         return self.value if self.exact else f"<={self.value}"
@@ -124,7 +121,7 @@ class OrbitComplex:
     @classmethod
     def from_json(cls, data):
         orbits = [
-            Orbit(o["label"], int(o["dim"]), Hdim.parse(o["hdim"]))
+            Orbit(o["label"], json_int(o["dim"], "orbit dim"), Hdim.parse(o["hdim"]))
             for o in data["orbits"]
         ]
         pairs = {}
@@ -137,7 +134,7 @@ class OrbitComplex:
             )
             pairs[entry.key()] = entry
         return cls(
-            boundary_dim=int(data["boundary_dim"]),
+            boundary_dim=json_int(data["boundary_dim"], "boundary_dim"),
             orbits=orbits,
             pairs=pairs,
             complete=bool(data.get("complete", False)),

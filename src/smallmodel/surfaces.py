@@ -11,12 +11,9 @@ abelian twist stabilizer of rank 3g-3) pin the bookkeeping down.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-from networkx.algorithms import isomorphism as nxiso
-
+from .report import json_int
 from .smallness import Hdim, Orbit, OrbitComplex, PairEntry
 
 
@@ -166,9 +163,9 @@ class CutSurfaceGraph:
     @classmethod
     def from_json(cls, data):
         return cls(
-            int(data["closed_genus"]),
-            tuple(int(p["genus"]) for p in data["pieces"]),
-            tuple(tuple(e) for e in data["curve_edges"]),
+            json_int(data["closed_genus"], "closed_genus"),
+            tuple(json_int(p["genus"], "piece genus") for p in data["pieces"]),
+            tuple(tuple(json_int(x, "curve edge") for x in e) for e in data["curve_edges"]),
         )
 
 
@@ -180,19 +177,6 @@ def multicurve_stab_hdim(G: CutSurfaceGraph) -> int:
 
 # ---------------------------------------------------------------------------
 # Enumeration of topological types.
-
-
-def _iso_key(genera, mult):
-    loops = {i: mult.get((i, i), 0) for i in range(len(genera))}
-    deg = {i: 0 for i in range(len(genera))}
-    for (i, j), k in mult.items():
-        if i == j:
-            deg[i] += 2 * k
-        else:
-            deg[i] += k
-            deg[j] += k
-    profile = sorted((genera[i], deg[i], loops[i]) for i in range(len(genera)))
-    return (len(genera), tuple(profile), tuple(sorted(mult.values())))
 
 
 def _vertex_type_multisets(g, k, v):
@@ -318,46 +302,44 @@ def _connected(v, mult):
     return len(seen) == v
 
 
-def _weighted_nx(genera, mult):
-    """Simple graph encoding of the multigraph: multiplicities as edge
-    weights, loop counts folded into the node label. Used both for the
-    refinement hash and for isomorphism testing."""
-    g = nx.Graph()
-    for i, gen in enumerate(genera):
-        g.add_node(i, label=(gen, mult.get((i, i), 0)))
+def _canonical(genera, mult):
+    """Exact isomorphism key of a cut graph by individualisation and
+    refinement (McKay, Practical graph isomorphism, 1981): colour each
+    piece by (genus, loops), refine by the multiset of (neighbour colour,
+    multiplicity) until stable, split the first non-singleton cell each
+    way, and keep the least leaf encoding (genera and multiplicities
+    relabelled by the discrete colouring)."""
+    v = len(genera)
+    nbrs = [[] for _ in range(v)]
     for (i, j), k in mult.items():
         if i != j:
-            g.add_edge(i, j, w=k)
-    return g
+            nbrs[i].append((j, k))
+            nbrs[j].append((i, k))
+
+    def leaf(col):
+        while True:
+            sig = [(col[x], tuple(sorted((col[y], k) for y, k in nbrs[x]))) for x in range(v)]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            cells, col = len(set(col)), [rank[s] for s in sig]
+            if len(rank) == cells:
+                break
+        split = [x for x in range(v) if col.count(col[x]) > 1]
+        if not split:
+            edges = sorted((*sorted((col[i], col[j])), k) for (i, j), k in mult.items())
+            return tuple(g for _, g in sorted(zip(col, genera))), tuple(edges)
+        first = min(col[x] for x in split)
+        return min(leaf([2 * c + (y != x) for y, c in enumerate(col)])
+                   for x in split if col[x] == first)
+
+    return leaf([(genera[x], mult.get((x, x), 0)) for x in range(v)])
 
 
 def _dedupe(raw):
-    """Group (genera, mult) pairs by a refinement hash, then decide the
-    few remaining collisions by exact isomorphism."""
-    buckets = {}
+    """One (genera, mult) pair per isomorphism class: the first raw member."""
+    reps = {}
     for genera, mult in raw:
-        g1 = _weighted_nx(genera, mult)
-        h = nx.weisfeiler_lehman_graph_hash(g1, edge_attr="w", node_attr="label",
-                                            iterations=3)
-        buckets.setdefault((_iso_key(genera, mult), h), []).append((genera, mult, g1))
-    reps = []
-    for key in sorted(buckets):
-        found = []
-        for genera, mult, g1 in buckets[key]:
-            new = True
-            for _, _, g2 in found:
-                matcher = nxiso.GraphMatcher(
-                    g1, g2,
-                    node_match=nxiso.categorical_node_match("label", None),
-                    edge_match=nxiso.categorical_edge_match("w", None),
-                )
-                if matcher.is_isomorphic():
-                    new = False
-                    break
-            if new:
-                found.append((genera, mult, g1))
-        reps.extend((genera, mult) for genera, mult, _ in found)
-    return reps
+        reps.setdefault(_canonical(genera, mult), (genera, mult))
+    return list(reps.values())
 
 
 def _to_cut_graph(g, genera, mult):

@@ -4,6 +4,9 @@ The criteria themselves live in smallmodel.acceptance so that the CLI
 ``smallmodel suite`` and this test file exercise the identical code.
 """
 
+import itertools
+import random
+
 import pytest
 
 from smallmodel import acceptance
@@ -30,3 +33,42 @@ def test_criterion(results, number):
 
 def test_all_eleven_present(results):
     assert sorted(results) == list(range(1, 12))
+
+
+# ---------------------------------------------------------------------------
+# The clique search behind the random flag complexes of criteria 8 and 9.
+
+
+def brute_maximal_cliques(adj):
+    n = len(adj)
+    cliques = [set(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
+               if all(b in adj[a] for a, b in itertools.combinations(c, 2))]
+    return sorted(sorted(c) for c in cliques if not any(c < d for d in cliques))
+
+
+def random_graph(rng, n, p):
+    adj = {a: set() for a in range(n)}
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = random.Random(0)
+    for _ in range(200):
+        adj = random_graph(rng, rng.randint(1, 10), rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)))
+        assert sorted(acceptance._maximal_cliques(adj)) == brute_maximal_cliques(adj)
+
+
+def test_random_flag_complex_facets_are_the_maximal_cliques():
+    for seed in range(40):
+        K = acceptance.random_flag_complex(random.Random(seed))
+        n = len(K.vertices)
+        adj = {a: set() for a in range(n)}
+        for a, b in K.simplices(1):
+            adj[a].add(b)
+            adj[b].add(a)
+        assert K.vertices == tuple(range(n)) and n <= 10
+        assert sorted(sorted(f) for f in K.facets) == brute_maximal_cliques(adj)

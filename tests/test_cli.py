@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,61 @@ def test_null_input_is_not_a_missing_input(tmp_path, capsys, command):
     assert code == 3
     assert rep["status"] == "error"
     assert rep["details"]["error"].startswith("TypeError")
+
+
+@pytest.mark.parametrize("argv", [["harer", "--g", "2", "--r", "0", "--s", "0"], ["suite"]])
+def test_in_is_a_usage_error_where_it_is_not_read(tmp_path, capsys, argv):
+    # the file is never read, so it must not be accepted and hashed
+    path = write_json(tmp_path, "cert.json", orbit_certificate(pair_hdim=1))
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *argv, "--in", path])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("check-small", {**orbit_certificate(1), "boundary_dim": 1.9}, "boundary_dim"),
+    ("check-small", {**orbit_certificate(1), "boundary_dim": True}, "boundary_dim"),
+    ("check-small", {**orbit_certificate(1),
+                     "orbits": [{"label": "v", "dim": 0.9, "hdim": 2},
+                                {"label": "e", "dim": 1, "hdim": 1}]}, "orbit dim"),
+    ("certificate", {**orbit_certificate(1), "boundary_dim": "3.0"}, "boundary_dim"),
+    ("sc-obstruction", {"n": 4.0, "q": 1, "boundary_homology": []}, "n"),
+    ("sc-obstruction", {"n": 4, "q": 1,
+                        "boundary_homology": [{"degree": 0, "rank": 1.5}]}, "rank"),
+    ("rank-one", {"k": 2.5, "m": 3, "top_value": "1"}, "k"),
+    ("slm-check", {"e": {**coordinate_flag_json(4, [{0}]), "m": 4.0},
+                   "f": coordinate_flag_json(4, [{3}])}, "m"),
+])
+def test_non_integer_fields_are_input_errors(tmp_path, capsys, command, payload, field):
+    # a float is refused by name, never truncated to an integer
+    path = write_json(tmp_path, "in.json", payload)
+    code, rep = run_json(capsys, command, "--in", path)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"].startswith(f"ValueError: {field} must be an integer, got ")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_module_form_runs_the_cli():
+    proc = _python("-m", "smallmodel", "--json", "harer", "--g", "2", "--r", "0", "--s", "0")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "verified"
+    assert rep["details"]["dim"] == 3
+
+
+def test_no_networkx_at_import():
+    proc = _python("-c", "import sys, smallmodel, smallmodel.cli, smallmodel.acceptance; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

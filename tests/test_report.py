@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from smallmodel.cupforms import SurjectionWitness
-from smallmodel.report import INCONCLUSIVE, VERIFIED, VIOLATION, Report
+from smallmodel.report import INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_int
 
 
 def test_passed_reads_the_status():
@@ -29,3 +31,15 @@ def test_to_json_flattens_details_and_keeps_exact_values():
     }
     # the report itself is left as it was
     assert rep.details["witness"] is witness
+
+
+def test_json_int_reads_ints_and_integer_strings():
+    assert json_int(3, "n") == 3
+    assert json_int(-2, "n") == -2
+    assert json_int("7", "n") == 7
+
+
+@pytest.mark.parametrize("value", [1.9, 2.0, True, False, None, "1.9", "x", "", [1], {}])
+def test_json_int_refuses_the_rest_by_name(value):
+    with pytest.raises(ValueError, match=r"^boundary_dim must be an integer, got "):
+        json_int(value, "boundary_dim")

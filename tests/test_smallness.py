@@ -33,6 +33,11 @@ def tiny_complex(boundary_dim=3, hdim_v=2, pair_hdim=1, complete=True, exact=Tru
 def test_hdim_parse_and_render():
     assert Hdim.parse(3) == Hdim(3, True)
     assert Hdim.parse("<=4") == Hdim(4, False)
+    assert Hdim.parse(" <= 4") == Hdim(4, False)
+    assert Hdim.parse("5") == Hdim(5, True)
+    for bad in (1.5, True, "<=1.5", "<=x"):
+        with pytest.raises(ValueError, match="hdim must be an integer"):
+            Hdim.parse(bad)
     assert str(Hdim(4, False)) == "<=4"
     with pytest.raises(CertificateError):
         Hdim(-1)

@@ -1,4 +1,10 @@
+import hashlib
+import itertools
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smallmodel.surfaces import (
     CutSurfaceGraph,
@@ -13,6 +19,8 @@ from smallmodel.surfaces import (
     max_hdim_by_size,
     multicurve_stab_hdim,
     pants_decompositions,
+    _canonical,
+    _connected,
 )
 from smallmodel.smallness import VERIFIED, check_small, vanishing_certificate
 
@@ -127,3 +135,129 @@ def test_json_round_trip():
     assert q.piece_genera == p.piece_genera
     assert q.curve_edges == p.curve_edges
     assert multicurve_stab_hdim(q) == 3
+
+
+def test_json_floats_are_refused():
+    data = pants_decompositions(2)[0].to_json()
+    for field, value in (("closed_genus", 2.0), ("curve_edges", [[0, 1, 0.0]] * 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CutSurfaceGraph.from_json({**data, field: value})
+    bad = {**data, "pieces": [{**p, "genus": 0.5} for p in data["pieces"]]}
+    with pytest.raises(ValueError, match="piece genus must be an integer"):
+        CutSurfaceGraph.from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# The canonical form against brute-force isomorphism.
+
+
+@st.composite
+def cut_graphs(draw, max_vertices=6):
+    """Connected loop multigraphs with genera: (genera, {(i, j): k}), i <= j."""
+    v = draw(st.integers(1, max_vertices))
+    genera = tuple(draw(st.lists(st.integers(0, 2), min_size=v, max_size=v)))
+    mult = {}
+    for x in range(1, v):  # a random spanning tree keeps the graph connected
+        key = (draw(st.integers(0, x - 1)), x)
+        mult[key] = draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple(sorted(draw(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)))))
+        mult[key] = mult.get(key, 0) + 1
+    return genera, mult
+
+
+def relabel(genera, mult, perm):
+    """The same graph with vertex i renamed perm[i]."""
+    out = [None] * len(genera)
+    for i, g in enumerate(genera):
+        out[perm[i]] = g
+    return tuple(out), {tuple(sorted((perm[i], perm[j]))): k for (i, j), k in mult.items()}
+
+
+def brute_isomorphic(a, b):
+    (ga, ma), (gb, mb) = a, b
+    if len(ga) != len(gb):
+        return False
+    return any(relabel(ga, ma, perm) == (gb, mb)
+               for perm in itertools.permutations(range(len(ga))))
+
+
+def switch(genera, mult, rnd):
+    """A degree-preserving switch (a-b, c-d) -> (a-d, c-b) of two edge
+    units, or a genus moved between two pieces: most invariants survive."""
+    units = [e for e, k in sorted(mult.items()) for _ in range(k)]
+    if len(units) >= 2 and rnd.random() < 0.7:
+        (a, b), (c, d) = rnd.sample(units, 2)
+        out = dict(mult)
+        for e in ((a, b), (c, d)):
+            out[e] -= 1
+        for e in ((a, d), (c, b)):
+            e = tuple(sorted(e))
+            out[e] = out.get(e, 0) + 1
+        return genera, {e: k for e, k in out.items() if k}
+    i, j = rnd.randrange(len(genera)), rnd.randrange(len(genera))
+    moved = list(genera)
+    if moved[i]:
+        moved[i] -= 1
+        moved[j] += 1
+    return tuple(moved), mult
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_graphs(), st.randoms(use_true_random=False))
+def test_canonical_key_survives_relabelling(graph, rnd):
+    genera, mult = graph
+    perm = list(range(len(genera)))
+    rnd.shuffle(perm)
+    assert _canonical(*relabel(genera, mult, perm)) == _canonical(genera, mult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_graphs(), cut_graphs(), st.randoms(use_true_random=False), st.integers(0, 2))
+def test_canonical_key_decides_isomorphism(graph, other, rnd, how):
+    # the second graph is a relabelled near-copy of the first (a switch
+    # keeps the degrees), a plain relabelling, or drawn independently
+    if how == 0:
+        other = switch(*graph, rnd)
+        perm = list(range(len(graph[0])))
+        rnd.shuffle(perm)
+        other = relabel(*other, perm)
+    elif how == 1:
+        perm = list(range(len(graph[0])))
+        rnd.shuffle(perm)
+        other = relabel(*graph, perm)
+    assume(_connected(len(other[0]), other[1]))
+    same = _canonical(*graph) == _canonical(*other)
+    assert same == brute_isomorphic(graph, other)
+
+
+def test_canonical_key_splits_what_refinement_cannot():
+    # K_{3,3} and the triangular prism: both cubic on six genus-0 pieces,
+    # so colour refinement alone leaves one cell; individualisation parts them
+    k33 = {(i, j): 1 for i in range(3) for j in range(3, 6)}
+    prism = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): 1, (4, 5): 1, (3, 5): 1,
+             (0, 3): 1, (1, 4): 1, (2, 5): 1}
+    genera = (0,) * 6
+    assert _canonical(genera, k33) != _canonical(genera, prism)
+    rnd = random.Random(0)
+    for graph in (k33, prism):
+        perm = list(range(6))
+        rnd.shuffle(perm)
+        assert _canonical(*relabel(genera, graph, perm)) == _canonical(genera, graph)
+
+
+# sha256 of repr([(piece_genera, curve_edges), ...]) over k = 1..3g-3,
+# recorded from the networkx (WL hash + VF2) dedupe: the representatives
+# and their order are unchanged
+ENUMERATION_SHA256 = {
+    2: "5add4f8b69899935d7ae02439d11543842f0b67d2e896a94c0c4efa61526c6ca",
+    3: "8429ed656723730aa02338969cd5b50d16af1ef2793b31e2cc6371ba8091e23a",
+    4: "1f6e33027c957c2eac9eeaa7960c71485870682e76a3c7cd08bcd2d2e56736cf",
+}
+
+
+@pytest.mark.parametrize("g", sorted(ENUMERATION_SHA256))
+def test_enumeration_pinned(g):
+    types = [(t.piece_genera, t.curve_edges)
+             for k in range(1, 3 * g - 2) for t in enumerate_multicurves(g, k)]
+    assert hashlib.sha256(repr(types).encode()).hexdigest() == ENUMERATION_SHA256[g]
