@@ -16,7 +16,7 @@ import time
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, homology
 from .normalform import PivotExplosion
-from .report import INCONCLUSIVE, VERIFIED, VIOLATION, json_int
+from .report import INCONCLUSIVE, VERIFIED, VIOLATION, json_bool, json_int, json_rational
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -113,10 +113,13 @@ def cmd_sc_obstruction(args, data):
         for e in data["boundary_homology"]
     )
     n, q = json_int(data["n"], "n"), json_int(data["q"], "q")
+    chi_zero = data.get("chi_zero")
+    if chi_zero is not None:
+        chi_zero = json_bool(chi_zero, "chi_zero")
     prob = smallness.HomologySupportProblem(n, q, HomologyTable(False, "Z", entries))
     res = smallness.simply_connected_obstruction(prob)
-    if data.get("chi_zero") is not None and res["verdict"] != smallness.OBSTRUCTED:
-        res = smallness.parity_obstruction(n, q, bool(data["chi_zero"]))
+    if chi_zero is not None and res["verdict"] != smallness.OBSTRUCTED:
+        res = smallness.parity_obstruction(n, q, chi_zero)
     return VERIFIED, res
 
 
@@ -193,9 +196,9 @@ def cmd_cc_certificate(args, data):
 def cmd_rank_one(args, data):
     if args.infile:
         R = cupforms.RankOneRing(json_int(data["k"], "k"), json_int(data["m"], "m"),
-                                 data["top_value"])
+                                 json_rational(data["top_value"], "top_value"))
     else:
-        R = cupforms.RankOneRing(args.k, args.m, args.top)
+        R = cupforms.RankOneRing(args.k, args.m, json_rational(args.top, "--top"))
     return VERIFIED, cupforms.rank_one_obstruction(R)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .report import Report
+from .report import Report, json_rational
 
 OBSTRUCTED = "OBSTRUCTED"
 SATISFIABLE = "SATISFIABLE"
@@ -94,8 +94,8 @@ class TripleForm:
 
     @classmethod
     def from_json(cls, data):
-        return cls(Fraction(data["c111"]), Fraction(data["c112"]),
-                   Fraction(data["c122"]), Fraction(data["c222"]))
+        return cls(*(json_rational(data[name], name)
+                     for name in ("c111", "c112", "c122", "c222")))
 
 
 def rational_is_square(r) -> bool:

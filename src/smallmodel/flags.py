@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import ratlin
 from .complexes import SimplicialComplex
 from .ratlin import mat, rank, rref, sparse_rank
-from .report import VERIFIED, VIOLATION, Report, json_int
+from .report import VERIFIED, VIOLATION, Report, json_int, json_rational
 
 
 class FlagError(ValueError):
@@ -81,7 +81,9 @@ class RationalFlag:
 
     @classmethod
     def from_json(cls, data):
-        return cls.make(json_int(data["m"], "m"), data["subspaces"])
+        return cls.make(json_int(data["m"], "m"),
+                        [[[json_rational(x, "subspace entry") for x in row] for row in sub]
+                         for sub in data["subspaces"]])
 
 
 def coordinate_flag(m: int, sets) -> RationalFlag:

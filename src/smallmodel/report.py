@@ -1,9 +1,10 @@
 """The one report shape every check returns, a status and its details,
-and the one reader of integer fields in JSON inputs."""
+and the readers of integer, boolean and rational fields in JSON inputs."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 VERIFIED = "verified"
 VIOLATION = "counterexample"
@@ -22,6 +23,31 @@ def json_int(value, field: str) -> int:
         except ValueError:
             pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def json_bool(value, field: str) -> bool:
+    """A boolean field of a JSON input: ``true`` or ``false`` and nothing
+    else (the string ``"false"`` is refused, not read as true)."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} must be true or false, got {value!r}")
+
+
+def json_rational(value, field: str) -> Fraction:
+    """A rational field of a JSON input: an int or a string of an integer,
+    a decimal or a ratio (``"3"``, ``"-2/7"``, ``"0.1"``). A float is
+    refused, naming the field: ``0.1`` would be read as its binary value,
+    with denominator 2**55. So is an exponent (``"1e999999999"`` would
+    build a billion-digit integer), a bool or any other value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and "e" not in value.lower():
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} must be a rational (an int or a string like \"-2/7\"), "
+                     f"got {value!r}")
 
 
 @dataclass

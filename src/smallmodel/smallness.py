@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import HomologyTable
-from .report import INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_int
+from .report import INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_bool, json_int
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "INCONCLUSIVE"
@@ -129,7 +129,7 @@ class OrbitComplex:
             entry = PairEntry(
                 e["a"],
                 e["b"],
-                bool(e["disjoint"]),
+                json_bool(e["disjoint"], "disjoint"),
                 Hdim.parse(e["hdim"]) if "hdim" in e else None,
             )
             pairs[entry.key()] = entry
@@ -137,7 +137,7 @@ class OrbitComplex:
             boundary_dim=json_int(data["boundary_dim"], "boundary_dim"),
             orbits=orbits,
             pairs=pairs,
-            complete=bool(data.get("complete", False)),
+            complete=json_bool(data.get("complete", False), "complete"),
             provenance=data.get("provenance", ""),
         )
 

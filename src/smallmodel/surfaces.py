@@ -207,38 +207,46 @@ def _multigraphs_with_degrees(degrees, genera=None):
     """Loop-allowing multigraphs on labelled vertices with the given
     degree sequence, as multiplicity dicts {(i,j): k} with i <= j.
 
-    Vertices sharing (degree, genus) are interchangeable, so the search
-    prunes any partial matrix that a transposition of two completed
-    same-class vertices would make lexicographically larger: the lex-max
-    representative of every isomorphism class survives, which keeps the
-    enumeration complete while collapsing most relabellings. Survivors
-    still need an isomorphism dedupe."""
+    Vertices sharing (degree, genus) are interchangeable, so only the
+    matrices that no same-class transposition makes lexicographically
+    larger survive (orderly generation: Read 1978, McKay 1998): the
+    lex-max representative of every isomorphism class survives, which
+    keeps the enumeration complete while collapsing most relabellings.
+    Survivors still need an isomorphism dedupe.
+
+    A partial matrix is rejected as soon as a transposition is known to
+    win, which cuts only subtrees that yield nothing: inside row i, the
+    entry in column j is capped by the one in column j - 1 when both
+    columns are of one class and agree on the rows above; once row i is
+    complete, each transposition (a i) has its final verdict."""
     v = len(degrees)
     cls = [(degrees[i], genera[i] if genera is not None else 0) for i in range(v)]
     grid = [[0] * v for _ in range(v)]  # symmetric, loops on the diagonal
     out = []
 
     def prefix_ok(i):
-        # no same-class transposition of completed vertices beats the prefix
-        for a in range(i + 1):
-            for b in range(a + 1, i + 1):
-                if cls[a] != cls[b]:
-                    continue
-                swap = list(range(v))
-                swap[a], swap[b] = b, a
-                verdict = 0
-                for r in range(i + 1):
-                    row_s = grid[swap[r]]
-                    row_o = grid[r]
-                    for c in range(v):
-                        d = row_s[swap[c]] - row_o[c]
-                        if d:
-                            verdict = d
-                            break
-                    if verdict:
+        # (a i) with a < i has its final verdict on rows 0..a: a tie there
+        # makes row i row a with columns a and i exchanged, and then every
+        # later row ties too. Pairs (a b) with b < i were settled when row b
+        # completed.
+        for a in range(i):
+            if cls[a] != cls[i]:
+                continue
+            swap = list(range(v))
+            swap[a], swap[i] = i, a
+            verdict = 0
+            for r in range(a + 1):
+                row_s = grid[swap[r]]
+                row_o = grid[r]
+                for c in range(v):
+                    d = row_s[swap[c]] - row_o[c]
+                    if d:
+                        verdict = d
                         break
-                if verdict > 0:
-                    return False
+                if verdict:
+                    break
+            if verdict > 0:
+                return False
         return True
 
     def rec(i, rem, mult):
@@ -246,6 +254,12 @@ def _multigraphs_with_degrees(degrees, genera=None):
             if all(x == 0 for x in rem):
                 out.append(dict(mult))
             return
+
+        # where columns j-1 and j agree above row i, (j-1 j) leaves those
+        # rows alone and wins at row i if column j outgrows column j - 1
+        tied = [i < j - 1 and cls[j - 1] == cls[j]
+                and all(grid[r][j - 1] == grid[r][j] for r in range(i))
+                for j in range(v)]
 
         # distribute rem[i] over a loop at i and pairs (i, j > i)
         def pairs(j, left):
@@ -255,7 +269,7 @@ def _multigraphs_with_degrees(degrees, genera=None):
                 return
             if j == v:
                 return
-            cap = min(left, rem[j])
+            cap = min(left, rem[j], grid[i][j - 1]) if tied[j] else min(left, rem[j])
             for m in range(cap + 1):
                 if m:
                     mult[(i, j)] = m
@@ -410,13 +424,17 @@ def enumerate_multicurves_by_matching(g: int, k: int) -> int:
 # curve systems.
 
 
+def _hdims_by_size(g: int) -> dict:
+    """{k: stabilizer dimensions of the k-curve types, in enumeration
+    order}: each (g, k) is enumerated once."""
+    return {k: [multicurve_stab_hdim(cg) for cg in enumerate_multicurves(g, k)]
+            for k in range(1, 3 * g - 2)}
+
+
 def max_hdim_by_size(g: int) -> dict:
     """Largest stabilizer dimension over all types with a given number of
     curves."""
-    table = {}
-    for k in range(1, 3 * g - 2):
-        table[k] = max(multicurve_stab_hdim(cg) for cg in enumerate_multicurves(g, k))
-    return table
+    return {k: max(hs) for k, hs in _hdims_by_size(g).items()}
 
 
 def lemma_smallstabilizers_sweep(g: int) -> dict:
@@ -430,13 +448,13 @@ def lemma_smallstabilizers_sweep(g: int) -> dict:
         raise SurfaceError("need genus >= 2")
     bound = 6 * g - 7
     kmax = 3 * g - 3
+    hdims = _hdims_by_size(g)
     exact_rows = []
     max_lhs = None
     witness = None
     ok = True
     for c in range(2, kmax + 1):
-        for t_idx, cg in enumerate(enumerate_multicurves(g, c)):
-            h = multicurve_stab_hdim(cg)
+        for t_idx, h in enumerate(hdims[c]):
             for a in range(1, c):
                 b = c - a
                 lhs = h + (a - 1) + (b - 1)
@@ -450,10 +468,8 @@ def lemma_smallstabilizers_sweep(g: int) -> dict:
                     exact_rows.append({"curves": c, "type_index": t_idx,
                                        "split": [a, b], "lhs": lhs, "ok": False})
     bound_rows = []
-    hmax = max_hdim_by_size(g)
     for b in range(1, kmax + 1):
-        for t_idx, cg in enumerate(enumerate_multicurves(g, b)):
-            hb = multicurve_stab_hdim(cg)
+        for t_idx, hb in enumerate(hdims[b]):
             for a in range(1, kmax + 1):
                 est = max(0, hb - a)
                 lhs = est + (a - 1) + (b - 1)
@@ -475,7 +491,7 @@ def lemma_smallstabilizers_sweep(g: int) -> dict:
         "max_exact_witness": witness,
         "exact_failures": exact_rows,
         "bound_failures": bound_rows,
-        "max_hdim_by_size": hmax,
+        "max_hdim_by_size": {k: max(hs) for k, hs in hdims.items()},
     }
 
 
@@ -487,17 +503,17 @@ def curve_complex_certificate(g: int) -> OrbitComplex:
     if g not in (2, 3):
         raise SurfaceError("certificate generator is size-guarded to genus 2 and 3")
     kmax = 3 * g - 3
+    hdims = _hdims_by_size(g)
+    hmax = {k: max(hs) for k, hs in hdims.items()}
     orbits = []
     size_of = {}
     hdim_of = {}
-    for c in range(1, kmax + 1):
-        for idx, cg in enumerate(enumerate_multicurves(g, c)):
+    for c, hs in hdims.items():
+        for idx, h in enumerate(hs):
             label = f"c{c}t{idx}"
-            h = multicurve_stab_hdim(cg)
             orbits.append(Orbit(label, c - 1, Hdim(h)))
             size_of[label] = c
             hdim_of[label] = h
-    hmax = max_hdim_by_size(g)
     pairs = {}
     labels = [o.label for o in orbits]
     for i, la in enumerate(labels):

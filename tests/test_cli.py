@@ -340,6 +340,59 @@ def test_non_integer_fields_are_input_errors(tmp_path, capsys, command, payload,
     assert rep["details"]["error"].startswith(f"ValueError: {field} must be an integer, got ")
 
 
+def test_string_booleans_are_input_errors(tmp_path, capsys):
+    # "false" used to be read as true: a v-v pair declared not disjoint, in
+    # a table declared incomplete, was reported as a counterexample
+    cert = orbit_certificate(1)
+    cert["complete"] = "false"
+    cert["pairs"][0] = {"a": "v", "b": "v", "disjoint": "false", "hdim": 9}
+    code, rep = run_json(capsys, "check-small", "--in", write_json(tmp_path, "in.json", cert))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == "ValueError: disjoint must be true or false, got 'false'"
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("check-small", {**orbit_certificate(1), "complete": "false"}, "complete"),
+    ("check-small", {**orbit_certificate(1), "complete": 1}, "complete"),
+    ("certificate", {**orbit_certificate(1),
+                     "pairs": [{**p, "disjoint": 0} for p in orbit_certificate(1)["pairs"]]},
+     "disjoint"),
+    ("sc-obstruction", {"n": 4, "q": 1, "chi_zero": "false",
+                        "boundary_homology": [{"degree": 0, "rank": 1}]}, "chi_zero"),
+])
+def test_non_boolean_fields_are_input_errors(tmp_path, capsys, command, payload, field):
+    code, rep = run_json(capsys, command, "--in", write_json(tmp_path, "in.json", payload))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"].startswith(f"ValueError: {field} must be true or false, got ")
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("b2-criterion", {"c111": "1", "c112": 0.5, "c122": "1", "c222": "0"}, "c112"),
+    ("b2-criterion", {"c111": True, "c112": "2", "c122": "1", "c222": "0"}, "c111"),
+    ("b2-criterion", {"c111": "1", "c112": "2", "c122": "1", "c222": "1e9"}, "c222"),
+    ("rank-one", {"k": 2, "m": 3, "top_value": 0.5}, "top_value"),
+    ("orbit-codim", {"e": {"m": 3, "subspaces": [[[1, 0.5, 0]]]},
+                     "f": coordinate_flag_json(3, [{2}])}, "subspace entry"),
+])
+def test_non_rational_fields_are_input_errors(tmp_path, capsys, command, payload, field):
+    # a float is refused by name, never read as its binary fraction
+    code, rep = run_json(capsys, command, "--in", write_json(tmp_path, "in.json", payload))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"].startswith(f"ValueError: {field} must be a rational")
+
+
+def test_rationals_read_ints_and_ratio_strings(tmp_path, capsys):
+    form = {"c111": 1, "c112": "2", "c122": "1", "c222": "0"}
+    code, rep = run_json(capsys, "b2-criterion", "--in", write_json(tmp_path, "in.json", form))
+    assert code == 0
+    flags = {"e": {"m": 3, "subspaces": [[[2, "-2/7", 0]]]}, "f": coordinate_flag_json(3, [{2}])}
+    code, rep = run_json(capsys, "orbit-codim", "--in", write_json(tmp_path, "f.json", flags))
+    assert code == 0
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -363,3 +416,12 @@ def test_no_networkx_at_import():
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_float_coefficient_exits_at_once(tmp_path):
+    # 0.1 read as a Fraction has denominator 2**55, which sent the cubic
+    # root search into a 17-digit divisor loop that did not finish in 20 s
+    path = write_json(tmp_path, "form.json", {"c111": "1", "c112": 0.1, "c122": "1", "c222": "0"})
+    proc = _python("-m", "smallmodel", "--json", "b2-criterion", "--in", path)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["details"]["error"].startswith("ValueError: c112 must be a rational")

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from smallmodel.cupforms import SurjectionWitness
-from smallmodel.report import INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_int
+from smallmodel.report import (
+    INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_bool, json_int, json_rational,
+)
 
 
 def test_passed_reads_the_status():
@@ -43,3 +45,30 @@ def test_json_int_reads_ints_and_integer_strings():
 def test_json_int_refuses_the_rest_by_name(value):
     with pytest.raises(ValueError, match=r"^boundary_dim must be an integer, got "):
         json_int(value, "boundary_dim")
+
+
+def test_json_bool_reads_only_true_and_false():
+    assert json_bool(True, "complete") is True
+    assert json_bool(False, "complete") is False
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, 0.0, [], {}])
+def test_json_bool_refuses_the_rest_by_name(value):
+    with pytest.raises(ValueError, match=r"^complete must be true or false, got "):
+        json_bool(value, "complete")
+
+
+def test_json_rational_reads_ints_and_rational_strings():
+    assert json_rational(3, "c") == 3
+    assert json_rational(-4, "c") == -4
+    assert json_rational("3", "c") == 3
+    assert json_rational("-2/7", "c") == Fraction(-2, 7)
+    assert json_rational("0.1", "c") == Fraction(1, 10)
+    assert isinstance(json_rational(3, "c"), Fraction)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, True, False, None, "x", "", "1/0",
+                                   "1e9", "1E-3", [1], {}])
+def test_json_rational_refuses_the_rest_by_name(value):
+    with pytest.raises(ValueError, match=r"^c112 must be a rational"):
+        json_rational(value, "c112")

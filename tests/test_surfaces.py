@@ -21,6 +21,7 @@ from smallmodel.surfaces import (
     pants_decompositions,
     _canonical,
     _connected,
+    _multigraphs_with_degrees,
 )
 from smallmodel.smallness import VERIFIED, check_small, vanishing_certificate
 
@@ -103,6 +104,13 @@ def test_pants_counts_and_anchor():
         types = pants_decompositions(g)
         assert len(types) == count
         assert {multicurve_stab_hdim(t) for t in types} == {3 * g - 3}
+
+
+def test_genus6_pants_types():
+    # OEIS A005967; every pants decomposition has the twist anchor 3g - 3
+    types = pants_decompositions(6)
+    assert len(types) == 388
+    assert {multicurve_stab_hdim(t) for t in types} == {15}
 
 
 def test_max_hdim_table_g2():
@@ -247,12 +255,14 @@ def test_canonical_key_splits_what_refinement_cannot():
 
 
 # sha256 of repr([(piece_genera, curve_edges), ...]) over k = 1..3g-3,
-# recorded from the networkx (WL hash + VF2) dedupe: the representatives
-# and their order are unchanged
+# recorded from the networkx (WL hash + VF2) dedupe for g <= 4 and from
+# the unpruned row-prefix search for g = 5: the representatives and their
+# order are unchanged
 ENUMERATION_SHA256 = {
     2: "5add4f8b69899935d7ae02439d11543842f0b67d2e896a94c0c4efa61526c6ca",
     3: "8429ed656723730aa02338969cd5b50d16af1ef2793b31e2cc6371ba8091e23a",
     4: "1f6e33027c957c2eac9eeaa7960c71485870682e76a3c7cd08bcd2d2e56736cf",
+    5: "80376beb7f62df2867da6ecb74df7cfbafb916dec02e54d9706762e4461f829d",
 }
 
 
@@ -261,3 +271,111 @@ def test_enumeration_pinned(g):
     types = [(t.piece_genera, t.curve_edges)
              for k in range(1, 3 * g - 2) for t in enumerate_multicurves(g, k)]
     assert hashlib.sha256(repr(types).encode()).hexdigest() == ENUMERATION_SHA256[g]
+
+
+# ---------------------------------------------------------------------------
+# The pruned search against the row-prefix search it replaced.
+
+
+def reference_multigraphs_with_degrees(degrees, genera):
+    """The search before pruning moved earlier: after each complete row i,
+    every same-class transposition (a b) with a < b <= i is compared over
+    rows 0..i only, and a lexicographically larger result rejects."""
+    v = len(degrees)
+    cls = [(degrees[i], genera[i]) for i in range(v)]
+    grid = [[0] * v for _ in range(v)]
+    out = []
+
+    def prefix_ok(i):
+        for a in range(i + 1):
+            for b in range(a + 1, i + 1):
+                if cls[a] != cls[b]:
+                    continue
+                swap = list(range(v))
+                swap[a], swap[b] = b, a
+                verdict = 0
+                for r in range(i + 1):
+                    row_s = grid[swap[r]]
+                    row_o = grid[r]
+                    for c in range(v):
+                        d = row_s[swap[c]] - row_o[c]
+                        if d:
+                            verdict = d
+                            break
+                    if verdict:
+                        break
+                if verdict > 0:
+                    return False
+        return True
+
+    def rec(i, rem, mult):
+        if i == v:
+            if all(x == 0 for x in rem):
+                out.append(dict(mult))
+            return
+
+        def pairs(j, left):
+            if left == 0:
+                if prefix_ok(i):
+                    rec(i + 1, rem, mult)
+                return
+            if j == v:
+                return
+            for m in range(min(left, rem[j]) + 1):
+                if m:
+                    mult[(i, j)] = m
+                    rem[j] -= m
+                    grid[i][j] = grid[j][i] = m
+                pairs(j + 1, left - m)
+                if m:
+                    del mult[(i, j)]
+                    rem[j] += m
+                    grid[i][j] = grid[j][i] = 0
+
+        saved = rem[i]
+        rem[i] = 0
+        for loop in range(saved // 2 + 1):
+            if loop:
+                mult[(i, i)] = loop
+                grid[i][i] = loop
+            pairs(i + 1, saved - 2 * loop)
+            if loop:
+                del mult[(i, i)]
+                grid[i][i] = 0
+        rem[i] = saved
+
+    rec(0, list(degrees), {})
+    return out
+
+
+@st.composite
+def vertex_classes(draw):
+    """(degrees, genera) for at most six pieces, degrees at most 6 and an
+    even total of at most 24 (the twelve curves of a genus-5 pants
+    decomposition); sorted by class, as enumerate_multicurves passes them,
+    or in any order."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)),
+                          min_size=1, max_size=6))
+    assume(sum(d for d, _ in pairs) % 2 == 0 and sum(d for d, _ in pairs) <= 24)
+    if draw(st.booleans()):
+        pairs.sort(key=lambda p: (p[1], p[0]))
+    return [d for d, _ in pairs], [g for _, g in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_classes())
+def test_pruned_search_matches_the_row_prefix_search(classes):
+    degrees, genera = classes
+    assert (_multigraphs_with_degrees(degrees, genera)
+            == reference_multigraphs_with_degrees(degrees, genera))
+
+
+@pytest.mark.parametrize("degrees, genera", [
+    ([3] * 6, [0] * 6),
+    ([4] * 6, [0, 0, 0, 1, 1, 1]),
+    ([5, 5, 5, 5, 2, 2], [0, 1, 0, 1, 0, 1]),
+    ([2, 2, 2, 2, 3, 3], [1, 1, 1, 1, 0, 0]),
+])
+def test_pruned_search_on_crowded_classes(degrees, genera):
+    assert (_multigraphs_with_degrees(degrees, genera)
+            == reference_multigraphs_with_degrees(degrees, genera))
