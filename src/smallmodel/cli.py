@@ -107,17 +107,19 @@ def cmd_certificate(args, data):
 def cmd_sc_obstruction(args, data):
     from .complexes import HomologyTable
 
-    entries = tuple(
-        (json_int(e["degree"], "degree"), json_int(e["rank"], "rank"),
-         tuple(json_int(t, "torsion") for t in e.get("torsion", [])))
-        for e in data["boundary_homology"]
-    )
+    entries = {}
+    for e in data["boundary_homology"]:
+        d = json_int(e["degree"], "degree", least=0)
+        if d in entries:
+            raise ValueError(f"degree {d} has two entries")
+        entries[d] = (d, json_int(e["rank"], "rank", least=0),
+                      tuple(json_int(t, "torsion", least=2) for t in e.get("torsion", [])))
     n, q = json_int(data["n"], "n"), json_int(data["q"], "q")
     chi_zero = data.get("chi_zero")
     if chi_zero is not None:
         chi_zero = json_bool(chi_zero, "chi_zero")
-    prob = smallness.HomologySupportProblem(n, q, HomologyTable(False, "Z", entries))
-    res = smallness.simply_connected_obstruction(prob)
+    table = HomologyTable(False, "Z", tuple(entries.values()))
+    res = smallness.simply_connected_obstruction(smallness.HomologySupportProblem(n, q, table))
     if chi_zero is not None and res["verdict"] != smallness.OBSTRUCTED:
         res = smallness.parity_obstruction(n, q, chi_zero)
     return VERIFIED, res

@@ -182,6 +182,11 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplicialComplex":
+        """A complex from ``{"vertices": [...], "facets": [[...], ...]}``;
+        a facet that names a vertex twice is refused, not read as a set."""
+        for f in data["facets"]:
+            if len(set(f)) != len(f):
+                raise ComplexError(f"facet {f!r} repeats a vertex")
         return cls(data["vertices"], data["facets"])
 
     def __eq__(self, other):

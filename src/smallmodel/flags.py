@@ -5,7 +5,7 @@ codimension-chain inequality, plus a finite-field building generator.
 
 All stabilizer and orbit dimensions here are Lie-algebra dimensions of
 linear-algebraic matrix groups, computed as nullspace dimensions of
-exact-rational constraint systems. The coordinate-flag combinatorics
+exact integer constraint systems. The coordinate-flag combinatorics
 (forced zero patterns) provide an independent route for cross-checks.
 """
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .complexes import SimplicialComplex
-from .ratlin import mat, rank, rref, sparse_rank
+from .ratlin import integer_row, rank, rref, sparse_rank
 from .report import VERIFIED, VIOLATION, Report, json_int, json_rational
 
 
@@ -31,22 +31,23 @@ class FlagError(ValueError):
 class RationalFlag:
     """Strictly increasing chain of proper nonzero subspaces of Q^m.
 
-    Subspaces are canonical reduced-echelon basis matrices, so two equal
-    flags compare equal as values. The empty flag (no subspaces) is
-    allowed and plays the role of the trivial simplex conventions."""
+    Subspaces are canonical integer bases (ratlin.rref), so two equal
+    flags compare and hash equal as values. The empty flag (no subspaces)
+    is allowed and plays the role of the trivial simplex conventions."""
 
     m: int
-    subspaces: tuple  # tuple of canonical rref basis matrices
+    subspaces: tuple  # tuple of canonical integer bases
 
     @classmethod
     def make(cls, m: int, subspaces) -> "RationalFlag":
         canon = []
         for sub in subspaces:
-            basis = rref(mat(sub))
+            rows = [integer_row(v) for v in sub]
+            if any(len(v) != m for v in rows):
+                raise FlagError("subspace vectors must have length m")
+            basis = rref(rows)
             if not basis:
                 raise FlagError("zero subspace in flag")
-            if len(basis[0]) != m:
-                raise FlagError("subspace vectors must have length m")
             canon.append(basis)
         dims = [len(b) for b in canon]
         if any(d >= m for d in dims):
@@ -67,16 +68,22 @@ class RationalFlag:
 
     def padded(self):
         """Subspace chain with 0 and Q^m attached as conventions."""
-        full = tuple(tuple(Fraction(int(i == j)) for j in range(self.m)) for i in range(self.m))
+        full = tuple((0,) * i + (1,) + (0,) * (self.m - 1 - i) for i in range(self.m))
         return ((),) + self.subspaces + (full,)
 
     def disjoint_from(self, other: "RationalFlag") -> bool:
         return not (set(self.subspaces) & set(other.subspaces))
 
     def to_json(self):
+        """Each subspace as its rref rows of "p/q" strings: every canonical
+        row divided by its pivot."""
+        def rational_row(row):
+            pivot = next(x for x in row if x)
+            return [str(Fraction(x, pivot)) for x in row]
+
         return {
             "m": self.m,
-            "subspaces": [[[str(x) for x in row] for row in b] for b in self.subspaces],
+            "subspaces": [[rational_row(row) for row in b] for b in self.subspaces],
         }
 
     @classmethod
@@ -91,7 +98,7 @@ def coordinate_flag(m: int, sets) -> RationalFlag:
     (0-based)."""
     subs = []
     for s in sets:
-        subs.append([[Fraction(int(j == i)) for j in range(m)] for i in sorted(s)])
+        subs.append([[int(j == i) for j in range(m)] for i in sorted(s)])
     return RationalFlag.make(m, subs)
 
 
@@ -363,7 +370,7 @@ def random_flag(m: int, dims, rng: random.Random) -> RationalFlag:
     regenerated on degeneracy."""
     while True:
         rows = [
-            [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)]
+            integer_row([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)])
             for _ in range(m)
         ]
         if rank(rows) != m:

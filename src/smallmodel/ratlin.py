@@ -1,40 +1,20 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra over Q on small dense matrices, in integers.
 
-Vectors and matrices are tuples of fractions.Fraction. Everything is
-canonicalized through reduced row echelon form so equal subspaces
-compare equal as tuples. No floating point anywhere.
+A subspace of Q^m is stored as its canonical integer basis: the reduced
+row echelon basis, each row scaled to a primitive integer vector (entries
+of gcd 1) with a positive pivot. That form is a bijection with the rref,
+so equal subspaces compare and hash equal as tuples of ints. Rational
+input enters once, through integer_row. No floating point anywhere.
 
-Elimination (rref, sparse_rank) is fraction-free over Z: each input row
-is scaled by the lcm of its denominators and reduced with integer row
-operations a*row - b*pivot_row. Fractions appear only in outputs, where
-rref divides each pivot row by its pivot.
+Elimination (rref, sparse_rank) is fraction-free over Z (Bareiss 1968;
+Cohen, A Course in Computational Algebraic Number Theory, 2.2): integer
+row operations a*row - b*pivot_row, and no pivot is ever divided out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-Vec = tuple
-Mat = tuple
-
-_ZERO = Fraction(0)
-
-
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
-def vec(xs) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def _primitive(ints: list) -> list:
@@ -43,29 +23,35 @@ def _primitive(ints: list) -> list:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _integer_row(row) -> list:
-    """A rational row scaled by the lcm of its denominators, made primitive."""
-    ratios = [x.as_integer_ratio() for x in row]
+def integer_row(row) -> list:
+    """A rational row (a sequence of Fractions, ints or strings that
+    Fraction parses) scaled by the lcm of its denominators, made primitive."""
+    if all(type(x) is int for x in row):
+        return _primitive(list(row))
+    ratios = [Fraction(x).as_integer_ratio() if isinstance(x, str) else x.as_integer_ratio()
+              for x in row]
     d = lcm(*(q for _, q in ratios))
     return _primitive([p * (d // q) for p, q in ratios])
 
 
-def rref(rows) -> Mat:
-    """Canonical reduced row echelon form; zero rows dropped.
+def rref(rows) -> tuple:
+    """Canonical integer basis of the row space of integer rows: the
+    reduced echelon rows, each primitive with a positive pivot; zero rows
+    dropped.
 
-    The integer rows are made primitive again after every update, which
-    keeps their entries small. Each pivot row is divided by its pivot only
-    to build the output, so every entry is a Fraction and every pivot is
-    Fraction(1)."""
-    work = [_integer_row(r) for r in rows]
+    The work rows are made primitive again after every update, which
+    keeps their entries small, and are returned as they are, up to sign."""
+    work = [_primitive(list(r)) for r in rows]
     if not work:
         return ()
-    ncols = len(work[0])
+    n = len(work)
     pivot_cols = []
-    for c in range(ncols):
+    for c in range(len(work[0])):
         r = len(pivot_cols)
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, n):
+            if work[pivot][c]:
+                break
+        else:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
@@ -77,10 +63,10 @@ def rref(rows) -> Mat:
                 a, b = pv // g, f // g
                 work[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivot_cols.append(c)
-        if len(pivot_cols) == len(work):
+        if r + 1 == n:
             break
     return tuple(
-        tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
+        tuple(row) if row[c] > 0 else tuple([-x for x in row])
         for row, c in zip(work, pivot_cols)
     )
 
@@ -90,17 +76,16 @@ def rank(rows) -> int:
 
 
 def sparse_rank(rows) -> int:
-    """Rank of sparse rational rows ({col: Fraction}). Used for the large
+    """Rank of sparse integer rows ({col: int}). Used for the large
     stabilizer constraint systems, which are mostly elementary rows.
 
-    Elimination is fraction-free over Z, as in rref. Rows enter and pivot
-    rows are stored primitive; in between, a row under reduction is the
-    exact rational intermediate times its starting scale and the
-    multipliers a applied to it, so its entries stay polynomial in size
-    without a gcd per step."""
+    Elimination is fraction-free, as in rref. Pivot rows are stored
+    primitive; in between, a row under reduction is the exact rational
+    intermediate times the multipliers a applied to it, so its entries
+    stay polynomial in size without a gcd per step."""
     pivots = {}  # col -> primitive integer sparse row with that leading col
     for row in rows:
-        work = {c: v for c, v in zip(row, _integer_row(row.values())) if v}
+        work = {c: v for c, v in row.items() if v}
         while work:
             lead = min(work)
             prow = pivots.get(lead)
@@ -121,38 +106,37 @@ def sparse_rank(rows) -> int:
     return len(pivots)
 
 
-def nullspace(rows, ncols: int) -> Mat:
-    """Canonical basis of the right kernel {u : rows . u = 0}."""
+def nullspace(rows, ncols: int) -> tuple:
+    """Canonical integer basis of the right kernel {u : rows . u = 0}."""
     R = rref(rows)
-    pivot_cols = []
-    for r in R:
-        for c, x in enumerate(r):
-            if x != 0:
-                pivot_cols.append(c)
-                break
-    free = [c for c in range(ncols) if c not in pivot_cols]
+    pivot_cols = [next(c for c, x in enumerate(r) if x) for r in R]
+    # one kernel vector per free column, scaled by the lcm of the pivots
+    # so that every entry is an integer
+    scale = lcm(*(r[pc] for r, pc in zip(R, pivot_cols)))
     basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
+    for fcol in range(ncols):
+        if fcol in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[fcol] = scale
         for r, pc in zip(R, pivot_cols):
-            v[pc] = -r[fcol]
-        basis.append(tuple(v))
+            v[pc] = -r[fcol] * (scale // r[pc])
+        basis.append(v)
     return rref(basis)
 
 
-def sum_space(a: Mat, b: Mat) -> Mat:
+def sum_space(a, b) -> tuple:
     return rref(tuple(a) + tuple(b))
 
 
-def intersection(a: Mat, b: Mat, m: int) -> Mat:
-    """Canonical basis of the intersection of two row spaces in Q^m."""
+def intersection(a, b, m: int) -> tuple:
+    """Canonical integer basis of the intersection of two row spaces in Q^m."""
     if not a or not b:
         return ()
     # Zassenhaus: row-reduce [A|A; B|0]. The rows with zero left half
     # carry the intersection in their right half, and since they are the
-    # trailing rows of a reduced echelon form they are already its
-    # canonical basis.
-    zero = (Fraction(0),) * m
+    # trailing rows of a canonical basis they are already its canonical
+    # basis.
+    zero = (0,) * m
     big = [tuple(r) + tuple(r) for r in a] + [tuple(r) + zero for r in b]
     return tuple(r[m:] for r in rref(big) if not any(r[:m]))

@@ -11,17 +11,19 @@ VIOLATION = "counterexample"
 INCONCLUSIVE = "inconclusive"
 
 
-def json_int(value, field: str) -> int:
-    """An integer field of a JSON input: an int or a string of one. A
-    float, a bool or any other value is refused, naming the field, never
-    truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+def json_int(value, field: str, least=None) -> int:
+    """An integer field of a JSON input: an int or a string of one, and no
+    less than ``least`` if that is given. A float, a bool or any other
+    value is refused, naming the field, never truncated."""
     if isinstance(value, str):
         try:
-            return int(value)
+            value = int(value)
         except ValueError:
             pass
+    if isinstance(value, int) and not isinstance(value, bool):
+        if least is not None and value < least:
+            raise ValueError(f"{field} must be at least {least}, got {value}")
+        return value
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 

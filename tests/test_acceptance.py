@@ -11,7 +11,7 @@ import pytest
 
 from smallmodel import acceptance
 
-RUNTIME_BUDGETS = {1: 60.0, 2: 120.0, 3: 120.0, 4: 300.0, 6: 120.0}
+RUNTIME_BUDGETS = {1: 60.0, 2: 60.0, 3: 60.0, 4: 300.0, 6: 120.0}
 
 
 @pytest.fixture(scope="session")

@@ -340,6 +340,32 @@ def test_non_integer_fields_are_input_errors(tmp_path, capsys, command, payload,
     assert rep["details"]["error"].startswith(f"ValueError: {field} must be an integer, got ")
 
 
+@pytest.mark.parametrize("table, error", [
+    # both used to exit 0, with verdicts OBSTRUCTED and INCONCLUSIVE
+    ([{"degree": -1, "rank": -3}, {"degree": 0, "rank": 1}], "degree must be at least 0, got -1"),
+    ([{"degree": 0, "rank": 1}, {"degree": 0, "rank": 5}], "degree 0 has two entries"),
+    ([{"degree": 0, "rank": -3}], "rank must be at least 0, got -3"),
+    ([{"degree": 0, "rank": 1}, {"degree": 1, "rank": 0, "torsion": [2, 1]}],
+     "torsion must be at least 2, got 1"),
+])
+def test_malformed_homology_tables_are_input_errors(tmp_path, capsys, table, error):
+    payload = {"n": 4, "q": 1, "boundary_homology": table}
+    code, rep = run_json(capsys, "sc-obstruction", "--in", write_json(tmp_path, "in.json", payload))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == f"ValueError: {error}"
+
+
+@pytest.mark.parametrize("command", ["homology", "diagonal"])
+def test_facet_repeating_a_vertex_is_an_input_error(tmp_path, capsys, command):
+    # used to be read as the edge {0, 1}: homology reported verified, f-vector [2, 1]
+    payload = {"vertices": [0, 1], "facets": [[0, 0, 1]]}
+    code, rep = run_json(capsys, command, "--in", write_json(tmp_path, "in.json", payload))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == "ComplexError: facet [0, 0, 1] repeats a vertex"
+
+
 def test_string_booleans_are_input_errors(tmp_path, capsys):
     # "false" used to be read as true: a v-v pair declared not disjoint, in
     # a table declared incomplete, was reported as a counterexample

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallmodel.complexes import homology
 from smallmodel.flags import (
@@ -28,7 +32,7 @@ from smallmodel.flags import (
     stab_pair_dim,
     subset_chains,
 )
-from smallmodel.ratlin import sparse_rank
+from smallmodel.ratlin import integer_row, rank, sparse_rank
 
 
 def test_flag_canonicalization_and_validation():
@@ -41,12 +45,93 @@ def test_flag_canonicalization_and_validation():
         RationalFlag.make(3, [[[1, 0, 0]], [[0, 1, 0]]])  # not nested
     with pytest.raises(FlagError):
         RationalFlag.make(3, [[[0, 0, 0]]])
+    # every vector is checked, not only the first row of the basis: this
+    # one used to be stored with a vector of length 4
+    with pytest.raises(FlagError, match="length m"):
+        RationalFlag.make(3, [[[1, 0, 0], [0, 1, 0, 7]]])
 
 
 def test_json_round_trip_preserves_rationals():
     f = RationalFlag.make(3, [[[Fraction(1, 2), Fraction(1, 3), 0]]])
     g = RationalFlag.from_json(f.to_json())
     assert f == g
+
+
+# sha256 of to_json over seeded random_disjoint_pair flags at m = 2..5,
+# recorded when subspaces were stored as rref matrices of Fractions: the
+# canonical integer bases must print exactly the same strings.
+TO_JSON_SHA256 = "681ea202b9fe7a28842550ec110f13c73a3d9b0a02784f594b4c31b17728f813"
+
+
+def test_to_json_prints_the_rational_rref():
+    f = RationalFlag.make(3, [[[Fraction(1, 2), Fraction(1, 3), 0]]])
+    assert f.subspaces == (((3, 2, 0),),)
+    assert f.to_json() == {"m": 3, "subspaces": [[["1", "2/3", "0"]]]}
+    h = hashlib.sha256()
+    for m in (2, 3, 4, 5):
+        rng = random.Random(m)
+        for _ in range(20):
+            e, f = random_disjoint_pair(m, rng)
+            h.update(json.dumps([e.to_json(), f.to_json()], sort_keys=True).encode())
+    assert h.hexdigest() == TO_JSON_SHA256
+
+
+SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
+COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def flag_bases(draw):
+    """(m, dims, rows): rows a basis of Q^m, the flag spanned by its prefixes."""
+    m = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(SMALL, min_size=m, max_size=m), min_size=m, max_size=m)
+                .filter(lambda rs: rank([integer_row(r) for r in rs]) == m))
+    dims = sorted(draw(st.sets(st.integers(1, m - 1), min_size=1)))
+    return m, dims, rows
+
+
+def _encode(draw, x):
+    """x as a Fraction, a "p/q" string, or an int when it is one."""
+    kind = draw(st.sampled_from(["fraction", "string", "int"]))
+    if kind == "string":
+        return f"{x.numerator}/{x.denominator}"
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    return x
+
+
+@st.composite
+def respanned_flags(draw):
+    """A flag given twice: by prefixes of a basis, and by other spanning
+    sets of the same subspaces (an invertible triangular change of basis,
+    redundant combinations, shuffled, entries in mixed encodings)."""
+    m, dims, rows = draw(flag_bases())
+    subs = []
+    for d in dims:
+        def combine(coeffs):
+            return [sum(c * row[k] for c, row in zip(coeffs, rows[:d])) for k in range(m)]
+
+        spanning = [combine([draw(COEFF.filter(bool)) if j == i else draw(COEFF) if j > i else 0
+                             for j in range(d)]) for i in range(d)]
+        spanning += [combine([draw(COEFF) for _ in range(d)])
+                     for _ in range(draw(st.integers(0, 2)))]
+        subs.append([[_encode(draw, x) for x in v] for v in draw(st.permutations(spanning))])
+    return RationalFlag.make(m, [rows[:d] for d in dims]), RationalFlag.make(m, subs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(respanned_flags())
+def test_spanning_sets_of_one_flag_are_equal_and_hash_equal(flags):
+    f, g = flags
+    assert f == g
+    assert hash(f) == hash(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(respanned_flags())
+def test_json_round_trip(flags):
+    f, g = flags
+    assert RationalFlag.from_json(json.loads(json.dumps(g.to_json()))) == f
 
 
 def coordinate_stab_dim_oracle(m, chain):

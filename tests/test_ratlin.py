@@ -1,31 +1,45 @@
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallmodel.ratlin import intersection, nullspace, rank, rref, sparse_rank, sum_space
+from smallmodel.ratlin import (
+    integer_row, intersection, nullspace, rank, rref, sparse_rank, sum_space,
+)
 
 # Zeros are overweighted so that rank-deficient matrices come up often.
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 # Numerators and denominators up to 10^20, so that clearing denominators
 # and removing contents works on big integers.
 BIG = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20))
-# Small and big Fractions mixed with plain ints: rref must accept both.
+# Small and big Fractions mixed with plain ints: integer_row must accept both.
 MIXED = st.one_of(ENTRIES.map(Fraction), ENTRIES.filter(lambda x: isinstance(x, int)), BIG)
 
 
 def matrices(min_rows=0, max_rows=4, ncols=None, entries=ENTRIES.map(Fraction)):
+    """Rational matrices as lists of row tuples."""
     cols = st.just(ncols) if ncols is not None else st.integers(1, 5)
     return cols.flatmap(lambda n: st.lists(
         st.tuples(*[entries] * n), min_size=min_rows, max_size=max_rows,
     ))
 
 
-def as_fractions(M):
-    """Nonzero rows of a sympy matrix as tuples of Fractions."""
-    rows = (tuple(Fraction(int(x.p), int(x.q)) for x in M.row(i)) for i in range(M.rows))
-    return tuple(r for r in rows if any(r))
+def integer_rows(rows):
+    return [integer_row(r) for r in rows]
+
+
+def canonical(M):
+    """Nonzero rows of a sympy matrix, each scaled to a primitive integer
+    row with a positive pivot: the canonical integer basis of its rref."""
+    out = []
+    for i in range(M.rows):
+        row = integer_row([Fraction(int(x.p), int(x.q)) for x in M.row(i)])
+        if any(row):
+            sign = 1 if next(x for x in row if x) > 0 else -1
+            out.append(tuple(sign * x for x in row))
+    return tuple(out)
 
 
 def in_row_space(basis, v):
@@ -33,14 +47,30 @@ def in_row_space(basis, v):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(min_rows=1, entries=MIXED))
-def test_rref_matches_sympy(rows):
+@given(matrices(min_rows=1, entries=MIXED),
+       st.lists(st.integers(1, 7), min_size=4, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_rref_matches_sympy(rows, scales, flips):
     reduced, _ = sympy.Matrix(rows).rref()
-    ours = rref(rows)
-    assert ours == as_fractions(reduced)
-    # RationalFlag equality, hashing and to_json rely on canonical entries.
-    assert all(type(x) is Fraction for row in ours for x in row)
-    assert all(next(x for x in row if x) == Fraction(1) for row in ours)
+    ours = rref(integer_rows(rows))
+    assert ours == canonical(reduced)
+    # RationalFlag equality, hashing and to_json rely on the canonical form:
+    # every entry an int, every row primitive, every pivot positive.
+    assert all(type(x) is int for row in ours for x in row)
+    assert all(gcd(*row) == 1 for row in ours)
+    assert all(next(x for x in row if x) > 0 for row in ours)
+    # integer rows that are not primitive, or have a negative lead, give
+    # the same basis
+    scaled = [[(-s if flip else s) * x for x in row]
+              for row, s, flip in zip(integer_rows(rows), scales, flips)]
+    assert rref(scaled) == ours
+
+
+def test_integer_row_reads_fractions_ints_and_strings():
+    assert integer_row([Fraction(1, 2), 3, "-2/3", "0"]) == [3, 18, -4, 0]
+    assert integer_row([0, 0]) == [0, 0]
+    assert integer_row(["4", 6]) == [2, 3]
+    assert integer_row((4, -6)) == [2, -3]
 
 
 SPARSE_NCOLS = 6
@@ -65,26 +95,25 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_sparse_rank_matches_sympy(rows):
     dense = [row.get(c, 0) for row in rows for c in range(SPARSE_NCOLS)]
-    assert sparse_rank(rows) == sympy.Matrix(len(rows), SPARSE_NCOLS, dense).rank()
+    cleared = [dict(zip(row, integer_row(row.values()))) for row in rows]
+    assert sparse_rank(cleared) == sympy.Matrix(len(rows), SPARSE_NCOLS, dense).rank()
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(min_rows=1))
 def test_nullspace_matches_sympy(rows):
     n = len(rows[0])
-    kernel = nullspace(rows, n)
+    kernel = nullspace(integer_rows(rows), n)
     assert kernel == rref(kernel)
     for u in kernel:
         assert all(sum(a * b for a, b in zip(r, u)) == 0 for r in rows)
     theirs = sympy.Matrix(rows).nullspace()
-    expected = rref(as_fractions(sympy.Matrix.hstack(*theirs).T)) if theirs else ()
+    expected = rref(canonical(sympy.Matrix.hstack(*theirs).T)) if theirs else ()
     assert kernel == expected
 
 
 def test_nullspace_of_nothing_is_the_identity():
-    assert nullspace((), 3) == tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
+    assert nullspace((), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @settings(max_examples=120, deadline=None)
@@ -92,6 +121,7 @@ def test_nullspace_of_nothing_is_the_identity():
     st.just(n), matrices(ncols=n), matrices(ncols=n))))
 def test_intersection_is_canonical_and_grassmann(case):
     m, a, b = case
+    a, b = integer_rows(a), integer_rows(b)
     inter = intersection(a, b, m)
     assert inter == rref(inter)
     for v in inter:

@@ -39,6 +39,13 @@ def test_json_int_reads_ints_and_integer_strings():
     assert json_int(3, "n") == 3
     assert json_int(-2, "n") == -2
     assert json_int("7", "n") == 7
+    assert json_int("0", "rank", least=0) == 0
+
+
+@pytest.mark.parametrize("value", [-1, "-1"])
+def test_json_int_refuses_a_value_below_least(value):
+    with pytest.raises(ValueError, match=r"^rank must be at least 0, got -1$"):
+        json_int(value, "rank", least=0)
 
 
 @pytest.mark.parametrize("value", [1.9, 2.0, True, False, None, "1.9", "x", "", [1], {}])
