@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .normalform import invariant_factors, rank_mod_p
+from .normalform import invariant_factors, is_prime, rank_mod_p
 
 
 class ComplexError(ValueError):
@@ -19,9 +19,7 @@ class ComplexError(ValueError):
 
 
 def _check_ring(ring):
-    if ring == "Z":
-        return ring
-    if isinstance(ring, int) and ring >= 2 and all(ring % d for d in range(2, int(ring**0.5) + 1)):
+    if ring == "Z" or is_prime(ring):
         return ring
     raise ComplexError(f"ring must be 'Z' or a prime, got {ring!r}")
 
@@ -304,6 +302,19 @@ class ChainComplex:
         return cols if cols is not None else [{} for _ in range(self.rank(k))]
 
     def homology(self) -> HomologyTable:
+        """Free ranks and torsion of H_k for each degree.
+
+        Over Z the ranks and torsion come from the Smith invariant factors
+        of each boundary. Over F_p the degrees are walked top down with
+        clearing (Chen-Kerber 2011): a column of d_k indexed by the lead
+        row of a reduced column of d_(k+1) is skipped. That column of
+        d_(k+1) is a boundary, so d_k sends it to 0, and the skipped
+        column of d_k is a combination of the columns before it. This
+        needs d_k d_(k+1) = 0, which ``chain_complex`` guarantees by
+        construction, ``tensor_total`` through ``check=True`` and
+        ``diagonal.build_diagonal`` by calling ``check_dd_zero``; a complex
+        built with ``check=False`` must satisfy it too.
+        """
         lowest = -1 if self.augmented else 0
         degrees = range(lowest, self.top + 1)
         if self.ring == "Z":
@@ -319,9 +330,11 @@ class ChainComplex:
         else:
             p = self.ring
             rk = {}
-            for k in degrees:
+            lows = set()
+            for k in reversed(degrees):
                 cols = self.boundaries.get(k)
-                rk[k] = rank_mod_p(cols, p) if cols else 0
+                cleared, lows = lows, set()
+                rk[k] = rank_mod_p(cols, p, cleared=cleared, lows=lows) if cols else 0
             entries = []
             for k in degrees:
                 r = self.rank(k) - rk.get(k, 0) - rk.get(k + 1, 0)

@@ -10,12 +10,21 @@ then shortest row first to limit fill (Dumas-Saunders-Villard 2001),
 and runs the Euclidean loop only on the residual, with its entries
 reduced modulo a nonzero maximal minor (Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4.14) so they cannot grow.
+
+Rank over F_p (p must be prime) reduces each column against the
+columns before it by its largest row index. Homology over F_p uses it
+with clearing (Chen-Kerber, *Persistent homology computation with a
+twist*, 2011): the column of d_k indexed by the lead row of each reduced
+column of d_(k+1) is skipped. That is exact when d_k d_(k+1) = 0, which
+``complexes.chain_complex`` guarantees by construction,
+``complexes.tensor_total`` through ``check=True`` and
+``diagonal.build_diagonal`` through ``check_dd_zero``.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import gcd
+from math import gcd, isqrt
 
 DEFAULT_BIT_BOUND = 4096
 
@@ -247,24 +256,43 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
     return factors
 
 
-def rank_mod_p(columns, p: int) -> int:
-    """Rank over F_p of a sparse column matrix."""
-    pivots = {}  # pivot row -> reduced column {row: value mod p}
-    rank = 0
-    for col in columns:
+def is_prime(n) -> bool:
+    """True iff ``n`` is an int and a prime, by trial division."""
+    return isinstance(n, int) and n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def rank_mod_p(columns, p: int, *, cleared=frozenset(), lows=None) -> int:
+    """Rank over F_p of a sparse column matrix.
+
+    Columns are reduced left to right; a column's lead is its largest
+    row index, and the rank is the number of distinct leads. Columns
+    whose index is in ``cleared`` are skipped, so the caller vouches that
+    each is a combination of the columns before it. If ``lows`` is a
+    set, the lead of every nonzero reduced column is added to it.
+    """
+    if not is_prime(p):
+        raise ValueError(f"rank_mod_p needs a prime modulus, got {p!r}")
+    pivots = {}  # lead -> the rest of its reduced column, scaled so the lead is 1
+    for j, col in enumerate(columns):
+        if j in cleared:
+            continue
         work = {i: v % p for i, v in col.items() if v % p}
         while work:
             lead = max(work)
-            if lead not in pivots:
+            factor = work.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(factor, p - 2, p)
+                pivots[lead] = {i: v * inv % p for i, v in work.items()}
                 break
-            factor = work[lead]
-            for i, v in pivots[lead].items():
-                work[i] = (work.get(i, 0) - factor * v) % p
-            work = {i: v for i, v in work.items() if v}
-        if work:
-            prow = max(work)
-            inv = pow(work[prow], p - 2, p)
-            normal = {i: (v * inv) % p for i, v in work.items()}
-            pivots[prow] = normal
-            rank += 1
-    return rank
+            for i, v in pivot.items():
+                # p is prime, so factor * v is not 0 mod p: an entry
+                # that becomes 0 was nonzero and is present
+                w = (work.get(i, 0) - factor * v) % p
+                if w:
+                    work[i] = w
+                else:
+                    del work[i]
+    if lows is not None:
+        lows.update(pivots)
+    return len(pivots)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_rank_mod_p
 from smallmodel.complexes import (
     ComplexError,
     SimplicialComplex,
@@ -12,6 +13,7 @@ from smallmodel.complexes import (
     homology,
     tensor_total,
 )
+from smallmodel.diagonal import build_diagonal
 
 
 def circle(n=3):
@@ -127,6 +129,49 @@ def test_tensor_total_matches_product_sphere():
     prod = tensor_total(c, c)
     h = prod.homology()
     assert [h.rank(n) for n in range(5)] == [1, 0, 2, 0, 1]
+
+
+def random_clique_complex(rng, n):
+    """The clique complex of a random graph on n vertices."""
+    edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6}
+    cliques = [
+        c
+        for k in range(1, n + 1)
+        for c in itertools.combinations(range(n), k)
+        if all(e in edges for e in itertools.combinations(c, 2))
+    ]
+    return SimplicialComplex(range(n), cliques)
+
+
+def ranks_without_clearing(C, p):
+    """Homology ranks of C from dense F_p ranks of every boundary."""
+    rk = {}
+    for k, cols in C.boundaries.items():
+        rows = [[col.get(i, 0) for col in cols] for i in range(C.rank(k - 1))]
+        rk[k] = dense_rank_mod_p(rows, p)
+    lowest = -1 if C.augmented else 0
+    return tuple(
+        (k, C.rank(k) - rk.get(k, 0) - rk.get(k + 1, 0), ())
+        for k in range(lowest, C.top + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
+def test_clearing_against_dense_ranks(seed, p):
+    rng = random.Random(seed)
+    K = random_clique_complex(rng, rng.randint(3, 8))
+    complexes = [
+        chain_complex(K, p, reduced=True),
+        chain_complex(K, p, reduced=False),
+        tensor_total(
+            chain_complex(random_clique_complex(rng, rng.randint(2, 4)), p),
+            chain_complex(random_clique_complex(rng, rng.randint(2, 4)), p),
+        ),
+        build_diagonal(random_clique_complex(rng, rng.randint(3, 5)), p).quotient,
+    ]
+    for C in complexes:
+        assert C.homology().entries == ranks_without_clearing(C, p)
 
 
 def test_dd_zero_enforced():

@@ -323,6 +323,14 @@ def test_building_5_2_over_z():
     assert h.to_json() == [{"degree": 3, "rank": 1024, "torsion": []}]
 
 
+@pytest.mark.parametrize("m, q, p", [(4, 3, 3), (5, 2, 2)])
+def test_building_over_f_p(m, q, p):
+    # Solomon-Tits over F_p: a wedge of q^(m(m-1)/2) spheres of dimension m - 2
+    K = finite_building(m, q, max_m=max(4, m))
+    h = homology(K, p, reduced=True)
+    assert h.to_json() == [{"degree": m - 2, "rank": q ** (m * (m - 1) // 2), "torsion": []}]
+
+
 def test_building_size_guard():
     with pytest.raises(FlagError):
         finite_building(5, 2)

@@ -6,6 +6,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_rank_mod_p
 from smallmodel.normalform import (
     DEFAULT_BIT_BOUND,
     PivotExplosion,
@@ -157,34 +158,51 @@ def test_residual_entries_stay_bounded():
     assert sympy_factors(dense) == [1] * 10 + [2, 2, 8]
 
 
-def dense_rank_mod_p(rows, p):
-    """Plain dense row echelon over F_p, as an independent oracle."""
-    work = [[x % p for x in r] for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(work[0]) if work else 0
-    while rank < len(work) and col < ncols:
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+def sparse_with_fill(rng):
+    """A sparse matrix of 10 to 40 rows and columns, some of whose columns
+    are sums of multiples of earlier ones: reducing those fills in entries
+    and cancels others to zero."""
+    nr = rng.randint(10, 40)
+    nc = rng.randint(10, 40)
+    density = rng.uniform(0.03, 0.2)
+    cols = []
+    for _ in range(nc):
+        if cols and rng.random() < 0.4:
+            col = {}
+            for src in rng.sample(cols, min(len(cols), rng.randint(2, 4))):
+                c = rng.randint(-6, 6)
+                for i, v in src.items():
+                    col[i] = col.get(i, 0) + c * v
+        else:
+            col = {i: rng.randint(-6, 6) for i in range(nr) if rng.random() < density}
+        cols.append({i: v for i, v in col.items() if v})
+    return [[col.get(i, 0) for col in cols] for i in range(nr)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
-def test_rank_mod_p_against_dense_elimination(seed, p):
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]), st.booleans())
+def test_rank_mod_p_against_dense_elimination(seed, p, large):
     rng = random.Random(seed)
-    nr = rng.randint(1, 5)
-    nc = rng.randint(1, 5)
-    dense = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+    if large:
+        dense = sparse_with_fill(rng)
+    else:
+        nr = rng.randint(1, 5)
+        nc = rng.randint(1, 5)
+        dense = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
     assert rank_mod_p(cols_from_dense(dense), p) == dense_rank_mod_p(dense, p)
+
+
+@pytest.mark.parametrize("p", [4, 1, -3, 0])
+def test_rank_mod_p_refuses_a_modulus_that_is_not_prime(p):
+    # none is a field: mod 4, 2 has no inverse and the reduction never ends;
+    # 1 and -3 give wrong ranks and 0 divides by zero
+    with pytest.raises(ValueError, match=f"got {p}$"):
+        rank_mod_p([{0: 2}, {0: 1}], p)
+
+
+def test_cleared_columns_and_lows():
+    # columns 0 and 2 are equal, so clearing 2 keeps the rank
+    cols = [{0: 1, 2: 1}, {1: 1}, {0: 1, 2: 1}]
+    lows = set()
+    assert rank_mod_p(cols, 3, cleared={2}, lows=lows) == 2
+    assert lows == {2, 1}
