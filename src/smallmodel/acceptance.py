@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from . import cupforms, diagonal, flags, smallness, surfaces
-from .complexes import SimplicialComplex, chain_complex, homology, tensor_total
+from .complexes import SimplicialComplex, chain_complex, homology, maximal_cliques, tensor_total
 from .report import VERIFIED, VIOLATION, Report
 
 
@@ -217,25 +217,6 @@ def criterion_certificates() -> Report:
 # 8 and 9. diagonal machinery and chain properties on random flag complexes
 
 
-def _maximal_cliques(adj) -> list:
-    """Maximal cliques of the graph {vertex: set of neighbours}, by
-    Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi, 2006)."""
-    out = []
-
-    def expand(clique, cand, done):
-        if not cand and not done:
-            out.append(sorted(clique))
-            return
-        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
-        for u in list(cand - adj[pivot]):
-            expand(clique + [u], cand & adj[u], done & adj[u])
-            cand.remove(u)
-            done.add(u)
-
-    expand([], set(adj), set())
-    return out
-
-
 def random_flag_complex(rng: random.Random, max_vertices: int = 10,
                         max_cells: int = 60) -> SimplicialComplex:
     """Clique complex of a random graph, resampled until modestly sized."""
@@ -248,7 +229,7 @@ def random_flag_complex(rng: random.Random, max_vertices: int = 10,
                 if rng.random() < p:
                     adj[a].add(b)
                     adj[b].add(a)
-        K = SimplicialComplex(range(n), _maximal_cliques(adj))
+        K = SimplicialComplex(range(n), maximal_cliques(adj))
         if sum(K.f_vector()) <= max_cells:
             return K
 

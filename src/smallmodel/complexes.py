@@ -97,25 +97,13 @@ class SimplicialComplex:
         return t
 
     def is_flag(self) -> bool:
-        """True iff every clique of the 1-skeleton spans a simplex."""
-        edges = {e for e in self.simplices(1)}
-        adj = {i: set() for i, _ in enumerate(self.vertices) if (i,) in self._index.get(0, {})}
-        for a, b in edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-
-        verts = sorted(adj)
-
-        def extend(clique, candidates):
-            if len(clique) >= 3 and not self.has_simplex(clique):
-                return False
-            for v in candidates:
-                if all(v in adj[u] for u in clique):
-                    if not extend(clique + [v], [w for w in candidates if w > v]):
-                        return False
-            return True
-
-        return extend([], verts)
+        """True iff every clique of the 1-skeleton spans a simplex; the
+        faces of a simplex are simplices, so the maximal cliques decide."""
+        adj = {v: set() for (v,) in self.simplices(0)}
+        for a, b in self.simplices(1):
+            adj[a].add(b)
+            adj[b].add(a)
+        return all(self.has_simplex(c) for c in maximal_cliques(adj))
 
     # -- subcomplexes --------------------------------------------------
 
@@ -342,6 +330,26 @@ class ChainComplex:
         return HomologyTable(self.augmented, self.ring, tuple(entries))
 
 
+def maximal_cliques(adj) -> list:
+    """Maximal cliques of the graph {vertex: set of neighbours}, each as a
+    sorted list, by Bron-Kerbosch with pivoting (Tomita, Tanaka and
+    Takahashi, 2006)."""
+    out = []
+
+    def expand(clique, cand, done):
+        if not cand and not done:
+            out.append(sorted(clique))
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
+        for u in list(cand - adj[pivot]):
+            expand(clique + [u], cand & adj[u], done & adj[u])
+            cand.remove(u)
+            done.add(u)
+
+    expand([], set(adj), set())
+    return out
+
+
 def chain_complex(K: SimplicialComplex, ring="Z", reduced=False) -> ChainComplex:
     ring = _check_ring(ring)
     ranks = [len(K.simplices(d)) for d in range(K.dim + 1)]
@@ -366,31 +374,33 @@ def homology(K: SimplicialComplex, ring="Z", reduced=True) -> HomologyTable:
     return chain_complex(K, ring, reduced=reduced).homology()
 
 
+def total_cells(ranks_a, ranks_b) -> dict:
+    """Cells of the total complex of A (x) B by degree n, each as
+    (i, a, j, b): cell a of degree i of A times cell b of degree j of B,
+    i + j = n. Ordered by i, then a, then b; this is the one cell order
+    of a tensor product, and ``tensor_total`` uses it for its bases."""
+    return {
+        n: [(i, a, n - i, b)
+            for i in range(max(0, n - len(ranks_b) + 1), min(n, len(ranks_a) - 1) + 1)
+            for a in range(ranks_a[i])
+            for b in range(ranks_b[n - i])]
+        for n in range(len(ranks_a) + len(ranks_b) - 1)
+    }
+
+
 def tensor_total(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     """Total complex of the tensor double complex, with the usual sign twist."""
     if A.ring != B.ring:
         raise ComplexError("ring mismatch in tensor product")
     if A.augmented or B.augmented:
         raise ComplexError("tensor of augmented complexes not supported")
-    top = A.top + B.top
-    cells = {}   # degree -> list of (i, a, j, b)
-    index = {}   # (i, a, j, b) -> position
-    for n in range(top + 1):
-        cl = []
-        for i in range(min(n, A.top) + 1):
-            j = n - i
-            if j > B.top:
-                continue
-            for a in range(A.rank(i)):
-                for b in range(B.rank(j)):
-                    index[(i, a, j, b)] = len(cl)
-                    cl.append((i, a, j, b))
-        cells[n] = cl
-    ranks = [len(cells[n]) for n in range(top + 1)]
+    cells = total_cells(A.ranks, B.ranks)
+    index = {cell: pos for cl in cells.values() for pos, cell in enumerate(cl)}
+    ranks = [len(cl) for cl in cells.values()]
     a_cols = {i: A.boundary_columns(i) for i in range(1, A.top + 1)}
     b_cols = {j: B.boundary_columns(j) for j in range(1, B.top + 1)}
     boundaries = {}
-    for n in range(1, top + 1):
+    for n in range(1, len(ranks)):
         cols = []
         for (i, a, j, b) in cells[n]:
             col = {}

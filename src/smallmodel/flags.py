@@ -417,20 +417,12 @@ def gf_subspaces(m: int, q: int, d: int):
     return out
 
 
-def _gf_contains(small, big, p):
-    """span(small) <= span(big) for bases in reduced echelon form (as
-    :func:`gf_subspaces` returns them): every row of ``small`` must
-    reduce to zero against the pivot rows of ``big``."""
-    pivots = [(row, next(c for c, x in enumerate(row) if x)) for row in big]
-    for row in small:
-        rest = list(row)
-        for prow, c in pivots:
-            f = rest[c]
-            if f:
-                rest = [(a - f * b) % p for a, b in zip(rest, prow)]
-        if any(rest):
-            return False
-    return True
+def _gf_span(basis, q):
+    """The q^d vectors of the span over F_q of the d rows of ``basis``."""
+    return frozenset(
+        tuple(sum(c * x for c, x in zip(coeffs, column)) % q for column in zip(*basis))
+        for coeffs in itertools.product(range(q), repeat=len(basis))
+    )
 
 
 def finite_building(m: int, q: int, max_m: int = 4, max_q: int = 3) -> SimplicialComplex:
@@ -444,10 +436,11 @@ def finite_building(m: int, q: int, max_m: int = 4, max_q: int = 3) -> Simplicia
         for i, s in enumerate(subs):
             labels[s] = f"d{d}s{i}"
     # maximal chains: one subspace of every dimension, nested
+    span = {s: _gf_span(s, q) for subs in by_dim.values() for s in subs}
     succ = {}
     for d in range(1, m - 1):
         for s in by_dim[d]:
-            succ[s] = [t for t in by_dim[d + 1] if _gf_contains(s, t, q)]
+            succ[s] = [t for t in by_dim[d + 1] if span[s] <= span[t]]
     chains = []
 
     def grow(chain):

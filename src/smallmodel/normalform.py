@@ -24,7 +24,7 @@ column of d_(k+1) is skipped. That is exact when d_k d_(k+1) = 0, which
 from __future__ import annotations
 
 import heapq
-from math import gcd, isqrt
+from math import gcd
 
 DEFAULT_BIT_BOUND = 4096
 
@@ -256,9 +256,33 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
     return factors
 
 
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n) -> bool:
-    """True iff ``n`` is an int and a prime, by trial division."""
-    return isinstance(n, int) and n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    """True iff ``n`` is an int and a prime: trial division by the first 13
+    primes, then Miller-Rabin with them as bases, which is exact below
+    ``MILLER_RABIN_BOUND`` (Sorenson and Webster, 2017). Raises
+    ``ValueError`` naming an ``n`` at or above it: no answer is guessed."""
+    if not isinstance(n, int) or n < 2:
+        return False
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: Miller-Rabin on the "
+                         f"first 13 primes is exact only below {MILLER_RABIN_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for b in MILLER_RABIN_BASES:
+        # b proves n composite if b^d != 1 and b^(d 2^r) != -1 for all r < s
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def rank_mod_p(columns, p: int, *, cleared=frozenset(), lows=None) -> int:

@@ -1,5 +1,16 @@
 """Independent reference computations shared by the test modules."""
 
+import itertools
+
+
+def brute_maximal_cliques(adj):
+    """Maximal cliques of {vertex: neighbours} on vertices 0..n-1, from
+    every vertex subset."""
+    n = len(adj)
+    cliques = [set(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
+               if all(b in adj[a] for a, b in itertools.combinations(c, 2))]
+    return sorted(sorted(c) for c in cliques if not any(c < d for d in cliques))
+
 
 def dense_rank_mod_p(rows, p):
     """Plain dense row echelon over F_p, as an independent oracle."""

@@ -9,7 +9,9 @@ import random
 
 import pytest
 
+from oracles import brute_maximal_cliques
 from smallmodel import acceptance
+from smallmodel.complexes import maximal_cliques
 
 RUNTIME_BUDGETS = {1: 60.0, 2: 60.0, 3: 60.0, 4: 300.0, 6: 120.0}
 
@@ -36,14 +38,8 @@ def test_all_eleven_present(results):
 
 
 # ---------------------------------------------------------------------------
-# The clique search behind the random flag complexes of criteria 8 and 9.
-
-
-def brute_maximal_cliques(adj):
-    n = len(adj)
-    cliques = [set(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
-               if all(b in adj[a] for a, b in itertools.combinations(c, 2))]
-    return sorted(sorted(c) for c in cliques if not any(c < d for d in cliques))
+# The clique search behind the random flag complexes of criteria 8 and 9
+# and behind SimplicialComplex.is_flag.
 
 
 def random_graph(rng, n, p):
@@ -59,7 +55,7 @@ def test_maximal_cliques_match_brute_force():
     rng = random.Random(0)
     for _ in range(200):
         adj = random_graph(rng, rng.randint(1, 10), rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)))
-        assert sorted(acceptance._maximal_cliques(adj)) == brute_maximal_cliques(adj)
+        assert sorted(maximal_cliques(adj)) == brute_maximal_cliques(adj)
 
 
 def test_random_flag_complex_facets_are_the_maximal_cliques():

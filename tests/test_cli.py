@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,42 @@ def test_diagonal_checks_share_the_report_shape(tmp_path, capsys):
     assert checks[2]["chi_product"] == checks[2]["chi_diagonal"] + checks[2]["chi_relative"]
 
 
+
+# `smallmodel --json diagonal --in K.json` for fixed complexes: sha256 of the
+# report without its runtime, pinned before the product cell order moved to
+# complexes.total_cells and decomposition_check stopped building complexes
+DIAGONAL_PINS = {
+    "filled-triangle": ({"vertices": ["a", "b", "c"], "facets": [["a", "b", "c"]]},
+                        "fbb8b2a7e0cf212a780ad1d6e6b7108f7001d8d2a4c78319c6dc5776e83465c0"),
+    "two-triangles": ({"vertices": ["a", "b", "c", "d"],
+                       "facets": [["a", "b", "c"], ["b", "c", "d"]]},
+                      "df0e4b8bb78b864b95e0945e98d0eb3dd686b223d9c9bd7e702dc71e352c252c"),
+    "hollow-triangle": ({"vertices": [0, 1, 2], "facets": [[0, 1], [1, 2], [0, 2]]},
+                        "dc29abbb5e2205c1a3cb3a9d31be627467fc48449e9fe16039b19297207b8ddd"),
+    "chorded-square": ({"vertices": [0, 1, 2, 3],
+                        "facets": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]},
+                       "b3c01e911c42d706b4dca13f620e036f0d8f6d56f277960d5ac79782e1109f39"),
+    "octahedron": ({"vertices": [0, 1, 2, 3, 4, 5],
+                    "facets": [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]},
+                   "2c815c91bcadd4dd3616a4ba7f8b723b6a170965f330bf0fad316ff42d6f490e"),
+    "hollow-tetrahedron": ({"vertices": [0, 1, 2, 3],
+                            "facets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]},
+                           "1b288333ca40742f447440906c105c38e4f62872b20052b476defaf21312af54"),
+    "unused-vertex": ({"vertices": [0, 1, 2, 3, 4, 5], "facets": [[0, 1, 2], [2, 3], [4]]},
+                      "ee109f64537414ff63e9e32acbef05cb9ce3a5308e71e23c124119973ce584a8"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIAGONAL_PINS))
+def test_diagonal_reports_pinned(tmp_path, capsys, monkeypatch, name):
+    payload, digest = DIAGONAL_PINS[name]
+    monkeypatch.chdir(tmp_path)  # the relative path keeps inputs-digest fixed
+    write_json(tmp_path, "K.json", payload)
+    code, rep = run_json(capsys, "diagonal", "--in", "K.json")
+    assert code == 0 and rep["status"] == "verified"
+    del rep["runtime_ms"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
 def test_slm_check_single_pair(tmp_path, capsys):
     path = write_json(tmp_path, "pair.json", {"e": coordinate_flag_json(4, [{0}, {0, 1}]),
                                               "f": coordinate_flag_json(4, [{3}])})
@@ -422,11 +459,11 @@ def test_rationals_read_ints_and_ratio_strings(tmp_path, capsys):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(*args):
+def _python(*args, timeout=120):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=timeout)
 
 
 def test_module_form_runs_the_cli():
@@ -451,3 +488,31 @@ def test_float_coefficient_exits_at_once(tmp_path):
     proc = _python("-m", "smallmodel", "--json", "b2-criterion", "--in", path)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["details"]["error"].startswith("ValueError: c112 must be a rational")
+
+
+def test_large_prime_ring_answers_at_once(tmp_path):
+    # 2**61 - 1: trial division up to its square root never finished
+    path = write_json(tmp_path, "tri.json", {"vertices": [0, 1, 2],
+                                             "facets": [[0, 1], [1, 2], [0, 2]]})
+    proc = _python("-m", "smallmodel", "--json", "homology", "--ring", "2305843009213693951",
+                   "--in", path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["details"]["homology"] == [
+        {"degree": 1, "rank": 1, "torsion": []}]
+
+
+@pytest.mark.parametrize("ring, error", [
+    ("3825123056546413051", "ComplexError: ring must be 'Z' or a prime, got 3825123056546413051"),
+    ("318665857834031151167461",
+     "ComplexError: ring must be 'Z' or a prime, got 318665857834031151167461"),
+    ("3317044064679887385961981", "ValueError: cannot decide whether 3317044064679887385961981 "
+     "is prime: Miller-Rabin on the first 13 primes is exact only below "
+     "3317044064679887385961981"),
+])
+def test_composite_or_undecided_ring_is_an_input_error(tmp_path, capsys, ring, error):
+    path = write_json(tmp_path, "tri.json", {"vertices": [0, 1, 2],
+                                             "facets": [[0, 1], [1, 2], [0, 2]]})
+    code, rep = run_json(capsys, "homology", "--ring", ring, "--in", path)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == error

@@ -12,6 +12,7 @@ from smallmodel.complexes import (
     chain_complex,
     homology,
     tensor_total,
+    total_cells,
 )
 from smallmodel.diagonal import build_diagonal
 
@@ -173,6 +174,33 @@ def test_clearing_against_dense_ranks(seed, p):
     for C in complexes:
         assert C.homology().entries == ranks_without_clearing(C, p)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_is_flag_against_brute_force(seed):
+    # random complexes, flag or not, on declared vertices some of which
+    # lie in no facet; an unused vertex is not a clique of the 1-skeleton
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    used = rng.randint(1, n)
+    facets = [rng.sample(range(used), rng.randint(1, min(used, 4)))
+              for _ in range(rng.randint(1, 8))]
+    K = SimplicialComplex(range(n), facets)
+    verts = [v for (v,) in K.simplices(0)]
+    edges = set(K.simplices(1))
+    cliques = [c for k in range(1, len(verts) + 1) for c in itertools.combinations(verts, k)
+               if all(e in edges for e in itertools.combinations(c, 2))]
+    assert K.is_flag() == all(K.has_simplex(c) for c in cliques)
+
+
+def test_total_cells_order():
+    # by degree n, then the first factor's degree i, then a, then b
+    assert total_cells([2, 1], [2, 1]) == {
+        0: [(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1)],
+        1: [(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1)],
+        2: [(1, 0, 1, 0)],
+    }
 
 def test_dd_zero_enforced():
     c = chain_complex(projective_plane(), "Z")

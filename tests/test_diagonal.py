@@ -1,9 +1,15 @@
+import itertools
+import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smallmodel import diagonal
 from smallmodel.complexes import SimplicialComplex, homology
 from smallmodel.diagonal import (
+    ProductChainComplex,
     build_diagonal,
     check_retraction,
     decomposition_check,
@@ -82,3 +88,62 @@ def test_diagonal_closed_under_boundary():
     parts.quotient.check_dd_zero()
     h = parts.diagonal.homology()
     assert h.same_groups(homology(two_triangles(), reduced=False))
+
+
+def random_complex(rng):
+    """Random facets on at most 6 vertices: flag or not, mixed dimension."""
+    n = rng.randint(1, 6)
+    facets = [rng.sample(range(n), rng.randint(1, min(n, 4))) for _ in range(rng.randint(1, 5))]
+    return SimplicialComplex(range(n), facets)
+
+
+def signed_faces(s):
+    return [(s[:k] + s[k + 1:], (-1) ** k) for k in range(len(s))] if len(s) > 1 else []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_product_boundary_matches_the_cell_labels(seed):
+    # d(s x t) = ds x t + (-1)^dim(s) s x dt, read off the labels; a drift
+    # between tensor_total's bases and the labelled cells breaks this
+    K = random_complex(random.Random(seed))
+    prod = ProductChainComplex(K)
+    for n, cells in prod.cells.items():
+        assert len(cells) == prod.chain.rank(n)
+        if n == 0:
+            continue
+        pos = {cell: i for i, cell in enumerate(prod.cells[n - 1])}
+        for (s, t), col in zip(cells, prod.chain.boundary_columns(n)):
+            expected = {}
+            for face, sign in signed_faces(s):
+                expected[pos[(face, t)]] = sign
+            for face, sign in signed_faces(t):
+                expected[pos[(s, face)]] = (-1) ** (len(s) - 1) * sign
+            assert col == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_decomposition_table_against_brute_count(seed):
+    K = random_complex(random.Random(seed))
+    faces = {frozenset(s) for s in K.all_simplices()}
+    count = {}
+    for s, t in itertools.product(faces, repeat=2):
+        if s | t in faces:
+            key = f"({len(s) - 1},{len(t) - 1})"
+            count[key] = count.get(key, 0) + 1
+    rep = decomposition_check(K)
+    assert rep.passed
+    table = rep.details["bidegree_counts"]
+    assert list(table) == [f"({i},{j})" for i in range(K.dim + 1) for j in range(K.dim + 1)]
+    assert table == {key: [count.get(key, 0)] * 2 for key in table}
+
+
+def test_decomposition_check_builds_no_chain_complex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition_check built a chain complex")
+
+    for name in ("build_diagonal", "chain_complex", "tensor_total", "ProductChainComplex"):
+        monkeypatch.setattr(diagonal, name, refuse)
+    for K in (two_triangles(), hollow_triangle()):
+        assert decomposition_check(K).passed

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from oracles import dense_rank_mod_p
 from smallmodel.normalform import (
     DEFAULT_BIT_BOUND,
+    MILLER_RABIN_BOUND,
     PivotExplosion,
     _eliminate_units,
     _rank_and_minor,
     _Sparse,
     invariant_factors,
+    is_prime,
     rank_mod_p,
 )
 
@@ -206,3 +208,35 @@ def test_cleared_columns_and_lows():
     lows = set()
     assert rank_mod_p(cols, 3, cleared={2}, lows=lows) == 2
     assert lows == {2, 1}
+
+
+def test_is_prime_against_trial_division():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, n, d))
+    assert [k for k in range(-3, n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("n", [
+    3825123056546413051,  # strong pseudoprime to the bases 2..23
+    318665857834031151167461,  # strong pseudoprime to the bases 2..37
+])
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, MILLER_RABIN_BOUND - 1))
+def test_is_prime_against_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_below_and_at_the_bound():
+    assert is_prime(2**61 - 1)
+    assert is_prime(sympy.prevprime(MILLER_RABIN_BOUND))
+    assert not is_prime(MILLER_RABIN_BOUND + 1)  # even: decided by division
+    for n in (MILLER_RABIN_BOUND, sympy.nextprime(MILLER_RABIN_BOUND)):
+        with pytest.raises(ValueError, match=f"whether {n} is prime"):
+            is_prime(n)
