@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .report import Report, json_rational
 
@@ -115,50 +115,65 @@ def rational_sqrt(r) -> Fraction:
     return Fraction(isqrt(r.numerator), isqrt(r.denominator))
 
 
+def _integer_roots(q):
+    """The integer roots of the monic integer polynomial q (coefficients
+    from the top, degree at most 3), in increasing order.
+
+    They lie within the Cauchy bound 1 + max |q_i|, and so do the real
+    roots of q' (Gauss-Lucas), which cut that range into pieces where q
+    is monotone; each piece holds at most one root, found by bisection."""
+    bound = 1 + max((abs(c) for c in q[1:]), default=0)
+
+    def value(u):
+        v = 0
+        for c in q:
+            v = v * u + c
+        return v
+
+    cuts = []  # the floors of the real roots of q', in increasing order
+    if len(q) == 3:
+        cuts = [-q[1] // 2]
+    elif len(q) == 4 and q[1] ** 2 > 3 * q[2]:  # q' = 3u^2 + 2 q_1 u + q_2
+        disc = q[1] ** 2 - 3 * q[2]
+        r = isqrt(disc)
+        cuts = [(-q[1] - r - (r * r < disc)) // 3, (-q[1] + r) // 3]
+    roots = []
+    for lo, hi in zip([-bound] + [c + 1 for c in cuts], cuts + [bound]):
+        if lo > hi:
+            continue
+        sign = 1 if value(hi) >= value(lo) else -1
+        while lo < hi:  # the first u with sign * q(u) >= 0
+            mid = (lo + hi) // 2
+            if sign * value(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if value(lo) == 0:
+            roots.append(lo)
+    return roots
+
+
 def _rational_cubic_roots(a3, a2, a1, a0):
     """All rational roots of a3 t^3 + a2 t^2 + a1 t + a0 = 0 (not
-    identically zero), by the rational root theorem after clearing
-    denominators."""
+    identically zero), in increasing order, in time polynomial in the
+    bit size of the coefficients. After clearing denominators and dividing
+    out the root t = 0, t = u / c_0 turns c_0^(d-1) (c_0 t^d + ... + c_d)
+    into the monic integer polynomial with coefficients c_i c_0^(i-1),
+    whose rational roots are integers (rational root theorem)."""
     coeffs = [_frac(c) for c in (a3, a2, a1, a0)]
     if all(c == 0 for c in coeffs):
         raise FormError("zero cubic")
-    from math import lcm
-
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
-        roots = {Fraction(0)}
-        # divide out t and recurse on the remaining coefficients
-        rest = ints[:-1]
-        if len(rest) > 1:
-            pad = [0] * (4 - len(rest)) + rest
-            roots |= set(_rational_cubic_roots(*pad))
-        return sorted(roots)
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.add(i)
-                out.add(n // i)
-            i += 1
-        return out
-
-    roots = set()
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for c in ints:
-                    val = val * cand + c
-                if val == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    while ints[0] == 0:
+        ints.pop(0)
+    roots = []
+    while ints[-1] == 0:
+        ints.pop()
+        roots = [Fraction(0)]
+    lead = ints[0]
+    monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints) if i]
+    return sorted(roots + [Fraction(u, lead) for u in _integer_roots(monic)])
 
 
 def find_betas(T: TripleForm) -> list:

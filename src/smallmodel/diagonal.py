@@ -1,28 +1,24 @@
-"""Product chains on C x C, the simplicial diagonal, and the quotient.
+"""The simplicial diagonal in C x C and its quotient, from cell labels.
 
-Cells of the product complex are pairs (sigma, tau) of simplices with
+Cells of the product C x C are pairs (sigma, tau) of simplices with
 total degree dim(sigma) + dim(tau). A pair is a diagonal cell when the
 union of its two factors spans a simplex of C; for flag complexes this
 is exactly the chain-level support of the union of the squares
 sigma x sigma. The quotient of the product by the diagonal computes
 relative homology (group action specialized to the trivial group, so
 equivariant statements reduce to ordinary ones).
+
+Both are built from the cell labels, with d(sigma x tau) = d(sigma) x
+tau + (-1)^dim(sigma) sigma x d(tau); the product complex is never built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
-from .complexes import (
-    ChainComplex,
-    ComplexError,
-    SimplicialComplex,
-    chain_complex,
-    homology,
-    tensor_total,
-    total_cells,
-)
+from .complexes import ChainComplex, ComplexError, SimplicialComplex, homology, total_cells
 from .report import VERIFIED, VIOLATION, Report
 
 
@@ -37,36 +33,82 @@ def product_cells(K: SimplicialComplex) -> dict:
     }
 
 
-class ProductChainComplex:
-    """Total complex of C_*(C) tensor C_*(C) with labelled cells."""
+@dataclass(frozen=True)
+class ProductCells:
+    """The labelled cells of C x C by total degree; no boundary."""
 
-    def __init__(self, K: SimplicialComplex, ring="Z"):
-        cc = chain_complex(K, ring)
-        self.chain = tensor_total(cc, cc)
-        self.cells = product_cells(K)
+    cells: dict
 
     def cell_count(self, n):
         return len(self.cells.get(n, []))
 
 
-@dataclass
-class SubquotientComplexes:
-    """Diagonal subcomplex and quotient of a product complex."""
-
-    product: ProductChainComplex
-    diagonal: ChainComplex
-    quotient: ChainComplex
-    diagonal_cells: dict
-    quotient_cells: dict
-
-
 def _is_diagonal_cell(K, pair):
     s, t = pair
-    return K.has_simplex(sorted(set(s) | set(t)))
+    return K.has_simplex(set(s) | set(t))
+
+
+class _SignedFaces(dict):
+    """Sorted simplex -> its codimension-one faces with their boundary
+    signs, each computed once; a vertex has none (no augmentation)."""
+
+    def __missing__(self, s):
+        faces = tuple((s[:k] + s[k + 1:], -1 if k % 2 else 1)
+                      for k in range(len(s))) if len(s) > 1 else ()
+        self[s] = faces
+        return faces
+
+
+def _labelled_complex(cells, picked, ring, closed) -> ChainComplex:
+    """The chain complex on the product cells ``cells[n][i]`` for i in
+    ``picked[n]``, in that order, with each boundary column read off the
+    labels. A face outside the picked cells raises when ``closed`` (the
+    diagonal must be a subcomplex: this is verified, not assumed) and is
+    dropped otherwise (the quotient by the diagonal). Shapes and d∘d are
+    checked, since clearing over F_p relies on d∘d = 0."""
+    labels = {n: [cells[n][i] for i in idxs] for n, idxs in picked.items()}
+    # a pair fixes its degree, so one index serves every degree
+    pos = {cell: p for row in labels.values() for p, cell in enumerate(row)}
+    faces = _SignedFaces()
+    boundaries = {}
+    for n in sorted(labels):
+        if n == 0:
+            continue
+        cols = []
+        for s, t in labels[n]:
+            twist = -1 if len(s) % 2 == 0 else 1
+            col = {}
+            for face, sign in faces[s]:
+                col[pos.get((face, t))] = sign
+            for face, sign in faces[t]:
+                col[pos.get((s, face))] = twist * sign
+            if None in col:  # faces outside the picked cells
+                if closed:
+                    raise ComplexError("diagonal cells are not closed under the boundary")
+                del col[None]
+            cols.append(col)
+        boundaries[n] = cols
+    return ChainComplex(ring, [len(labels[n]) for n in sorted(labels)], boundaries)
+
+
+@dataclass
+class SubquotientComplexes:
+    """The diagonal subcomplex of C x C and its quotient, built on first
+    access; ``diagonal_cells[n]`` and ``quotient_cells[n]`` index ``product.cells[n]``."""
+
+    product: ProductCells
+    diagonal: ChainComplex
+    diagonal_cells: dict
+    quotient_cells: dict
+    ring: object
+
+    @cached_property
+    def quotient(self) -> ChainComplex:
+        return _labelled_complex(self.product.cells, self.quotient_cells, self.ring, closed=False)
 
 
 def build_diagonal(K: SimplicialComplex, ring="Z", warn_non_flag=True) -> SubquotientComplexes:
-    """Split product chains into the diagonal subcomplex and its quotient.
+    """Split the cells of C x C into the diagonal subcomplex and the rest.
 
     Closure of the diagonal under the product boundary is verified, not
     assumed. Non-flag inputs are accepted with a warning: the chain model
@@ -74,41 +116,14 @@ def build_diagonal(K: SimplicialComplex, ring="Z", warn_non_flag=True) -> Subquo
     """
     if warn_non_flag and not K.is_flag():
         warnings.warn("diagonal chain model applied to a non-flag complex")
-    prod = ProductChainComplex(K, ring)
+    cells = product_cells(K)
     diag_cells, quot_cells = {}, {}
-    for n, cells in prod.cells.items():
-        on = [_is_diagonal_cell(K, pair) for pair in cells]
+    for n, labels in cells.items():
+        on = [_is_diagonal_cell(K, pair) for pair in labels]
         diag_cells[n] = [idx for idx, d in enumerate(on) if d]
         quot_cells[n] = [idx for idx, d in enumerate(on) if not d]
-
-    def restrict(cell_lists, complain):
-        pos_of = {(n, idx): p for n, idxs in cell_lists.items() for p, idx in enumerate(idxs)}
-        ranks = [len(cell_lists[n]) for n in sorted(cell_lists)]
-        boundaries = {}
-        for n in sorted(cell_lists):
-            if n == 0:
-                continue
-            src_cols = prod.chain.boundary_columns(n)
-            cols = []
-            for idx in cell_lists[n]:
-                col = {}
-                for i, v in src_cols[idx].items():
-                    # a face outside the list: the diagonal is not closed,
-                    # or, in the quotient, a diagonal face that is dropped
-                    p = pos_of.get((n - 1, i))
-                    if p is not None:
-                        col[p] = v
-                    elif complain:
-                        raise ComplexError("diagonal cells are not closed under the boundary")
-                cols.append(col)
-            boundaries[n] = cols
-        return ChainComplex(ring, ranks, boundaries, check=False)
-
-    diag = restrict(diag_cells, complain=True)
-    quot = restrict(quot_cells, complain=False)
-    diag.check_dd_zero()
-    quot.check_dd_zero()
-    return SubquotientComplexes(prod, diag, quot, diag_cells, quot_cells)
+    diag = _labelled_complex(cells, diag_cells, ring, closed=True)
+    return SubquotientComplexes(ProductCells(cells), diag, diag_cells, quot_cells, ring)
 
 
 def _check(name: str, ok: bool, details: dict) -> Report:
@@ -168,11 +183,10 @@ def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None) -> 
 
 def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> Report:
     """Over F_p the alternating sums of dim H(CxC), dim H(diagonal) and
-    dim H(CxC, diagonal) must satisfy chi(product) = chi(diag) + chi(rel)."""
+    dim H(CxC, diagonal) must satisfy chi(product) = chi(diag) + chi(rel).
+    The product's cells are pairs of cells of C, so chi(product) = chi(C)^2."""
     parts = build_diagonal(K, p, warn_non_flag=False)
-    chi_prod = sum(
-        (-1) ** n * parts.product.cell_count(n) for n in parts.product.cells
-    )
+    chi_prod = sum((-1) ** d * f for d, f in enumerate(K.f_vector())) ** 2
     chi_diag = parts.diagonal.homology().euler_characteristic()
     chi_rel = parts.quotient.homology().euler_characteristic()
     return _check("long-exact-consistency", chi_prod == chi_diag + chi_rel,

@@ -385,40 +385,6 @@ def enumerate_multicurves(g: int, k: int) -> list[CutSurfaceGraph]:
     return graphs
 
 
-def enumerate_multicurves_by_matching(g: int, k: int) -> int:
-    """Independent count of the same types by pairing half-edges
-    (configuration-model construction); exponential, small inputs only."""
-    if g < 2 or not (1 <= k <= 3 * g - 3):
-        raise SurfaceError("out of range")
-    raw = []
-    for v in range(max(1, k + 1 - g), k + 2):
-        for types in _vertex_type_multisets(g, k, v) or []:
-            genera = [t[0] for t in types]
-            degrees = [t[1] for t in types]
-            half = []
-            for i, d in enumerate(degrees):
-                half.extend([i] * d)
-
-            def match(remaining, mult):
-                if not remaining:
-                    if _connected(len(genera), mult):
-                        raw.append((tuple(genera), dict(mult)))
-                    return
-                a = remaining[0]
-                rest = remaining[1:]
-                for idx in range(len(rest)):
-                    b = rest[idx]
-                    key = (min(half[a], half[b]), max(half[a], half[b]))
-                    mult[key] = mult.get(key, 0) + 1
-                    match(rest[:idx] + rest[idx + 1:], mult)
-                    mult[key] -= 1
-                    if not mult[key]:
-                        del mult[key]
-
-            match(list(range(len(half))), {})
-    return len(_dedupe(raw))
-
-
 # ---------------------------------------------------------------------------
 # The stabilizer-dimension sweep and the certificate for the complex of
 # curve systems.

@@ -2,6 +2,10 @@
 
 import itertools
 
+from smallmodel.complexes import ChainComplex, chain_complex, tensor_total
+from smallmodel.diagonal import product_cells
+from smallmodel.surfaces import SurfaceError, _connected, _dedupe, _vertex_type_multisets
+
 
 def brute_maximal_cliques(adj):
     """Maximal cliques of {vertex: neighbours} on vertices 0..n-1, from
@@ -33,3 +37,66 @@ def dense_rank_mod_p(rows, p):
         rank += 1
         col += 1
     return rank
+
+
+class ProductChainComplex:
+    """Total complex of C_*(C) tensor C_*(C) from ``tensor_total``, with
+    the labelled cells of ``diagonal.product_cells``: the definition that
+    the diagonal and quotient built from labels are checked against."""
+
+    def __init__(self, K, ring="Z"):
+        cc = chain_complex(K, ring)
+        self.chain = tensor_total(cc, cc)
+        self.cells = product_cells(K)
+
+    def restrict(self, cell_lists):
+        """The complex on the cells ``cells[n][i]`` for i in
+        ``cell_lists[n]``: the subcomplex when they are closed under the
+        boundary, else the quotient, with faces outside the lists dropped."""
+        pos_of = {(n, idx): p for n, idxs in cell_lists.items() for p, idx in enumerate(idxs)}
+        boundaries = {}
+        for n in sorted(cell_lists):
+            if n == 0:
+                continue
+            src_cols = self.chain.boundary_columns(n)
+            boundaries[n] = [{pos_of[(n - 1, i)]: v for i, v in src_cols[idx].items()
+                              if (n - 1, i) in pos_of}
+                             for idx in cell_lists[n]]
+        ranks = [len(cell_lists[n]) for n in sorted(cell_lists)]
+        return ChainComplex(self.chain.ring, ranks, boundaries, check=False)
+
+
+def enumerate_multicurves_by_matching(g, k):
+    """Number of k-curve multicurve types on the closed genus-g surface,
+    counted by pairing half-edges (configuration-model construction)
+    independently of ``surfaces.enumerate_multicurves``' search;
+    exponential, small inputs only."""
+    if g < 2 or not (1 <= k <= 3 * g - 3):
+        raise SurfaceError("out of range")
+    raw = []
+    for v in range(max(1, k + 1 - g), k + 2):
+        for types in _vertex_type_multisets(g, k, v) or []:
+            genera = [t[0] for t in types]
+            degrees = [t[1] for t in types]
+            half = []
+            for i, d in enumerate(degrees):
+                half.extend([i] * d)
+
+            def match(remaining, mult):
+                if not remaining:
+                    if _connected(len(genera), mult):
+                        raw.append((tuple(genera), dict(mult)))
+                    return
+                a = remaining[0]
+                rest = remaining[1:]
+                for idx in range(len(rest)):
+                    b = rest[idx]
+                    key = (min(half[a], half[b]), max(half[a], half[b]))
+                    mult[key] = mult.get(key, 0) + 1
+                    match(rest[:idx] + rest[idx + 1:], mult)
+                    mult[key] -= 1
+                    if not mult[key]:
+                        del mult[key]
+
+            match(list(range(len(half))), {})
+    return len(_dedupe(raw))

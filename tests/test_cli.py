@@ -501,6 +501,16 @@ def test_large_prime_ring_answers_at_once(tmp_path):
         {"degree": 1, "rank": 1, "torsion": []}]
 
 
+def test_31_digit_cubic_coefficient_answers_at_once(tmp_path):
+    # the rational root search once tried every divisor up to the square
+    # root of c222 and did not finish in 10 s
+    path = write_json(tmp_path, "form.json", {"c111": "1", "c112": "2", "c122": "1",
+                                              "c222": "1000000000000000000000000000007"})
+    proc = _python("-m", "smallmodel", "--json", "b2-criterion", "--in", path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["details"]["status"] == "OBSTRUCTED"
+
+
 @pytest.mark.parametrize("ring, error", [
     ("3825123056546413051", "ComplexError: ring must be 'Z' or a prime, got 3825123056546413051"),
     ("318665857834031151167461",

@@ -2,10 +2,10 @@
 every subcommand that reads ``--in`` must give exactly one JSON report,
 no traceback, and the exit code that belongs to the reported status.
 
-Integers stay within six digits and rationals within a few: the divisor
-search of the b2 criterion is exponential in the digit count, and larger
-coefficients are a known slow path, not a contract break. Floats are
-arbitrary: every reader of a number refuses them by name.
+Integers, and the numerators and denominators of rationals, run to 34
+digits: the b2 criterion's rational root search is polynomial in the bit
+size, so large coefficients are a case to answer, not a slow path. Floats
+are arbitrary: every reader of a number refuses them by name.
 """
 
 import contextlib
@@ -58,10 +58,13 @@ KEYS = sorted({path[-1] for doc in VALID.values() for path in _paths(doc)
                if path and isinstance(path[-1], str)})
 
 
-integers = st.one_of(st.integers(-3, 8), st.integers(-999_999, 999_999))
+huge = st.integers(10**30, 10**33)  # 31 to 34 digits
+integers = st.one_of(st.integers(-3, 8), st.integers(-999_999, 999_999),
+                     huge, huge.map(int.__neg__))
 strings = st.one_of(
     st.builds(lambda a, b, upper: ("<=" if upper else "") + f"{a}/{b}",
-              st.integers(-9, 9), st.integers(0, 9), st.booleans()),
+              st.one_of(st.integers(-9, 9), huge, huge.map(int.__neg__)),
+              st.one_of(st.integers(0, 9), huge), st.booleans()),
     st.text(alphabet="0123456789/-<= ab", max_size=4),
 )
 leaves = st.one_of(st.none(), st.booleans(), integers,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smallmodel.cupforms import (
@@ -18,6 +18,7 @@ from smallmodel.cupforms import (
     rational_is_square,
     rational_sqrt,
     verify_witness,
+    _rational_cubic_roots,
 )
 
 rationals = st.fractions(
@@ -76,6 +77,38 @@ def test_quadratic_identity(x, s):
     # whenever s = x s^2 + y, the discriminant identity holds
     y = s - x * s * s
     assert (2 * x * s - 1) ** 2 == 1 - 4 * x * y
+
+
+big = st.one_of(st.integers(-10**32, 10**32), st.integers(-30, 30))
+coefficients = st.one_of(st.builds(Fraction, big, st.integers(1, 10**6)), rationals)
+
+
+@st.composite
+def cubics(draw):
+    """Cubics (or lower, after a zero lead) with arbitrary coefficients, or
+    with rational roots planted, double roots included."""
+    if draw(st.booleans()):
+        return [draw(coefficients) for _ in range(4)]
+    k = draw(coefficients.filter(bool))
+    r1, r2, r3 = (draw(coefficients) for _ in range(3))
+    if draw(st.booleans()):
+        r2 = r1
+    cubic = [k, -k * (r1 + r2 + r3), k * (r1 * r2 + r1 * r3 + r2 * r3), -k * r1 * r2 * r3]
+    return [Fraction(0)] + cubic[:3] if draw(st.booleans()) else cubic
+
+
+@settings(max_examples=300, deadline=None)
+@given(cubics())
+def test_rational_cubic_roots_against_sympy(cubic):
+    from sympy import QQ, Poly, symbols
+
+    assume(any(cubic))
+    while not cubic[0]:
+        cubic = cubic[1:]
+    t = symbols("t")
+    expected = Poly([QQ(c.numerator, c.denominator) for c in cubic], t, domain=QQ).ground_roots()
+    assert _rational_cubic_roots(*[Fraction(0)] * (4 - len(cubic)), *cubic) == sorted(
+        Fraction(int(r.p), int(r.q)) for r in expected)
 
 
 def test_find_betas_examples():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallmodel import diagonal
-from smallmodel.complexes import SimplicialComplex, homology
+from oracles import ProductChainComplex
+from smallmodel import complexes, diagonal
+from smallmodel.complexes import SimplicialComplex, homology, maximal_cliques
 from smallmodel.diagonal import (
-    ProductChainComplex,
     build_diagonal,
     check_retraction,
     decomposition_check,
@@ -97,6 +97,15 @@ def random_complex(rng):
     return SimplicialComplex(range(n), facets)
 
 
+def clique_complex(K):
+    """The flag complex on the 1-skeleton of K."""
+    adj = {v: set() for (v,) in K.simplices(0)}
+    for a, b in K.simplices(1):
+        adj[a].add(b)
+        adj[b].add(a)
+    return SimplicialComplex(K.vertices, [[K.vertices[v] for v in c] for c in maximal_cliques(adj)])
+
+
 def signed_faces(s):
     return [(s[:k] + s[k + 1:], (-1) ** k) for k in range(len(s))] if len(s) > 1 else []
 
@@ -139,11 +148,49 @@ def test_decomposition_table_against_brute_count(seed):
     assert table == {key: [count.get(key, 0)] * 2 for key in table}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from(["Z", 2, 3]))
+def test_diagonal_and_quotient_equal_the_restricted_product(seed, flag, ring):
+    # the complexes built from labels against the restrictions of the
+    # tensor_total product, column for column, on flag and non-flag inputs
+    K = random_complex(random.Random(seed))
+    if flag:
+        K = clique_complex(K)
+    faces = {frozenset(s) for s in K.all_simplices()}
+    parts = build_diagonal(K, ring, warn_non_flag=False)
+    prod = ProductChainComplex(K, ring)
+    assert parts.product.cells == prod.cells
+    on = {n: [frozenset(s) | frozenset(t) in faces for s, t in cells]
+          for n, cells in prod.cells.items()}
+    assert parts.diagonal_cells == {n: [i for i, d in enumerate(v) if d] for n, v in on.items()}
+    assert parts.quotient_cells == {n: [i for i, d in enumerate(v) if not d]
+                                    for n, v in on.items()}
+    for direct, cells in ((parts.diagonal, parts.diagonal_cells),
+                          (parts.quotient, parts.quotient_cells)):
+        oracle = prod.restrict(cells)
+        assert direct.ring == oracle.ring
+        assert direct.ranks == oracle.ranks
+        assert direct.boundaries == oracle.boundaries
+
+
+def test_check_retraction_builds_neither_product_nor_quotient(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_retraction built the product or the quotient")
+
+    monkeypatch.setattr(complexes, "tensor_total", refuse)
+    monkeypatch.setattr(diagonal.SubquotientComplexes, "quotient", property(refuse))
+    for K in (filled_triangle(), two_triangles(), hollow_triangle()):
+        for ring in ("Z", 2):
+            assert check_retraction(K, ring).passed
+
+
 def test_decomposition_check_builds_no_chain_complex(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition_check built a chain complex")
 
-    for name in ("build_diagonal", "chain_complex", "tensor_total", "ProductChainComplex"):
+    for name in ("build_diagonal", "ChainComplex", "_labelled_complex"):
         monkeypatch.setattr(diagonal, name, refuse)
+    for name in ("chain_complex", "tensor_total"):
+        monkeypatch.setattr(complexes, name, refuse)
     for K in (two_triangles(), hollow_triangle()):
         assert decomposition_check(K).passed

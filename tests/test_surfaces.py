@@ -13,7 +13,6 @@ from smallmodel.surfaces import (
     curve_complex_certificate,
     cut_curve,
     enumerate_multicurves,
-    enumerate_multicurves_by_matching,
     harer_dim,
     lemma_smallstabilizers_sweep,
     max_hdim_by_size,
@@ -24,6 +23,8 @@ from smallmodel.surfaces import (
     _multigraphs_with_degrees,
 )
 from smallmodel.smallness import VERIFIED, check_small, vanishing_certificate
+
+from oracles import enumerate_multicurves_by_matching
 
 
 def test_harer_formulas():
