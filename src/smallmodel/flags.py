@@ -3,10 +3,15 @@ algebra, forced-zero counting for permuted coordinate flags, the
 semidirect splitting dimension calculus, induced flags and the
 codimension-chain inequality, plus a finite-field building generator.
 
-All stabilizer and orbit dimensions here are Lie-algebra dimensions of
-linear-algebraic matrix groups, computed as nullspace dimensions of
-exact integer constraint systems. The coordinate-flag combinatorics
-(forced zero patterns) provide an independent route for cross-checks.
+Stabilizer and orbit dimensions are Lie-algebra dimensions of
+linear-algebraic matrix groups. A pair of flags (E, F) is read from one
+table of intersection dimensions dim(E_i & F_j), each from the rank of
+a sum of subspaces: any two flags have a common adapted basis, in which
+both stabilizers are spanned by matrix units. The stabilizer of one flag
+is also computed as the nullity of its exact integer constraint system,
+which split_dims checks its formula against, and the coordinate-flag
+combinatorics (forced zero patterns) give an independent route for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -146,7 +151,8 @@ def forced_zero_count(spec: CoordinateFlagSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer dimensions by exact nullspace computations.
+# Stabilizer dimensions: one flag by its constraint system, a pair by a
+# table of intersection dimensions.
 
 
 def _containment_rows(m: int, pairs):
@@ -173,29 +179,64 @@ def _stab_constraint_rows(flag: RationalFlag):
     return _containment_rows(flag.m, ((v, v) for v in flag.subspaces))
 
 
-@functools.lru_cache(maxsize=None)
-def _nilpotent_constraint_rows(e: RationalFlag):
-    """Rows cutting out {A : A E_{i+1} <= E_i} (the strictly block-upper
-    algebra of the flag)."""
-    padded = e.padded()
-    return _containment_rows(e.m, zip(padded[1:], padded))
-
-
 def stab_dim(flag: RationalFlag) -> int:
-    """Dimension of the matrix algebra preserving every flag subspace."""
+    """Dimension of the matrix algebra preserving every flag subspace, as
+    the nullity of its constraint system."""
     return flag.m * flag.m - sparse_rank(_stab_constraint_rows(flag))
 
 
-def stab_pair_dim(e: RationalFlag, f: RationalFlag) -> int:
+@functools.lru_cache(maxsize=1)
+def _pair_table(e: RationalFlag, f: RationalFlag) -> tuple:
+    """Table d[i][j] = dim(E_i & F_j) over the padded flags (E_0 = F_0 = 0
+    and E_a = F_b = Q^m). Cached for the last pair, which orbit_codim,
+    slm_inequality, induced_flags and f0_subflag all read.
+
+    Any two flags have a common adapted basis (they lie in a common
+    apartment: Abramenko-Brown, Buildings, 2008), and
+    n[k][l] = d[k][l] - d[k-1][l] - d[k][l-1] + d[k-1][l-1] counts its
+    vectors at E-level k and F-level l."""
     if e.m != f.m:
         raise FlagError("ambient dimensions differ")
-    rows = _stab_constraint_rows(e) + _stab_constraint_rows(f)
-    return e.m * e.m - sparse_rank(rows)
+    zero = (0,) * (f.length + 2)
+    return (zero,) + tuple(
+        (0, *(len(ei) + len(fj) - len(ratlin.sum_space(ei, fj)) for fj in f.subspaces),
+         len(ei))
+        for ei in e.subspaces
+    ) + ((0, *f.dims(), e.m),)
+
+
+def _level_sum(d, shift: int) -> int:
+    """Sum of n[k][l] * d[k - shift][l] over the table d. In the adapted
+    basis the matrix unit taking a vector at levels (k, l) to one at
+    levels (k', l') preserves both flags when k' <= k and l' <= l, and
+    these units span Stab(E) & Stab(F) (shift 0); the ones with
+    k' <= k - 1 span N & Stab(F) (shift 1)."""
+    total = 0
+    for k in range(1, len(d)):
+        for l in range(1, len(d[k])):
+            n = d[k][l] - d[k - 1][l] - d[k][l - 1] + d[k - 1][l - 1]
+            if n:
+                total += n * d[k - shift][l]
+    return total
+
+
+def stab_pair_dim(e: RationalFlag, f: RationalFlag) -> int:
+    """dim(Stab(E) & Stab(F))."""
+    return _level_sum(_pair_table(e, f), 0)
+
+
+def _nil_stab_dim(e: RationalFlag, f: RationalFlag) -> int:
+    """dim(N & Stab(F)), where N = {A : A E_k <= E_{k-1}} is the
+    unipotent radical of Stab(E)."""
+    return _level_sum(_pair_table(e, f), 1)
 
 
 def orbit_codim(e: RationalFlag, f: RationalFlag) -> int:
     """dim Stab(E) - dim(Stab(E) & Stab(F)): the orbit dimension bound."""
-    return stab_dim(e) - stab_pair_dim(e, f)
+    d = _pair_table(e, f)
+    dims_e = [row[-1] for row in d]
+    stab_e = sum((hi - lo) * hi for lo, hi in zip(dims_e, dims_e[1:]))
+    return stab_e - _level_sum(d, 0)
 
 
 @dataclass(frozen=True)
@@ -229,52 +270,43 @@ def split_dims(flag: RationalFlag) -> SplitDims:
 # chain.
 
 
-@functools.lru_cache(maxsize=1)
-def _graded_images(e: RationalFlag, f: RationalFlag):
-    """Table of the images (E_{i+1} & F_j) + E_i inside Q^m, one row per
-    graded level i of E and one entry per member F_j of F. Cached for the
-    last pair, which induced_flags and f0_subflag both read."""
-    padded = e.padded()
-    return tuple(
-        tuple(ratlin.sum_space(ratlin.intersection(hi, fj, e.m), lo) for fj in f.subspaces)
-        for lo, hi in zip(padded, padded[1:])
-    )
-
-
-def _proper(w, lo, hi) -> bool:
-    """Whether the image w is neither trivial nor full in the graded piece
-    hi / lo."""
-    return len(lo) < len(w) < len(hi)
+def _proper_images(d):
+    """Per graded level i of E, the pairs (g, j) for the members F_j whose
+    image (E_{i+1} & F_j) + E_i is neither trivial nor full in
+    E_{i+1} / E_i; g = d[i+1][j] - d[i][j] is the image's dimension
+    over E_i."""
+    return [
+        [(hi[j] - lo[j], j) for j in range(1, len(lo) - 1) if 0 < hi[j] - lo[j] < hi[-1] - lo[-1]]
+        for lo, hi in zip(d, d[1:])
+    ]
 
 
 def induced_flags(e: RationalFlag, f: RationalFlag):
     """Induced chains per graded piece and their lengths: the distinct
     proper images (E_{i+1} & F_j) + E_i, shortest first."""
-    if e.m != f.m:
-        raise FlagError("ambient dimensions differ")
+    proper = _proper_images(_pair_table(e, f))
     padded = e.padded()
-    # the images of the nested F_j are nested, so distinct ones differ in
-    # dimension and sorting by it is a total order
-    pieces = [
-        sorted({w for w in images if _proper(w, lo, hi)}, key=len)
-        for lo, hi, images in zip(padded, padded[1:], _graded_images(e, f))
-    ]
+    pieces = []
+    for lo, hi, images in zip(padded, padded[1:], proper):
+        # the images of the nested F_j are nested, so distinct ones differ
+        # in dimension: one member per dimension builds each of them
+        first = {}
+        for g, j in images:
+            first.setdefault(g, f.subspaces[j - 1])
+        pieces.append([ratlin.sum_space(ratlin.intersection(hi, first[g], e.m), lo)
+                       for g in sorted(first)])
     return pieces, [len(c) for c in pieces]
 
 
 def f0_subflag(e: RationalFlag, f: RationalFlag) -> RationalFlag:
     """Subflag of F whose members induce only trivial or full images in
     every graded piece of E."""
+    if e.m != f.m:
+        raise FlagError("ambient dimensions differ")
     if not e.disjoint_from(f):
         raise FlagError("flags share a subspace")
-    padded = e.padded()
-    table = _graded_images(e, f)
-    keep = tuple(
-        fj for j, fj in enumerate(f.subspaces)
-        if not any(_proper(images[j], lo, hi)
-                   for lo, hi, images in zip(padded, padded[1:], table))
-    )
-    return RationalFlag(e.m, keep)
+    cut = {j for images in _proper_images(_pair_table(e, f)) for _, j in images}
+    return RationalFlag(e.m, tuple(fj for j, fj in enumerate(f.subspaces, 1) if j not in cut))
 
 
 def slm_inequality(e: RationalFlag, f: RationalFlag) -> Report:
@@ -288,9 +320,7 @@ def slm_inequality(e: RationalFlag, f: RationalFlag) -> Report:
         raise FlagError("flags share a subspace")
     m = e.m
     sd = split_dims(e)
-    nil_rows = _nilpotent_constraint_rows(e)
-    dim_nil_stabf = m * m - sparse_rank(nil_rows + _stab_constraint_rows(f))
-    dim_n_quot = sd.dim_n - dim_nil_stabf
+    dim_n_quot = sd.dim_n - _nil_stab_dim(e, f)
     pieces, lengths = induced_flags(e, f)
     f0 = f0_subflag(e, f)
     codim = dim_n_quot + sum(1 + L for L in lengths)

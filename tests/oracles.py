@@ -2,8 +2,11 @@
 
 import itertools
 
+from smallmodel import ratlin
 from smallmodel.complexes import ChainComplex, chain_complex, tensor_total
 from smallmodel.diagonal import product_cells
+from smallmodel.flags import FlagError, RationalFlag, _containment_rows, _stab_constraint_rows
+from smallmodel.ratlin import sparse_rank
 from smallmodel.surfaces import SurfaceError, _connected, _dedupe, _vertex_type_multisets
 
 
@@ -100,3 +103,68 @@ def enumerate_multicurves_by_matching(g, k):
 
             match(list(range(len(half))), {})
     return len(_dedupe(raw))
+
+
+# ---------------------------------------------------------------------------
+# Flag pairs by constraint systems and graded images: the definitions that
+# the table of intersection dimensions in ``flags`` is checked against.
+
+
+def stab_pair_dim_by_rank(e, f):
+    """dim(Stab(E) & Stab(F)) as the nullity of the two stacked
+    stabilizer constraint systems."""
+    if e.m != f.m:
+        raise FlagError("ambient dimensions differ")
+    rows = _stab_constraint_rows(e) + _stab_constraint_rows(f)
+    return e.m * e.m - sparse_rank(rows)
+
+
+def nilpotent_constraint_rows(e):
+    """Rows cutting out {A : A E_{i+1} <= E_i} (the strictly block-upper
+    algebra of the flag)."""
+    padded = e.padded()
+    return _containment_rows(e.m, zip(padded[1:], padded))
+
+
+def nil_stab_dim_by_rank(e, f):
+    """dim(N & Stab(F)), N the strictly block-upper algebra of E, as the
+    nullity of the stacked constraint systems."""
+    return e.m * e.m - sparse_rank(nilpotent_constraint_rows(e) + _stab_constraint_rows(f))
+
+
+def graded_images(e, f):
+    """Table of the images (E_{i+1} & F_j) + E_i inside Q^m, one row per
+    graded level i of E and one entry per member F_j of F."""
+    padded = e.padded()
+    return tuple(
+        tuple(ratlin.sum_space(ratlin.intersection(hi, fj, e.m), lo) for fj in f.subspaces)
+        for lo, hi in zip(padded, padded[1:])
+    )
+
+
+def _proper(w, lo, hi):
+    return len(lo) < len(w) < len(hi)
+
+
+def induced_flags_by_images(e, f):
+    """Induced chains per graded piece and their lengths: the distinct
+    proper images, shortest first."""
+    padded = e.padded()
+    pieces = [
+        sorted({w for w in images if _proper(w, lo, hi)}, key=len)
+        for lo, hi, images in zip(padded, padded[1:], graded_images(e, f))
+    ]
+    return pieces, [len(c) for c in pieces]
+
+
+def f0_subflag_by_images(e, f):
+    """Subflag of F whose members induce only trivial or full images in
+    every graded piece of E."""
+    padded = e.padded()
+    table = graded_images(e, f)
+    keep = tuple(
+        fj for j, fj in enumerate(f.subspaces)
+        if not any(_proper(images[j], lo, hi)
+                   for lo, hi, images in zip(padded, padded[1:], table))
+    )
+    return RationalFlag(e.m, keep)

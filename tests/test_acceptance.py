@@ -13,7 +13,7 @@ from oracles import brute_maximal_cliques
 from smallmodel import acceptance
 from smallmodel.complexes import maximal_cliques
 
-RUNTIME_BUDGETS = {1: 60.0, 2: 60.0, 3: 60.0, 4: 300.0, 6: 120.0}
+RUNTIME_BUDGETS = {1: 60.0, 2: 30.0, 3: 30.0, 4: 300.0, 6: 120.0}
 
 
 @pytest.fixture(scope="session")

@@ -299,6 +299,67 @@ def test_diagonal_reports_pinned(tmp_path, capsys, monkeypatch, name):
     del rep["runtime_ms"]
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
+
+# `smallmodel --json orbit-codim|slm-check --in pair.json` for fixed pairs:
+# sha256 of the report without its runtime, pinned while the pair
+# dimensions came from m*m-variable constraint systems
+RANDOM_4 = {"e": {"m": 4, "subspaces": [[["1", "0", "0", "-1517/1980"], ["0", "1", "0", "-91/99"],
+                                         ["0", "0", "1", "67/495"]]]},
+            "f": {"m": 4, "subspaces": [[["1", "5", "0", "-25/2"]],
+                                        [["1", "0", "100/63", "-17/42"],
+                                         ["0", "1", "-20/63", "-254/105"]],
+                                        [["1", "0", "0", "-451/86"], ["0", "1", "0", "-312/215"],
+                                         ["0", "0", "1", "1311/430"]]]}}
+RANDOM_5 = {"e": {"m": 5, "subspaces": [[["1", "-3", "-9/8", "15/4", "-3/16"]],
+                                        [["1", "0", "0", "-537/443", "573/1772"],
+                                         ["0", "1", "0", "-765/443", "53/886"],
+                                         ["0", "0", "1", "86/443", "261/886"]],
+                                        [["1", "0", "0", "0", "21963/373600"],
+                                         ["0", "1", "0", "0", "-23693/74720"],
+                                         ["0", "0", "1", "0", "62943/186800"],
+                                         ["0", "0", "0", "1", "-81543/373600"]]]},
+            "f": {"m": 5, "subspaces": [[["1", "5/6", "1", "5/3", "-5/4"]],
+                                        [["1", "0", "0", "-3140/6837", "370/6837"],
+                                         ["0", "1", "0", "-1450/2279", "-3505/4558"],
+                                         ["0", "0", "1", "18160/6837", "-4535/6837"]]]}}
+FLAG_PAIR_PINS = {
+    "coordinate-3": ({"e": coordinate_flag_json(3, [{0}]), "f": coordinate_flag_json(3, [{1}])},
+                     "91f7e4738b84edd2923ff63341c0019d4d67bed2e0d707b58d7e15ee1550ab86",
+                     "70ed04068f047c43ea997d3785225e84d6852bdfd7a20616f16515fe50db341c"),
+    "coordinate-4": ({"e": coordinate_flag_json(4, [{0}, {0, 1}]),
+                      "f": coordinate_flag_json(4, [{3}])},
+                     "a151cbbe34805035ba6a28278ecd87cacb7a09252b1841be8068a69f570a0d67",
+                     "0df3ef86b92780d08ebd406f65a9dd9990b44ddee4f6aedb1ad4fa80934069c0"),
+    "coordinate-overlap": ({"e": coordinate_flag_json(4, [{0, 1}, {0, 1, 2}]),
+                            "f": coordinate_flag_json(4, [{1, 2}, {1, 2, 3}])},
+                           "56dfe17eb52fe2acaab1aad24e0114c0a4d69263e710738d5cb5b65361d4cebe",
+                           "f0435191e4fa800e72884c9538b831805e56a0762b6b8b9b051360ecd0f71115"),
+    "inside-e": ({"e": {"m": 4, "subspaces": [[[1, 1, 0, 0]], [[1, 1, 0, 0], [0, 0, 1, 1]]]},
+                  "f": {"m": 4, "subspaces": [[[1, 1, 1, 1]], [[1, 1, 1, 1], [1, -1, 0, 0]]]}},
+                 "d774e7e8e581cd469b5788de58242cf2390dcb088efc92a928de4facc76dae36",
+                 "9feab5f553380212d625ea34e574156eb7181b65c571402c42522a49b68c289d"),
+    "random-4": (RANDOM_4,
+                 "23d35952197d5480b8e953995d63aa4f570d816f2a2f151d3c65afae2ca1c1cb",
+                 "dc1557939dbfd20fd62ff027619fd3e45438eb7b211be4a3d538e8598e08aa97"),
+    "random-5": (RANDOM_5,
+                 "0a7872b9de7ed4807275a1936fe204ea7477c9dd0b809980e749342ab6f786f6",
+                 "b5ebb35da1ed3729ef29ce932723aab058c3c3cef5eb7148e31b09f9ebe67990"),
+}
+
+
+@pytest.mark.parametrize("command", ["orbit-codim", "slm-check"])
+@pytest.mark.parametrize("name", list(FLAG_PAIR_PINS))
+def test_flag_pair_reports_pinned(tmp_path, capsys, monkeypatch, name, command):
+    payload, orbit_digest, slm_digest = FLAG_PAIR_PINS[name]
+    monkeypatch.chdir(tmp_path)  # the relative path keeps inputs-digest fixed
+    write_json(tmp_path, "pair.json", payload)
+    code, rep = run_json(capsys, command, "--in", "pair.json")
+    assert code == 0 and rep["status"] == "verified"
+    del rep["runtime_ms"]
+    digest = orbit_digest if command == "orbit-codim" else slm_digest
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_slm_check_single_pair(tmp_path, capsys):
     path = write_json(tmp_path, "pair.json", {"e": coordinate_flag_json(4, [{0}, {0, 1}]),
                                               "f": coordinate_flag_json(4, [{3}])})

@@ -8,9 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    f0_subflag_by_images,
+    induced_flags_by_images,
+    nil_stab_dim_by_rank,
+    nilpotent_constraint_rows,
+    stab_pair_dim_by_rank,
+)
+from smallmodel import acceptance
 from smallmodel.complexes import homology
 from smallmodel.flags import (
-    _nilpotent_constraint_rows,
+    _nil_stab_dim,
     CoordinateFlagSpec,
     FlagError,
     RationalFlag,
@@ -31,7 +39,7 @@ from smallmodel.flags import (
     stab_pair_dim,
     subset_chains,
 )
-from smallmodel.ratlin import integer_row, rank, sparse_rank
+from smallmodel.ratlin import integer_row, rank, rref, sparse_rank
 
 
 def test_flag_canonicalization_and_validation():
@@ -152,13 +160,15 @@ def test_stab_dim_matches_zero_pattern_count():
 
 
 def test_pair_dim_combinatorial_oracle():
-    m = 4
-    chains = subset_chains(m)
-    rng = random.Random(1)
-    for _ in range(25):
-        ce, cf = rng.choice(chains), rng.choice(chains)
-        e, f = coordinate_flag(m, ce), coordinate_flag(m, cf)
-        assert stab_pair_dim(e, f) == coordinate_stab_dim_oracle(m, list(ce) + list(cf))
+    # every pair of coordinate chains, shared subsets included
+    for m in (2, 3, 4):
+        chains = subset_chains(m)
+        for ce in chains:
+            e = coordinate_flag(m, ce)
+            for cf in chains:
+                f = coordinate_flag(m, cf)
+                expected = coordinate_stab_dim_oracle(m, list(ce) + list(cf))
+                assert stab_pair_dim(e, f) == expected, (ce, cf)
 
 
 def test_forced_zero_examples():
@@ -238,8 +248,91 @@ def test_nilpotent_rows_cut_out_dim_n():
             dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
             cases.append(random_flag(m, dims, rng))
     for e in cases:
-        dim_nil = e.m * e.m - sparse_rank(_nilpotent_constraint_rows(e))
+        dim_nil = e.m * e.m - sparse_rank(nilpotent_constraint_rows(e))
         assert dim_nil == split_dims(e).dim_n, e
+
+
+@st.composite
+def flag_pairs(draw):
+    """(E, F) in Q^m, m <= 6, each spanned by prefixes of a list of small
+    integer vectors, about one level in four dropped (so either may be
+    empty). F's vectors are drawn partly from E's and from the coordinate
+    vectors, so the pairs meet in special position and may share
+    subspaces."""
+    m = draw(st.integers(2, 6))
+    vec = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    units = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def flag(vectors):
+        subs = []
+        for k in range(1, len(vectors) + 1):
+            basis = rref(vectors[:k])
+            if len(subs[-1] if subs else ()) < len(basis) < m and draw(st.integers(0, 3)) < 3:
+                subs.append(basis)
+        return RationalFlag.make(m, subs)
+
+    ev = draw(st.lists(st.one_of(vec, st.sampled_from(units)), min_size=1, max_size=m))
+    fv = draw(st.lists(st.one_of(vec, st.sampled_from(units + ev)), min_size=1, max_size=m))
+    if draw(st.booleans()):
+        fv = ev[:draw(st.integers(0, len(ev)))] + fv
+    return flag(ev), flag(fv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_pairs())
+def test_pair_table_matches_constraint_systems(pair):
+    e, f = pair
+    assert stab_pair_dim(e, f) == stab_pair_dim_by_rank(e, f)
+    assert orbit_codim(e, f) == stab_dim(e) - stab_pair_dim_by_rank(e, f)
+    assert _nil_stab_dim(e, f) == nil_stab_dim_by_rank(e, f)
+    assert induced_flags(e, f) == induced_flags_by_images(e, f)
+    if e.disjoint_from(f):
+        assert f0_subflag(e, f) == f0_subflag_by_images(e, f)
+    else:
+        with pytest.raises(FlagError, match="share a subspace"):
+            f0_subflag(e, f)
+
+
+PAIR_FUNCTIONS = [stab_pair_dim, orbit_codim, induced_flags, f0_subflag, slm_inequality]
+
+
+@pytest.mark.parametrize("fn", PAIR_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_pair_functions_refuse_different_ambient_dimensions(fn):
+    e, f = coordinate_flag(2, [{0}]), coordinate_flag(3, [{1}])
+    with pytest.raises(FlagError, match="ambient dimensions differ"):
+        fn(e, f)
+    with pytest.raises(FlagError, match="ambient dimensions differ"):
+        fn(f, e)
+
+
+# sha256 of (orbit_codim, slm_inequality(...).to_json()) per pair, recorded
+# while both were computed from m*m-variable constraint systems: seeded
+# random_disjoint_pair flags at m = 2..6, and every criterion-3 coordinate
+# pair at m <= 4
+PAIR_REPORT_PINS = {
+    "random": "aba21def0bcc251cd726137a75cae35106cb60ddea78360b458ccda93820930a",
+    "coordinate": "3d1199923dc03adf648af21164396747c0071e7a8e273beb5dca350a88f743aa",
+}
+
+
+def _pinned_pairs(kind):
+    if kind == "coordinate":
+        for m in range(2, 5):
+            yield from acceptance._coordinate_pairs(m)
+        return
+    for m in range(2, 7):
+        rng = random.Random(f"pin:{m}")
+        for _ in range(40):
+            yield random_disjoint_pair(m, rng)
+
+
+@pytest.mark.parametrize("kind", list(PAIR_REPORT_PINS))
+def test_pair_reports_pinned(kind):
+    h = hashlib.sha256()
+    for e, f in _pinned_pairs(kind):
+        h.update(json.dumps([orbit_codim(e, f), slm_inequality(e, f).to_json()],
+                            sort_keys=True).encode())
+    assert h.hexdigest() == PAIR_REPORT_PINS[kind]
 
 
 def test_slm_report_consistency():
