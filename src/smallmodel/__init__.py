@@ -32,7 +32,6 @@ from .diagonal import (
     check_retraction,
     decomposition_check,
     long_exact_consistency,
-    quotient_vanishing,
 )
 from .flags import (
     CoordinateFlagSpec,
@@ -66,7 +65,6 @@ from .surfaces import (
     CutSurfaceGraph,
     SurfaceType,
     curve_complex_certificate,
-    cut_curve,
     enumerate_multicurves,
     harer_dim,
     lemma_smallstabilizers_sweep,

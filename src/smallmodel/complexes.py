@@ -59,7 +59,6 @@ class SimplicialComplex:
         self._index = {
             d: {s: i for i, s in enumerate(ss)} for d, ss in self._simplices.items()
         }
-        self._vindex = index
 
     @staticmethod
     def _missing(v):
@@ -86,16 +85,6 @@ class SimplicialComplex:
         t = tuple(sorted(s))
         return self._index.get(len(t) - 1, {}).get(t) is not None
 
-    def simplex_indices(self, labels) -> tuple[int, ...]:
-        """Translate a simplex given by vertex labels to index form."""
-        try:
-            t = tuple(sorted(self._vindex[v] for v in labels))
-        except KeyError as e:
-            raise ComplexError(f"unknown vertex {e.args[0]!r}") from None
-        if not self.has_simplex(t):
-            raise ComplexError(f"{tuple(labels)} is not a simplex")
-        return t
-
     def is_flag(self) -> bool:
         """True iff every clique of the 1-skeleton spans a simplex; the
         faces of a simplex are simplices, so the maximal cliques decide."""
@@ -111,17 +100,6 @@ class SimplicialComplex:
         labels = [[self.vertices[i] for i in f] for f in facets_idx]
         used = sorted({i for f in facets_idx for i in f})
         return SimplicialComplex([self.vertices[i] for i in used], labels)
-
-    def link(self, sigma) -> "SimplicialComplex":
-        """Lk(sigma): faces disjoint from sigma whose union with it is a face."""
-        s = set(self._need(sigma))
-        facets = []
-        for f in self.facets:
-            if s <= f and f - s:
-                facets.append(sorted(f - s))
-        if not facets:
-            raise ComplexError("link is empty")
-        return self._from_index_facets(facets)
 
     def delta_sigma(self, sigma) -> "SimplicialComplex":
         """Union of the closed simplices containing sigma."""
@@ -140,18 +118,6 @@ class SimplicialComplex:
         if not self.has_simplex(t):
             raise ComplexError(f"{sigma} is not a simplex")
         return t
-
-    def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        va = [("a", v) for v in self.vertices]
-        vb = [("b", v) for v in other.vertices]
-        facets = []
-        for f in self.facets:
-            for g in other.facets:
-                facets.append(
-                    [("a", self.vertices[i]) for i in f]
-                    + [("b", other.vertices[j]) for j in g]
-                )
-        return SimplicialComplex(va + vb, facets)
 
     def relabel(self, mapping) -> "SimplicialComplex":
         verts = [mapping[v] for v in self.vertices]

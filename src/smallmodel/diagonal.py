@@ -39,9 +39,6 @@ class ProductCells:
 
     cells: dict
 
-    def cell_count(self, n):
-        return len(self.cells.get(n, []))
-
 
 def _is_diagonal_cell(K, pair):
     s, t = pair
@@ -161,24 +158,6 @@ def decomposition_check(K: SimplicialComplex) -> Report:
             if count != rhs:
                 mism.append((i, j, count, rhs))
     return _check("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
-
-
-def quotient_vanishing(K: SimplicialComplex, ring="Z", n: int | None = None) -> Report:
-    """Relative homology H_k(C x C, diagonal) through the quotient complex.
-
-    Reports every degree and whether it vanishes; when a threshold n is
-    given, flags the degrees k >= n-1 that fail to vanish.
-    """
-    parts = build_diagonal(K, ring, warn_non_flag=False)
-    h = parts.quotient.homology()
-    nz = h.nonzero_degrees()
-    details = {"H(CxC, diagonal)": h.to_json(), "nonzero_degrees": nz}
-    if n is None:
-        return _check("quotient-vanishing", not nz, details)
-    bad = [k for k in nz if k >= n - 1]
-    details["threshold"] = n - 1
-    details["failures_at_or_above_threshold"] = bad
-    return _check("quotient-vanishing", not bad, details)
 
 
 def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> Report:

@@ -236,7 +236,7 @@ def orbit_codim(e: RationalFlag, f: RationalFlag) -> int:
     d = _pair_table(e, f)
     dims_e = [row[-1] for row in d]
     stab_e = sum((hi - lo) * hi for lo, hi in zip(dims_e, dims_e[1:]))
-    return stab_e - _level_sum(d, 0)
+    return stab_e - stab_pair_dim(e, f)
 
 
 @dataclass(frozen=True)

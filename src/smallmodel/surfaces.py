@@ -5,8 +5,8 @@ closed genus-g surface is recorded by its topological type: the pieces
 of the cut surface (genus, punctures, boundary components) joined along
 curve edges. Stabilizer homological dimensions come from the virtual
 dimension formulas for mapping class groups of the pieces, summed over
-pieces; cutting rules and the pants anchor (a maximal system has free
-abelian twist stabilizer of rank 3g-3) pin the bookkeeping down.
+pieces; the pants anchor (a maximal system has free abelian twist
+stabilizer of rank 3g-3) pins the bookkeeping down.
 """
 
 from __future__ import annotations
@@ -47,28 +47,6 @@ def harer_dim(t: SurfaceType) -> int:
     if t.g == 0:
         return (2 * t.r + t.s) - 3
     return 4 * t.g - 4 + (2 * t.r + t.s)
-
-
-def cut_curve(t: SurfaceType, kind, parts=None) -> list[SurfaceType]:
-    """Cut along one curve: nonseparating drops the genus and adds a
-    puncture and a boundary component; separating splits the data, the
-    first side receiving the puncture and the second the boundary."""
-    if kind == "nonseparating":
-        if t.g < 1:
-            raise SurfaceError("nonseparating cut needs genus >= 1")
-        out = [SurfaceType(t.g - 1, t.r + 1, t.s + 1)]
-    elif kind == "separating":
-        g1, r1, s1 = parts
-        g2, r2, s2 = t.g - g1, t.r - r1, t.s - s1
-        if min(g1, r1, s1, g2, r2, s2) < 0:
-            raise SurfaceError("invalid separating partition")
-        out = [SurfaceType(g1, r1 + 1, s1), SurfaceType(g2, r2, s2 + 1)]
-    else:
-        raise SurfaceError(f"unknown cut kind {kind!r}")
-    for piece in out:
-        if not piece.in_formula_range:
-            raise SurfaceError(f"cut produces out-of-range piece {piece}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -112,10 +90,6 @@ class CutSurfaceGraph:
             if not t.in_formula_range:
                 raise SurfaceError(f"piece {i} = {t} is not an essential-cut piece")
 
-    @property
-    def num_curves(self):
-        return len(self.curve_edges)
-
     def piece_types(self) -> list[SurfaceType]:
         v = len(self.piece_genera)
         r = [0] * v
@@ -128,29 +102,6 @@ class CutSurfaceGraph:
                 r[b] += 1
                 s[a] += 1
         return [SurfaceType(g, r[i], s[i]) for i, g in enumerate(self.piece_genera)]
-
-    def flip_side(self, edge_index: int) -> "CutSurfaceGraph":
-        edges = list(self.curve_edges)
-        a, b, side = edges[edge_index]
-        edges[edge_index] = (a, b, 1 - side)
-        return CutSurfaceGraph(self.closed_genus, self.piece_genera, tuple(edges))
-
-    def remove_curve(self, edge_index: int) -> "CutSurfaceGraph":
-        """Reglue along one curve: merge the two pieces (or close up a
-        handle when the curve bounds the same piece on both sides)."""
-        a, b, _ = self.curve_edges[edge_index]
-        rest = [e for i, e in enumerate(self.curve_edges) if i != edge_index]
-        genera = list(self.piece_genera)
-        if a == b:
-            genera[a] += 1
-            remap = list(range(len(genera)))
-        else:
-            lo, hi = sorted((a, b))
-            genera[lo] += genera[hi]
-            del genera[hi]
-            remap = [i - 1 if i > hi else (lo if i == hi else i) for i in range(len(self.piece_genera))]
-        edges = tuple((remap[x], remap[y], side) for x, y, side in rest)
-        return CutSurfaceGraph(self.closed_genus, tuple(genera), edges)
 
     def to_json(self):
         return {
@@ -395,12 +346,6 @@ def _hdims_by_size(g: int) -> dict:
     order}: each (g, k) is enumerated once."""
     return {k: [multicurve_stab_hdim(cg) for cg in enumerate_multicurves(g, k)]
             for k in range(1, 3 * g - 2)}
-
-
-def max_hdim_by_size(g: int) -> dict:
-    """Largest stabilizer dimension over all types with a given number of
-    curves."""
-    return {k: max(hs) for k, hs in _hdims_by_size(g).items()}
 
 
 def lemma_smallstabilizers_sweep(g: int) -> dict:

@@ -246,6 +246,32 @@ def test_certificate_counterexample_names_a_bidegree(tmp_path, capsys):
     assert rep["details"]["rows"] == []
 
 
+# `smallmodel --json check-small|certificate --in cert.json`: sha256 of the
+# report without its runtime, pinned while vanishing_certificate re-derived
+# every pair inequality itself
+CERTIFICATE_PINS = {
+    ("check-small", 1):
+        "58a135880d412c9e532988a26ce825f7defd3231a7b427a31619eb0bbe46374a",
+    ("check-small", 4):
+        "c52bae0c600bd6e5451d7ea3dfd0fb81e7753b3d0bef07f07271c567e940eef0",
+    ("certificate", 1):
+        "2386413a6d2d3e5ec2976d7d946ffe077267d9e972c10e3f8bbe8a2c76586fe4",
+    ("certificate", 4):
+        "97a385acc95e218e31ad3d132be80fe585cb41c782164964ebc1dfd2fe313504",
+}
+
+
+@pytest.mark.parametrize("command, pair_hdim", list(CERTIFICATE_PINS))
+def test_orbit_certificate_reports_pinned(tmp_path, capsys, monkeypatch, command, pair_hdim):
+    monkeypatch.chdir(tmp_path)  # the relative path keeps inputs-digest fixed
+    write_json(tmp_path, "cert.json", orbit_certificate(pair_hdim))
+    code, rep = run_json(capsys, command, "--in", "cert.json")
+    assert code == (0 if pair_hdim == 1 else 1)
+    del rep["runtime_ms"]
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == CERTIFICATE_PINS[command, pair_hdim]
+
+
 def test_diagonal_checks_share_the_report_shape(tmp_path, capsys):
     path = write_json(tmp_path, "K.json", {"vertices": [0, 1, 2, 3],
                                            "facets": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]})
@@ -452,6 +478,26 @@ def test_malformed_homology_tables_are_input_errors(tmp_path, capsys, table, err
     assert code == 3
     assert rep["status"] == "error"
     assert rep["details"]["error"] == f"ValueError: {error}"
+
+
+@pytest.mark.parametrize("payload, error", [
+    # these used to exit 0 (verified), 1 (a false counterexample) and 0 (verified)
+    ({**orbit_certificate(1), "boundary_dim": 1,
+      "orbits": [{"label": "v", "dim": -5, "hdim": 4}],
+      "pairs": [{"a": "v", "b": "v", "disjoint": True, "hdim": 0}]},
+     "orbit 'v' dim must be at least 0, got -5"),
+    ({**orbit_certificate(1), "boundary_dim": -1}, "boundary_dim must be at least 0, got -1"),
+    ({**orbit_certificate(1), "pairs": [*orbit_certificate(1)["pairs"],
+                                        {"a": "v", "b": "w", "disjoint": False}]},
+     "pair ('v', 'w') names unknown orbit 'w'"),
+])
+def test_nonsense_certificates_are_input_errors(tmp_path, capsys, payload, error):
+    path = write_json(tmp_path, "in.json", payload)
+    for command in ("check-small", "certificate"):
+        code, rep = run_json(capsys, command, "--in", path)
+        assert code == 3
+        assert rep["status"] == "error"
+        assert rep["details"]["error"] == f"CertificateError: {error}"
 
 
 @pytest.mark.parametrize("command", ["homology", "diagonal"])

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+import re
+
 import pytest
 
 from smallmodel.complexes import HomologyTable
@@ -19,6 +24,7 @@ from smallmodel.smallness import (
     simply_connected_obstruction,
     vanishing_certificate,
 )
+from smallmodel.surfaces import curve_complex_certificate
 
 
 def tiny_complex(boundary_dim=3, hdim_v=2, pair_hdim=1, complete=True, exact=True):
@@ -41,6 +47,17 @@ def test_hdim_parse_and_render():
     assert str(Hdim(4, False)) == "<=4"
     with pytest.raises(CertificateError):
         Hdim(-1)
+
+
+@pytest.mark.parametrize("boundary_dim, orbits, pairs, error", [
+    (1, [Orbit("v", -5, Hdim(4))], {}, "orbit 'v' dim must be at least 0, got -5"),
+    (-1, [Orbit("v", 0, Hdim(0))], {}, "boundary_dim must be at least 0, got -1"),
+    (3, [Orbit("v", 0, Hdim(0))], {("v", "w"): PairEntry("v", "w", False)},
+     "pair ('v', 'w') names unknown orbit 'w'"),
+])
+def test_nonsense_certificates_are_refused(boundary_dim, orbits, pairs, error):
+    with pytest.raises(CertificateError, match=f"^{re.escape(error)}$"):
+        OrbitComplex(boundary_dim, orbits, pairs, complete=True)
 
 
 def test_verified_certificate():
@@ -145,3 +162,78 @@ def test_parity():
     assert parity_obstruction(9, 3, True)["verdict"] == OBSTRUCTED
     assert parity_obstruction(9, 3, False)["verdict"] == NOT_OBSTRUCTED
     assert parity_obstruction(8, 3, True)["verdict"] == NOT_OBSTRUCTED
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def random_orbit_complex(seed):
+    """A small orbit certificate: missing, non-disjoint and hdim-less
+    pairs, upper bounds, entries listed b-before-a, and every status."""
+    rng = random.Random(seed)
+    labels = [f"o{i}" for i in range(rng.randint(1, 4))]
+    orbits = [Orbit(x, rng.randint(0, 2), Hdim(rng.randint(0, 4), rng.random() < 0.7))
+              for x in labels]
+    pairs = {}
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            if rng.random() < 0.1:
+                continue
+            if rng.random() < 0.5:
+                a, b = b, a
+            disjoint = rng.random() < 0.8
+            hdim = (Hdim(rng.randint(0, 3), rng.random() < 0.7)
+                    if disjoint and rng.random() < 0.95 else None)
+            entry = PairEntry(a, b, disjoint, hdim)
+            pairs[entry.key()] = entry
+    return OrbitComplex(rng.randint(2, 8), orbits, pairs, complete=rng.random() < 0.85)
+
+
+# sha256 of check_small(X).to_json() and vanishing_certificate(X).to_json(),
+# pinned while vanishing_certificate re-derived every pair inequality itself
+REPORT_PINS = {
+    "curves-g2": (lambda: curve_complex_certificate(2),
+                  "a24f974e7d0bf75a4dc306e45aa33602312d6967f4c538462af2707ab67d7649",
+                  "afd51328c8d3cda3739625a9d23d04b49d990266c83557882dd8c6eac5e44087"),
+    "curves-g3": (lambda: curve_complex_certificate(3),
+                  "c394247b0d597317ac8b96dafaeee34fe0aa9b1df6633166c14ea1471fb0a8a8",
+                  "653f975c33bb5abb38011d6f3f5aa2df3d03033b183f2064ed98249f90cc8b36"),
+    "join-2": (lambda: generate_join_model(2),
+               "7d59e571ef06e5da485df9dbdf1863b9e670d8c85fb10d2961ac1dbca4d29e47",
+               "702f408698ee1bfa93057d705e6d27ba2590a1cc24854218bc2f53d1e20b8ba2"),
+    "join-3": (lambda: generate_join_model(3),
+               "82391613f7e12b482ff34a26a3ccb2251ebd8260ea273a206cef425587e0a340",
+               "e7170f0842767236bfb333990465041fe0395d674c0c5d2aca7e8cbd2f7261c9"),
+    "join-4": (lambda: generate_join_model(4),
+               "fe041200a9a5dd603e7958d11dd7211ad1a20864f185f1711f3ab8e5c5dcc0da",
+               "8b767f35d67cc94f4b80755ba9b76def77d6813d6970d869ff3443df2d32e58d"),
+    "join-5": (lambda: generate_join_model(5),
+               "d07d9b70d9ca9e5ee9e08ba113b17c0cb2041b04b3ce29ad104264061c484ad0",
+               "d3d3d43a8d507ae788cc07c07673ea1a65dac8bf7125ff51787da48bb5e77853"),
+    "join-6": (lambda: generate_join_model(6),
+               "299bbea12cfec6ea0939b01a43de6f559a64b8578529c61892fdeeb7af35bd0b",
+               "a18b69b7e36c711cc8d9d50a8630092e109a36d80ce88f0eddb398095c35febb"),
+    "join-7": (lambda: generate_join_model(7),
+               "44aedab5eeb20869d0b61176d04e852010050be997a5a7df710930b63f4d8439",
+               "f9e40c9e81cf3dd4a542b64b3a48cf0567b944f979bce438c33f06c8b4b65bc5"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_certificate_reports_pinned(name):
+    make, check_digest, cert_digest = REPORT_PINS[name]
+    X = make()
+    assert _sha(check_small(X).to_json()) == check_digest
+    assert _sha(vanishing_certificate(X).to_json()) == cert_digest
+
+
+def test_random_certificate_reports_pinned():
+    complexes = [random_orbit_complex(seed) for seed in range(300)]
+    reports = [(check_small(X), vanishing_certificate(X)) for X in complexes]
+    assert {check.status for check, _ in reports} == {VERIFIED, VIOLATION, INCONCLUSIVE}
+    entries = [e for X in complexes for e in X.pairs.values()]
+    assert any(e.a > e.b for e in entries)
+    assert any(e.disjoint and e.hdim is None for e in entries)
+    assert _sha([[c.to_json(), v.to_json()] for c, v in reports]) == (
+        "e78a7b0f43443b519decb89189aabdcd879f9849852ff5187e44a5b53ef56f8b")

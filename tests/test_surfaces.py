@@ -11,11 +11,9 @@ from smallmodel.surfaces import (
     SurfaceError,
     SurfaceType,
     curve_complex_certificate,
-    cut_curve,
     enumerate_multicurves,
     harer_dim,
     lemma_smallstabilizers_sweep,
-    max_hdim_by_size,
     multicurve_stab_hdim,
     pants_decompositions,
     _canonical,
@@ -42,17 +40,6 @@ def test_formula_range_guard():
             harer_dim(bad)
 
 
-def test_cut_rules():
-    t = SurfaceType(2, 0, 0)
-    assert cut_curve(t, "nonseparating") == [SurfaceType(1, 1, 1)]
-    assert cut_curve(t, "separating", (1, 0, 0)) == [
-        SurfaceType(1, 1, 0),
-        SurfaceType(1, 0, 1),
-    ]
-    with pytest.raises(SurfaceError):
-        cut_curve(SurfaceType(2, 0, 0), "separating", (0, 0, 0))  # sphere piece
-
-
 def test_cut_graph_validation():
     # nonseparating curve on the genus-2 surface
     g = CutSurfaceGraph(2, (1,), ((0, 0, 0),))
@@ -66,24 +53,17 @@ def test_cut_graph_validation():
 
 
 def test_side_assignment_invariance():
+    def flipped(cg, i):
+        edges = list(cg.curve_edges)
+        a, b, side = edges[i]
+        edges[i] = (a, b, 1 - side)
+        return CutSurfaceGraph(cg.closed_genus, cg.piece_genera, tuple(edges))
+
     g = CutSurfaceGraph(2, (1, 1), ((0, 1, 0),))
-    assert multicurve_stab_hdim(g) == multicurve_stab_hdim(g.flip_side(0))
+    assert multicurve_stab_hdim(g) == multicurve_stab_hdim(flipped(g, 0))
     p = pants_decompositions(3)[0]
-    for i in range(p.num_curves):
-        assert multicurve_stab_hdim(p.flip_side(i)) == multicurve_stab_hdim(p)
-
-
-def test_remove_curve():
-    p = pants_decompositions(2)[0]
-    smaller = p.remove_curve(0)
-    assert smaller.num_curves == 2
-    assert smaller.closed_genus == 2
-    # removing the only curve merges the pieces into the closed surface
-    g = CutSurfaceGraph(2, (1, 1), ((0, 1, 0),))
-    closed = g.remove_curve(0)
-    assert closed.num_curves == 0
-    assert closed.piece_genera == (2,)
-    assert multicurve_stab_hdim(closed) == 3
+    for i in range(len(p.curve_edges)):
+        assert multicurve_stab_hdim(flipped(p, i)) == multicurve_stab_hdim(p)
 
 
 def test_enumeration_counts():
@@ -115,7 +95,7 @@ def test_genus6_pants_types():
 
 
 def test_max_hdim_table_g2():
-    assert max_hdim_by_size(2) == {1: 3, 2: 3, 3: 3}
+    assert lemma_smallstabilizers_sweep(2)["max_hdim_by_size"] == {1: 3, 2: 3, 3: 3}
 
 
 def test_sweep_extreme_case():
