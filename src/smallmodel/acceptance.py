@@ -67,12 +67,13 @@ def criterion_forced_zeros(max_m: int = 6) -> Report:
 def _coordinate_pairs(m: int):
     all_chains = flags.subset_chains(m)
     first = flags.prefix_chains(m) if m >= 5 else all_chains
+    flag_of = {c: flags.coordinate_flag(m, c) for c in all_chains}
     for ce in first:
         se = set(ce)
         for cf in all_chains:
             if se & set(cf):
                 continue
-            yield flags.coordinate_flag(m, ce), flags.coordinate_flag(m, cf)
+            yield flag_of[ce], flag_of[cf]
 
 
 def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,

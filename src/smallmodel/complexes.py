@@ -265,9 +265,9 @@ class ChainComplex:
         d_(k+1) is a boundary, so d_k sends it to 0, and the skipped
         column of d_k is a combination of the columns before it. This
         needs d_k d_(k+1) = 0, which ``chain_complex`` guarantees by
-        construction, ``tensor_total`` through ``check=True`` and
-        ``diagonal.build_diagonal`` by calling ``check_dd_zero``; a complex
-        built with ``check=False`` must satisfy it too.
+        construction and ``tensor_total`` (also for the diagonal and
+        quotient of ``diagonal.build_diagonal``) through ``check=True``; a
+        complex built with ``check=False`` must satisfy it too.
         """
         lowest = -1 if self.augmented else 0
         degrees = range(lowest, self.top + 1)
@@ -354,14 +354,25 @@ def total_cells(ranks_a, ranks_b) -> dict:
     }
 
 
-def tensor_total(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    """Total complex of the tensor double complex, with the usual sign twist."""
+def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> ChainComplex:
+    """Total complex of the tensor double complex, with the usual sign
+    twist d(a x b) = da x b + (-1)^i a x db for a of degree i.
+
+    With ``keep`` ({n: one bool per cell of ``total_cells``}) only the kept
+    cells are built, in ``total_cells`` order. A face outside them raises
+    when ``closed`` (the kept cells must span a subcomplex: this is
+    verified, not assumed) and is dropped otherwise (the quotient by the
+    subcomplex on the other cells). Shapes and d∘d are checked either way."""
     if A.ring != B.ring:
         raise ComplexError("ring mismatch in tensor product")
     if A.augmented or B.augmented:
         raise ComplexError("tensor of augmented complexes not supported")
     cells = total_cells(A.ranks, B.ranks)
+    if keep is not None:
+        cells = {n: [c for c, k in zip(cl, keep[n], strict=True) if k]
+                 for n, cl in cells.items()}
     index = {cell: pos for cl in cells.values() for pos, cell in enumerate(cl)}
+    at = index.get  # None for a face outside the kept cells
     ranks = [len(cl) for cl in cells.values()]
     a_cols = {i: A.boundary_columns(i) for i in range(1, A.top + 1)}
     b_cols = {j: B.boundary_columns(j) for j in range(1, B.top + 1)}
@@ -372,12 +383,16 @@ def tensor_total(A: ChainComplex, B: ChainComplex) -> ChainComplex:
             col = {}
             if i > 0:
                 for a2, v in a_cols[i][a].items():
-                    col[index[(i - 1, a2, j, b)]] = v
+                    col[at((i - 1, a2, j, b))] = v
             if j > 0:
                 sign = (-1) ** i
                 for b2, v in b_cols[j][b].items():
-                    key = index[(i, a, j - 1, b2)]
+                    key = at((i, a, j - 1, b2))
                     col[key] = col.get(key, 0) + sign * v
+            if None in col:
+                if closed:
+                    raise ComplexError("kept cells are not closed under the boundary")
+                del col[None]
             cols.append({k: v for k, v in col.items() if v})
         boundaries[n] = cols
     return ChainComplex(A.ring, ranks, boundaries, check=True)

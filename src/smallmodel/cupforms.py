@@ -88,10 +88,6 @@ class TripleForm:
                               * _frac(u[a - 1]) * _frac(v[b - 1]) * _frac(w[c - 1]))
         return total
 
-    def to_json(self):
-        return {"c111": str(self.c111), "c112": str(self.c112),
-                "c122": str(self.c122), "c222": str(self.c222)}
-
     @classmethod
     def from_json(cls, data):
         return cls(*(json_rational(data[name], name)

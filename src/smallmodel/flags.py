@@ -396,20 +396,17 @@ def prefix_chains(m: int):
 
 
 def random_flag(m: int, dims, rng: random.Random) -> RationalFlag:
-    """Random flag with the given dimension profile; small-height entries,
-    regenerated on degeneracy."""
+    """Random flag with the given dimension profile (sorted, in 1..m-1);
+    small-height entries, redrawn until the m rows have rank m. The
+    prefixes of a full-rank draw are then nested and proper, so they are
+    reduced once each and need none of ``make``'s checks."""
     while True:
         rows = [
             integer_row([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)])
             for _ in range(m)
         ]
-        if rank(rows) != m:
-            continue
-        subs = [rows[:d] for d in dims]
-        try:
-            return RationalFlag.make(m, subs)
-        except FlagError:
-            continue
+        if rank(rows) == m:
+            return RationalFlag(m, tuple(rref(rows[:d]) for d in dims))
 
 
 def random_disjoint_pair(m: int, rng: random.Random):

@@ -16,9 +16,10 @@ columns before it by its largest row index. Homology over F_p uses it
 with clearing (Chen-Kerber, *Persistent homology computation with a
 twist*, 2011): the column of d_k indexed by the lead row of each reduced
 column of d_(k+1) is skipped. That is exact when d_k d_(k+1) = 0, which
-``complexes.chain_complex`` guarantees by construction,
-``complexes.tensor_total`` through ``check=True`` and
-``diagonal.build_diagonal`` through ``check_dd_zero``.
+``complexes.chain_complex`` guarantees by construction and
+``complexes.tensor_total`` through ``check=True``, for the product and
+for the diagonal and quotient that ``diagonal.build_diagonal`` takes
+from it.
 """
 
 from __future__ import annotations

@@ -141,6 +141,8 @@ class OrbitComplex:
                 json_bool(e["disjoint"], "disjoint"),
                 Hdim.parse(e["hdim"]) if "hdim" in e else None,
             )
+            if entry.key() in pairs:
+                raise CertificateError(f"pair {entry.key()} listed twice")
             pairs[entry.key()] = entry
         return cls(
             boundary_dim=json_int(data["boundary_dim"], "boundary_dim"),
@@ -219,7 +221,7 @@ def check_small(X: OrbitComplex) -> Report:
         for i, a in enumerate(labels):
             for b in labels[i:]:
                 if tuple(sorted((a, b))) not in seen_pairs:
-                    inconclusive_reason = (
+                    inconclusive_reason = inconclusive_reason or (
                         f"pair table declared complete but pair ({a},{b}) is missing"
                     )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .report import json_int
 from .smallness import Hdim, Orbit, OrbitComplex, PairEntry
 
 
@@ -110,14 +109,6 @@ class CutSurfaceGraph:
                        for g, t in zip(self.piece_genera, self.piece_types())],
             "curve_edges": [list(e) for e in self.curve_edges],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            json_int(data["closed_genus"], "closed_genus"),
-            tuple(json_int(p["genus"], "piece genus") for p in data["pieces"]),
-            tuple(tuple(json_int(x, "curve edge") for x in e) for e in data["curve_edges"]),
-        )
 
 
 def multicurve_stab_hdim(G: CutSurfaceGraph) -> int:
@@ -381,16 +372,16 @@ def lemma_smallstabilizers_sweep(g: int) -> dict:
     bound_rows = []
     for b in range(1, kmax + 1):
         for t_idx, hb in enumerate(hdims[b]):
+            if b == kmax and hb != kmax:
+                # maximal systems are pants decompositions: twist lattice
+                ok = False
+                bound_rows.append({"B_curves": b, "type_index": t_idx,
+                                   "error": "maximal system hdim != 3g-3"})
             for a in range(1, kmax + 1):
                 est = max(0, hb - a)
                 lhs = est + (a - 1) + (b - 1)
                 row_ok = lhs < bound
                 ok = ok and row_ok
-                if b == kmax and hb != kmax:
-                    # maximal systems are pants decompositions: twist lattice
-                    ok = False
-                    bound_rows.append({"B_curves": b, "type_index": t_idx,
-                                       "error": "maximal system hdim != 3g-3"})
                 if not row_ok:
                     bound_rows.append({"B_curves": b, "A_curves": a,
                                        "type_index": t_idx, "lhs": lhs, "ok": False})

@@ -3,8 +3,7 @@
 import itertools
 
 from smallmodel import ratlin
-from smallmodel.complexes import ChainComplex, chain_complex, tensor_total
-from smallmodel.diagonal import product_cells
+from smallmodel.complexes import ChainComplex, chain_complex, tensor_total, total_cells
 from smallmodel.flags import FlagError, RationalFlag, _containment_rows, _stab_constraint_rows
 from smallmodel.ratlin import sparse_rank
 from smallmodel.surfaces import SurfaceError, _connected, _dedupe, _vertex_type_multisets
@@ -44,13 +43,17 @@ def dense_rank_mod_p(rows, p):
 
 class ProductChainComplex:
     """Total complex of C_*(C) tensor C_*(C) from ``tensor_total``, with
-    the labelled cells of ``diagonal.product_cells``: the definition that
-    the diagonal and quotient built from labels are checked against."""
+    its cells labelled as pairs (sigma, tau) of simplices: the definition
+    that the diagonal and quotient are checked against."""
 
     def __init__(self, K, ring="Z"):
         cc = chain_complex(K, ring)
         self.chain = tensor_total(cc, cc)
-        self.cells = product_cells(K)
+        ranks = K.f_vector()
+        self.cells = {
+            n: [(K.simplices(i)[a], K.simplices(j)[b]) for i, a, j, b in cells]
+            for n, cells in total_cells(ranks, ranks).items()
+        }
 
     def restrict(self, cell_lists):
         """The complex on the cells ``cells[n][i]`` for i in

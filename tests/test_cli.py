@@ -500,6 +500,19 @@ def test_nonsense_certificates_are_input_errors(tmp_path, capsys, payload, error
         assert rep["details"]["error"] == f"CertificateError: {error}"
 
 
+@pytest.mark.parametrize("command", ["check-small", "certificate"])
+@pytest.mark.parametrize("a, b", [("v", "e"), ("e", "v")])
+def test_a_pair_listed_twice_is_an_input_error(tmp_path, capsys, command, a, b):
+    # a later entry used to replace an earlier one: an exact violation
+    # (lhs 9 >= 3) listed first was hidden and the table reported verified
+    cert = orbit_certificate(1)
+    cert["pairs"].insert(0, {"a": a, "b": b, "disjoint": True, "hdim": 9})
+    code, rep = run_json(capsys, command, "--in", write_json(tmp_path, "in.json", cert))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == "CertificateError: pair ('e', 'v') listed twice"
+
+
 @pytest.mark.parametrize("command", ["homology", "diagonal"])
 def test_facet_repeating_a_vertex_is_an_input_error(tmp_path, capsys, command):
     # used to be read as the edge {0, 1}: homology reported verified, f-vector [2, 1]

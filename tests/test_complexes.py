@@ -125,6 +125,22 @@ def test_tensor_total_matches_product_sphere():
     assert [h.rank(n) for n in range(5)] == [1, 0, 2, 0, 1]
 
 
+def test_tensor_total_keeps_a_subcomplex_and_refuses_an_open_set():
+    # edge x edge: the square's 2-cell alone is no subcomplex, so it is
+    # refused when closed and keeps no boundary in the quotient
+    c = chain_complex(SimplicialComplex("ab", [["a", "b"]]))
+    cells = total_cells(c.ranks, c.ranks)
+    top_only = {n: [n == 2] * len(cl) for n, cl in cells.items()}
+    with pytest.raises(ComplexError, match="not closed"):
+        tensor_total(c, c, keep=top_only)
+    quotient = tensor_total(c, c, keep=top_only, closed=False)
+    assert quotient.ranks == [0, 0, 1]
+    assert quotient.boundaries[2] == [{}]
+    # keeping every cell is the product itself
+    full = tensor_total(c, c, keep={n: [True] * len(cl) for n, cl in cells.items()})
+    assert full.boundaries == tensor_total(c, c).boundaries
+
+
 def random_clique_complex(rng, n):
     """The clique complex of a random graph on n vertices."""
     edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6}

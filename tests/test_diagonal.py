@@ -1,6 +1,5 @@
 import itertools
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -35,25 +34,18 @@ def test_product_cell_counts():
     parts = build_diagonal(K)
     total_product = sum(len(cells) for cells in parts.product.cells.values())
     assert total_product == sum(K.f_vector()) ** 2
-    total_diag = sum(len(v) for v in parts.diagonal_cells.values())
-    total_quot = sum(len(v) for v in parts.quotient_cells.values())
-    assert total_diag + total_quot == total_product
+    assert [len(v) for v in parts.on_diagonal.values()] == [
+        len(v) for v in parts.product.cells.values()]
     # every pair lies in the diagonal of a simplex
-    assert total_quot == 0
+    assert all(all(v) for v in parts.on_diagonal.values())
+    assert sum(parts.diagonal.ranks) == total_product
+    assert parts.quotient.ranks == [0] * len(parts.diagonal.ranks)
 
 
 def test_retraction_on_flag_complexes():
     for K in (filled_triangle(), two_triangles()):
         rep = check_retraction(K)
         assert rep.passed, rep.details
-
-
-def test_retraction_fails_meaningfully_on_hollow_triangle():
-    # the chain-level diagonal of a non-flag circle fills the hole
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        build_diagonal(hollow_triangle())
-    assert any("non-flag" in str(w.message) for w in caught)
 
 
 def test_decomposition_bookkeeping():
@@ -69,7 +61,7 @@ def test_quotient_vanishing_contractible():
 
 def test_quotient_sees_the_hole():
     # for the circle, H(C x C, diagonal) is nontrivial
-    h = build_diagonal(hollow_triangle(), warn_non_flag=False).quotient.homology()
+    h = build_diagonal(hollow_triangle()).quotient.homology()
     assert h.nonzero_degrees()
 
 
@@ -149,23 +141,22 @@ def test_decomposition_table_against_brute_count(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.booleans(), st.sampled_from(["Z", 2, 3]))
 def test_diagonal_and_quotient_equal_the_restricted_product(seed, flag, ring):
-    # the complexes built from labels against the restrictions of the
-    # tensor_total product, column for column, on flag and non-flag inputs
+    # the kept-cell restrictions of tensor_total against the full product
+    # restricted afterwards, column for column, on flag and non-flag inputs
     K = random_complex(random.Random(seed))
     if flag:
         K = clique_complex(K)
     faces = {frozenset(s) for s in K.all_simplices()}
-    parts = build_diagonal(K, ring, warn_non_flag=False)
+    parts = build_diagonal(K, ring)
     prod = ProductChainComplex(K, ring)
-    assert parts.product.cells == prod.cells
+    assert {n: [(K.simplices(i)[a], K.simplices(j)[b]) for i, a, j, b in cells]
+            for n, cells in parts.product.cells.items()} == prod.cells
     on = {n: [frozenset(s) | frozenset(t) in faces for s, t in cells]
           for n, cells in prod.cells.items()}
-    assert parts.diagonal_cells == {n: [i for i, d in enumerate(v) if d] for n, v in on.items()}
-    assert parts.quotient_cells == {n: [i for i, d in enumerate(v) if not d]
-                                    for n, v in on.items()}
-    for direct, cells in ((parts.diagonal, parts.diagonal_cells),
-                          (parts.quotient, parts.quotient_cells)):
-        oracle = prod.restrict(cells)
+    assert parts.on_diagonal == on
+    for direct, keep in ((parts.diagonal, True), (parts.quotient, False)):
+        oracle = prod.restrict({n: [i for i, d in enumerate(v) if d == keep]
+                                for n, v in on.items()})
         assert direct.ring == oracle.ring
         assert direct.ranks == oracle.ranks
         assert direct.boundaries == oracle.boundaries
@@ -175,7 +166,12 @@ def test_check_retraction_builds_neither_product_nor_quotient(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("check_retraction built the product or the quotient")
 
-    monkeypatch.setattr(complexes, "tensor_total", refuse)
+    def diagonal_only(A, B, keep=None, closed=True):
+        if keep is None or not closed:
+            refuse()
+        return complexes.tensor_total(A, B, keep=keep, closed=closed)
+
+    monkeypatch.setattr(diagonal, "tensor_total", diagonal_only)
     monkeypatch.setattr(diagonal.SubquotientComplexes, "quotient", property(refuse))
     for K in (filled_triangle(), two_triangles(), hollow_triangle()):
         for ring in ("Z", 2):
@@ -186,9 +182,9 @@ def test_decomposition_check_builds_no_chain_complex(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition_check built a chain complex")
 
-    for name in ("build_diagonal", "ChainComplex", "_labelled_complex"):
+    for name in ("build_diagonal", "chain_complex", "tensor_total"):
         monkeypatch.setattr(diagonal, name, refuse)
-    for name in ("chain_complex", "tensor_total"):
+    for name in ("ChainComplex", "chain_complex", "tensor_total"):
         monkeypatch.setattr(complexes, name, refuse)
     for K in (two_triangles(), hollow_triangle()):
         assert decomposition_check(K).passed

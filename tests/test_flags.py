@@ -83,6 +83,23 @@ def test_to_json_prints_the_rational_rref():
     assert h.hexdigest() == TO_JSON_SHA256
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10**6), st.data())
+def test_random_flag_equals_make_on_the_same_prefixes(m, seed, data):
+    # the oracle replays the draw and sends the prefixes through make's
+    # reduction and its proper / increasing / nested checks
+    dims = data.draw(st.lists(st.integers(1, m - 1), min_size=1, unique=True).map(sorted))
+    rng, replay = random.Random(seed), random.Random(seed)
+    f = random_flag(m, dims, rng)
+    while True:
+        rows = [[Fraction(replay.randint(-5, 5), replay.randint(1, 5)) for _ in range(m)]
+                for _ in range(m)]
+        if rank([integer_row(r) for r in rows]) == m:
+            break
+    assert f == RationalFlag.make(m, [rows[:d] for d in dims])
+    assert rng.getstate() == replay.getstate()
+
+
 SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
 COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 

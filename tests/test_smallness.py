@@ -94,6 +94,27 @@ def test_missing_pair_detected():
     assert "missing" in rep.details["reason"]
 
 
+def test_missing_pairs_keep_the_first_reason():
+    X = tiny_complex()
+    X.pairs[("v", "v")] = PairEntry("v", "v", True)  # disjoint, no hdim
+    del X.pairs[("e", "v")]
+    del X.pairs[("e", "e")]
+    rep = check_small(X)
+    assert rep.status == INCONCLUSIVE
+    assert rep.details["reason"] == "pair ('v', 'v') marked disjoint but carries no hdim"
+    del X.pairs[("v", "v")]
+    assert check_small(X).details["reason"] == (
+        "pair table declared complete but pair (v,v) is missing")
+
+
+@pytest.mark.parametrize("first, second", [("v", "e"), ("e", "v")])
+def test_a_pair_listed_twice_is_refused(first, second):
+    data = tiny_complex().to_json()
+    data["pairs"].append({"a": first, "b": second, "disjoint": True, "hdim": 0})
+    with pytest.raises(CertificateError, match=r"^pair \('e', 'v'\) listed twice$"):
+        OrbitComplex.from_json(data)
+
+
 def test_equality_detection():
     X = tiny_complex(hdim_v=3)
     rep = check_small(X)
@@ -235,5 +256,7 @@ def test_random_certificate_reports_pinned():
     entries = [e for X in complexes for e in X.pairs.values()]
     assert any(e.a > e.b for e in entries)
     assert any(e.disjoint and e.hdim is None for e in entries)
+    # re-recorded when a missing pair stopped overwriting an earlier reason;
+    # against the old reports, `reason` was the only field that changed
     assert _sha([[c.to_json(), v.to_json()] for c, v in reports]) == (
-        "e78a7b0f43443b519decb89189aabdcd879f9849852ff5187e44a5b53ef56f8b")
+        "1d81d7d8ae891f8aef654e431073168a4e61adb029799e452325cf6c305e96b0")
