@@ -34,9 +34,12 @@ class ProductCells:
 
 def _on_diagonal(K, cells) -> dict:
     """{n: one bool per cell of ``cells[n]``}, true where the union of the
-    two simplices spans a simplex of K."""
-    s = K.simplices
-    return {n: [K.has_simplex(set(s(i)[a]).union(s(j)[b])) for i, a, j, b in row]
+    two simplices spans a simplex of K. Each simplex is the bitmask of its
+    vertex indices (bit v for vertex v), so a union is one ``|`` and a
+    simplex one set lookup."""
+    masks = [[sum(1 << v for v in s) for s in K.simplices(d)] for d in range(K.dim + 1)]
+    faces = {m for level in masks for m in level}
+    return {n: [masks[i][a] | masks[j][b] in faces for i, a, j, b in row]
             for n, row in cells.items()}
 
 

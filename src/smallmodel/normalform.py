@@ -45,7 +45,9 @@ def _round_div(a: int, v: int) -> int:
 
 
 class _Sparse:
-    """Mutable sparse integer matrix with row and column indexes."""
+    """Mutable sparse integer matrix, held twice: as rows {i: {j: v}} and
+    as columns {j: {i: v}}, each the mirror of the other and with no empty
+    line. Every nonzero entry is written by ``_sub``."""
 
     def __init__(self, columns, bit_bound, modulus=None):
         self.cols = {}
@@ -53,44 +55,52 @@ class _Sparse:
         self.bit_bound = bit_bound
         self.modulus = modulus  # entries kept as residues in (-modulus/2, modulus/2]
         for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    self._set(i, j, v)
+            # column j of the empty matrix minus -1 times the input column
+            self._sub(self.cols, self.rows, j, col, -1)
 
-    def _set(self, i, j, v):
-        if self.modulus:
-            v %= self.modulus
-            if 2 * v > self.modulus:
-                v -= self.modulus
-        if v:
-            if abs(v).bit_length() > self.bit_bound:
-                raise PivotExplosion(
-                    f"entry at ({i},{j}) exceeds {self.bit_bound} bits"
-                )
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, {})[i] = v
-        else:
-            row = self.rows.get(i)
-            if row and j in row:
-                del row[j]
-                if not row:
-                    del self.rows[i]
-                del self.cols[j][i]
-                if not self.cols[j]:
-                    del self.cols[j]
+    def _sub(self, lines, mirror, dst, line, q):
+        """lines[dst] -= q * line, for a ``line`` that is not lines[dst],
+        keeping ``mirror`` (the other index) in step: entries are reduced
+        modulo the modulus, and one wider than the bit bound raises
+        ``PivotExplosion`` naming its (row, column)."""
+        target = lines.get(dst)
+        if target is None:
+            target = lines[dst] = {}
+        m = self.modulus
+        bound = self.bit_bound
+        for k, v in line.items():
+            w = target.get(k, 0) - q * v
+            if m:
+                w %= m
+                if 2 * w > m:
+                    w -= m
+            if w:
+                if w.bit_length() > bound:
+                    i, j = (dst, k) if lines is self.rows else (k, dst)
+                    raise PivotExplosion(f"entry at ({i},{j}) exceeds {bound} bits")
+                target[k] = w
+                other = mirror.get(k)
+                if other is None:
+                    mirror[k] = {dst: w}
+                else:
+                    other[dst] = w
+            elif k in target:
+                # mirror[k] keeps the entry of ``line``, so it is not left empty
+                del target[k]
+                del mirror[k][dst]
+        if not target:
+            del lines[dst]
 
     def get(self, i, j):
         return self.rows.get(i, {}).get(j, 0)
 
     def row_op(self, dst, src, q):
         # row[dst] -= q * row[src]
-        for j, v in list(self.rows.get(src, {}).items()):
-            self._set(dst, j, self.get(dst, j) - q * v)
+        self._sub(self.rows, self.cols, dst, self.rows.get(src, {}), q)
 
     def col_op(self, dst, src, q):
         # col[dst] -= q * col[src]
-        for i, v in list(self.cols.get(src, {}).items()):
-            self._set(i, dst, self.get(i, dst) - q * v)
+        self._sub(self.cols, self.rows, dst, self.cols.get(src, {}), q)
 
     def min_entry(self):
         best = None
@@ -106,10 +116,13 @@ class _Sparse:
         return best[1], best[2], best[3]
 
     def drop_cross(self, i, j):
-        for jj in list(self.rows.get(i, {})):
-            self._set(i, jj, 0)
-        for ii in list(self.cols.get(j, {})):
-            self._set(ii, j, 0)
+        """Delete row i and column j."""
+        for index, mirror, line in ((self.rows, self.cols, i), (self.cols, self.rows, j)):
+            for k in index.pop(line, ()):
+                rest = mirror[k]
+                del rest[line]
+                if not rest:
+                    del mirror[k]
 
 
 def _eliminate_units(mat) -> int:

@@ -20,6 +20,12 @@ class SurfaceError(ValueError):
     pass
 
 
+# Enumerating all 69,807 types at genus 6 takes about 40 s, and one size
+# at genus 7 (multicurves --g 7 --k 10) did not finish in 20 s: a larger
+# genus is refused at once instead of left running with no output.
+MAX_GENUS = 6
+
+
 @dataclass(frozen=True)
 class SurfaceType:
     """Connected surface: genus, punctures, boundary components."""
@@ -311,6 +317,8 @@ def enumerate_multicurves(g: int, k: int) -> list[CutSurfaceGraph]:
     surface, up to homeomorphism, with a canonical side assignment."""
     if g < 2:
         raise SurfaceError("need genus >= 2")
+    if g > MAX_GENUS:
+        raise SurfaceError(f"size guard: genus {g} exceeds MAX_GENUS = {MAX_GENUS}")
     if not (1 <= k <= 3 * g - 3):
         raise SurfaceError(f"need 1 <= k <= {3 * g - 3}")
     raw = []

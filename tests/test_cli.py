@@ -610,6 +610,16 @@ def test_float_coefficient_exits_at_once(tmp_path):
     assert json.loads(proc.stdout)["details"]["error"].startswith("ValueError: c112 must be a rational")
 
 
+@pytest.mark.parametrize("argv", [("lemma-sweep", "--g", "9"),
+                                  ("multicurves", "--g", "7", "--k", "10")])
+def test_genus_past_the_guard_exits_at_once(argv):
+    # neither printed anything before a 20 s timeout killed it
+    proc = _python("-m", "smallmodel", "--json", *argv, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stdout)["details"]["error"]
+    assert error == f"SurfaceError: size guard: genus {argv[2]} exceeds MAX_GENUS = 6"
+
+
 def test_large_prime_ring_answers_at_once(tmp_path):
     # 2**61 - 1: trial division up to its square root never finished
     path = write_json(tmp_path, "tri.json", {"vertices": [0, 1, 2],

@@ -162,6 +162,43 @@ def test_diagonal_and_quotient_equal_the_restricted_product(seed, flag, ring):
         assert direct.boundaries == oracle.boundaries
 
 
+def test_diagonal_checks_past_one_machine_word():
+    # 130 vertices, so the vertex bitmasks span three 64-bit words; the
+    # labels are strings in shuffled order, so label order is not index order
+    rng = random.Random(130)
+    labels = [f"w{k}" for k in range(130)]
+    rng.shuffle(labels)
+    # a cycle through every vertex, with chords between far indices
+    edges = [(labels[k], labels[(k + 1) % 130]) for k in range(130)]
+    edges += [(labels[a], labels[b]) for a, b in ((0, 2), (63, 65), (64, 66), (1, 64), (2, 64),
+                                                 (1, 129), (64, 129), (63, 129), (127, 129))]
+    K = clique_complex(SimplicialComplex(labels, edges))
+    assert any(len({v // 64 for v in s}) == 3 for s in K.simplices(2))
+    faces = {frozenset(K.vertices[v] for v in s) for s in K.all_simplices()}
+    assert list(K.vertices) == labels != sorted(labels)
+
+    parts = build_diagonal(K)
+    named = {n: [(frozenset(K.vertices[v] for v in K.simplices(i)[a]),
+                  frozenset(K.vertices[v] for v in K.simplices(j)[b]))
+                 for i, a, j, b in cells]
+             for n, cells in parts.product.cells.items()}
+    on = {n: [s | t in faces for s, t in cells] for n, cells in named.items()}
+    assert parts.on_diagonal == on
+    assert parts.diagonal.ranks == [sum(row) for row in on.values()]
+    rep = check_retraction(K)
+    assert rep.passed, rep.details
+
+    count = {}
+    for s, t in itertools.product(faces, repeat=2):
+        if s | t in faces:
+            key = f"({len(s) - 1},{len(t) - 1})"
+            count[key] = count.get(key, 0) + 1
+    rep = decomposition_check(K)
+    assert rep.passed
+    assert rep.details["bidegree_counts"] == {key: [count.get(key, 0)] * 2
+                                              for key in rep.details["bidegree_counts"]}
+
+
 def test_check_retraction_builds_neither_product_nor_quotient(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("check_retraction built the product or the quotient")

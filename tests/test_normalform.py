@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 import sympy
@@ -61,6 +62,41 @@ def test_pivot_explosion_is_loud():
         invariant_factors(cols_from_dense([[1 << 40, 3], [5, 7]]), bit_bound=16)
 
 
+def watch(monkeypatch, name):
+    """Record the arguments of every ``_Sparse.<name>`` call that raises
+    ``PivotExplosion``."""
+    raised = []
+    op = getattr(_Sparse, name)
+
+    def watched(self, *args):
+        try:
+            op(self, *args)
+        except PivotExplosion:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(_Sparse, name, watched)
+    return raised
+
+
+@pytest.mark.parametrize("dense, op, entry", [
+    # unit phase: row 1 minus row 0 makes -14 at (1,1)
+    ([[1, 7], [1, -7]], "row_op", "(1,1)"),
+    # residual loop (no unit, det 24): pivot 4, then column 0 plus twice
+    # column 1 leaves pivot 2, and column 1 minus twice column 0 makes 12
+    # at (0,1)
+    ([[-6, 0], [-6, 4]], "col_op", "(0,1)"),
+])
+def test_bit_bound_trips_inside_an_elimination_step(monkeypatch, dense, op, entry):
+    cols = cols_from_dense(dense)
+    _Sparse(cols, 3)  # every entry fits at construction
+    raised = watch(monkeypatch, op)
+    with pytest.raises(PivotExplosion, match=re.escape(f"entry at {entry} exceeds 3 bits")):
+        invariant_factors(cols, bit_bound=3)
+    assert len(raised) == 1
+    assert sorted(invariant_factors(cols)) == sympy_factors(dense)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_against_sympy_smith_form(seed):
@@ -121,6 +157,49 @@ def test_unit_phase_leaves_no_unit(seed):
     # the unit pivots and the residual's factors make up the whole Smith form
     residual = [mat.cols.get(j, {}) for j in range(len(dense[0]))]
     assert sorted([1] * pivots + invariant_factors(residual)) == sympy_factors(dense)
+
+
+def sparse_signs(seed):
+    """Sparse matrix up to 12x12, mostly zero, its entries mostly +-1."""
+    rng = random.Random(seed)
+    nr = rng.randint(1, 12)
+    nc = rng.randint(1, 12)
+    density = rng.uniform(0.05, 0.35)
+    return [[rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3)) if rng.random() < density else 0
+             for _ in range(nc)]
+            for _ in range(nr)]
+
+
+def assert_mirrored(mat):
+    """``rows`` and ``cols`` hold the same nonzero entries, and no line is empty."""
+    transposed = {}
+    for i, row in mat.rows.items():
+        assert row, f"empty row {i}"
+        for j, v in row.items():
+            assert v, f"zero stored at ({i},{j})"
+            transposed.setdefault(j, {})[i] = v
+    assert transposed == mat.cols
+    assert all(mat.cols.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sparse_signs_against_sympy_smith_form(seed):
+    dense = sparse_signs(seed)
+    cols = cols_from_dense(dense)
+    assert sorted(invariant_factors(cols)) == sympy_factors(dense)
+    mat = _Sparse(cols, DEFAULT_BIT_BOUND)
+    assert_mirrored(mat)
+    pivots = _eliminate_units(mat)
+    assert_mirrored(mat)
+    residual = [mat.cols.get(j, {}) for j in range(len(dense[0]))]
+    assert sorted([1] * pivots + invariant_factors(residual)) == sympy_factors(dense)
+    # dropping the cross of an entry deletes its row and column from both indexes
+    while mat.rows:
+        i, j, _ = mat.min_entry()
+        mat.drop_cross(i, j)
+        assert i not in mat.rows and j not in mat.cols
+        assert_mirrored(mat)
 
 
 @settings(max_examples=100, deadline=None)

@@ -74,6 +74,16 @@ def test_enumeration_counts():
     assert [len(enumerate_multicurves(3, k)) for k in range(1, 7)] == [2, 5, 9, 12, 8, 5]
 
 
+def test_genus_guard():
+    # one curve at genus 6: nonseparating, or separating into genera 1+5, 2+4, 3+3
+    assert len(enumerate_multicurves(surfaces.MAX_GENUS, 1)) == 4
+    for g, k in ((surfaces.MAX_GENUS + 1, 1), (9, 10)):
+        with pytest.raises(SurfaceError, match=f"genus {g} exceeds MAX_GENUS = 6"):
+            enumerate_multicurves(g, k)
+    with pytest.raises(SurfaceError, match="genus 9 exceeds"):
+        lemma_smallstabilizers_sweep(9)
+
+
 def test_enumeration_against_matching_oracle():
     for g, kmax in ((2, 3), (3, 4)):
         for k in range(1, kmax + 1):
