@@ -59,6 +59,7 @@ class SimplicialComplex:
         self._index = {
             d: {s: i for i, s in enumerate(ss)} for d, ss in self._simplices.items()
         }
+        self._boundaries = None
 
     @staticmethod
     def _missing(v):
@@ -80,6 +81,21 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self._simplices.get(d, [])) for d in range(self.dim + 1))
+
+    def signed_boundaries(self) -> dict:
+        """{d: one column {index of face: (-1)^j} per d-simplex, face j
+        dropping vertex j}, for d >= 1. The entries are +-1 over every
+        ring, so they are built once, on first use, and every chain
+        complex of K shares them: nothing may change them in place."""
+        if self._boundaries is None:
+            self._boundaries = {}
+            for d in range(1, self.dim + 1):
+                idx = self._index[d - 1]
+                self._boundaries[d] = [
+                    {idx[s[:j] + s[j + 1:]]: -1 if j & 1 else 1 for j in range(len(s))}
+                    for s in self._simplices[d]
+                ]
+        return self._boundaries
 
     def has_simplex(self, s) -> bool:
         t = tuple(sorted(s))
@@ -319,19 +335,9 @@ def maximal_cliques(adj) -> list:
 def chain_complex(K: SimplicialComplex, ring="Z", reduced=False) -> ChainComplex:
     ring = _check_ring(ring)
     ranks = [len(K.simplices(d)) for d in range(K.dim + 1)]
-    boundaries = {}
-    for d in range(1, K.dim + 1):
-        idx = {s: i for i, s in enumerate(K.simplices(d - 1))}
-        cols = []
-        for s in K.simplices(d):
-            col = {}
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                col[idx[face]] = (-1) ** j
-            cols.append(col)
-        boundaries[d] = cols
+    boundaries = K.signed_boundaries()
     if reduced:
-        boundaries[0] = [{0: 1} for _ in K.simplices(0)]
+        boundaries = {**boundaries, 0: [{0: 1} for _ in K.simplices(0)]}
     return ChainComplex(ring, ranks, boundaries, augmented=reduced, check=False)
 
 

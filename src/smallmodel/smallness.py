@@ -312,14 +312,12 @@ def generate_join_model(d: int) -> OrbitComplex:
         subsets.append(frozenset(i for i in range(d) if mask >> i & 1))
     subsets.sort(key=lambda s: (len(s), sorted(s)))
 
-    def label(S):
-        return "f" + "".join(str(i + 1) for i in sorted(S))
-
-    orbits = [Orbit(label(S), len(S) - 1, Hdim(d)) for S in subsets]
+    labelled = [(S, "f" + "".join(str(i + 1) for i in sorted(S))) for S in subsets]
+    orbits = [Orbit(la, len(S) - 1, Hdim(d)) for S, la in labelled]
     pairs = {}
-    for i, S in enumerate(subsets):
-        for T in subsets[i:]:
-            e = PairEntry(label(S), label(T), True, Hdim(d - len(S & T)))
+    for i, (S, la) in enumerate(labelled):
+        for T, lb in labelled[i:]:
+            e = PairEntry(la, lb, True, Hdim(d - len(S & T)))
             pairs[e.key()] = e
     return OrbitComplex(
         boundary_dim=2 * d - 1,

@@ -11,7 +11,7 @@ stabilizer of rank 3g-3) pins the bookkeeping down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .smallness import Hdim, Orbit, OrbitComplex, PairEntry
 
@@ -20,9 +20,10 @@ class SurfaceError(ValueError):
     pass
 
 
-# Enumerating all 69,807 types at genus 6 takes about 40 s, and one size
-# at genus 7 (multicurves --g 7 --k 10) did not finish in 20 s: a larger
-# genus is refused at once instead of left running with no output.
+# Enumerating all 69,807 types at genus 6 takes 24-27 s (lemma-sweep
+# --g 6 on a 2-core machine, Python 3.11), and one size at genus 7
+# (multicurves --g 7 --k 10) did not finish in 20 s: a larger genus is
+# refused at once instead of left running with no output.
 MAX_GENUS = 6
 
 
@@ -67,23 +68,33 @@ class CutSurfaceGraph:
     piece_genera: tuple
     curve_edges: tuple  # ((a, b, side), ...)
 
+    _piece_types: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         v = len(self.piece_genera)
         if v == 0:
             raise SurfaceError("no pieces")
+        adj = [[] for _ in range(v)]
+        r = [0] * v
+        s = [0] * v
         for a, b, side in self.curve_edges:
             if not (0 <= a < v and 0 <= b < v) or side not in (0, 1):
                 raise SurfaceError("bad curve edge")
-        # connectivity
+            adj[a].append(b)
+            adj[b].append(a)
+            if side == 0:
+                r[a] += 1
+                s[b] += 1
+            else:
+                r[b] += 1
+                s[a] += 1
         seen = {0}
         frontier = [0]
         while frontier:
-            x = frontier.pop()
-            for a, b, _ in self.curve_edges:
-                for y in ((b,) if a == x else ()) + ((a,) if b == x else ()):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+            for y in adj[frontier.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
         if len(seen) != v:
             raise SurfaceError("cut graph is not connected")
         b1 = len(self.curve_edges) - v + 1
@@ -91,22 +102,16 @@ class CutSurfaceGraph:
             raise SurfaceError("piece genera and graph cycles do not add up to the genus")
         if len(self.curve_edges) > max(3 * self.closed_genus - 3, 0):
             raise SurfaceError("more curves than a maximal system allows")
-        for i, t in enumerate(self.piece_types()):
+        types = tuple(SurfaceType(g, r[i], s[i]) for i, g in enumerate(self.piece_genera))
+        for i, t in enumerate(types):
             if not t.in_formula_range:
                 raise SurfaceError(f"piece {i} = {t} is not an essential-cut piece")
+        object.__setattr__(self, "_piece_types", types)
 
-    def piece_types(self) -> list[SurfaceType]:
-        v = len(self.piece_genera)
-        r = [0] * v
-        s = [0] * v
-        for a, b, side in self.curve_edges:
-            if side == 0:
-                r[a] += 1
-                s[b] += 1
-            else:
-                r[b] += 1
-                s[a] += 1
-        return [SurfaceType(g, r[i], s[i]) for i, g in enumerate(self.piece_genera)]
+    def piece_types(self) -> tuple[SurfaceType, ...]:
+        """(genus, punctures, boundary components) of each piece, computed
+        once when the graph is validated."""
+        return self._piece_types
 
     def to_json(self):
         return {
@@ -130,9 +135,6 @@ def multicurve_stab_hdim(G: CutSurfaceGraph) -> int:
 def _vertex_type_multisets(g, k, v):
     """Multisets of (genus, degree) for v pieces: degrees sum to 2k,
     genera sum to g - (k - v + 1), genus-0 pieces need degree >= 3."""
-    genus_total = g - (k - v + 1)
-    if genus_total < 0:
-        return
     results = []
 
     def rec(slots_left, deg_left, gen_left, min_pair, acc):
@@ -141,19 +143,21 @@ def _vertex_type_multisets(g, k, v):
                 results.append(tuple(acc))
             return
         for gen in range(min_pair[0], gen_left + 1):
+            if gen * slots_left > gen_left:
+                break  # every later slot has genus >= gen
             dmin = 3 if gen == 0 else 1
             dstart = max(dmin, min_pair[1] if gen == min_pair[0] else dmin)
             for d in range(dstart, deg_left - (slots_left - 1) + 1):
                 # remaining slots need at least 1 degree each
                 rec(slots_left - 1, deg_left - d, gen_left - gen, (gen, d), acc + [(gen, d)])
 
-    rec(v, 2 * k, genus_total, (0, 3), [])
+    rec(v, 2 * k, g - (k - v + 1), (0, 3), [])
     return results
 
 
 def _multigraphs_with_degrees(degrees, genera=None):
-    """Loop-allowing multigraphs on labelled vertices with the given
-    degree sequence, as multiplicity dicts {(i,j): k} with i <= j.
+    """Connected loop-allowing multigraphs on labelled vertices with the
+    given degree sequence, as multiplicity dicts {(i,j): k} with i <= j.
 
     Vertices sharing (degree, genus) are interchangeable, so only the
     matrices that no same-class transposition makes lexicographically
@@ -166,41 +170,57 @@ def _multigraphs_with_degrees(degrees, genera=None):
     win, which cuts only subtrees that yield nothing: inside row i, the
     entry in column j is capped by the one in column j - 1 when both
     columns are of one class and agree on the rows above; once row i is
-    complete, each transposition (a i) has its final verdict."""
+    complete, each transposition (a i) has its final verdict, and so has
+    the component of piece i if no curve end is left to place on it."""
     v = len(degrees)
     cls = [(degrees[i], genera[i] if genera is not None else 0) for i in range(v)]
+    peers = [[a for a in range(i) if cls[a] == cls[i]] for i in range(v)]
     grid = [[0] * v for _ in range(v)]  # symmetric, loops on the diagonal
+    nbrs = [0] * v  # bit j of nbrs[i] set when pieces i != j share a curve
+    everyone = (1 << v) - 1
+    rem = list(degrees)  # curve ends of each piece not yet placed
+    mult = {}
     out = []
 
     def prefix_ok(i):
         # (a i) with a < i has its final verdict on rows 0..a: a tie there
         # makes row i row a with columns a and i exchanged, and then every
         # later row ties too. Pairs (a b) with b < i were settled when row b
-        # completed.
-        for a in range(i):
-            if cls[a] != cls[i]:
-                continue
-            swap = list(range(v))
-            swap[a], swap[i] = i, a
-            verdict = 0
-            for r in range(a + 1):
-                row_s = grid[swap[r]]
-                row_o = grid[r]
-                for c in range(v):
-                    d = row_s[swap[c]] - row_o[c]
-                    if d:
-                        verdict = d
-                        break
-                if verdict:
+        # completed. A row r < a changes only in columns a and i, so it
+        # first differs at column a, where the swap puts grid[r][i].
+        row_i = grid[i]
+        for a in peers[i]:
+            for r in range(a):
+                row = grid[r]
+                if row[i] != row[a]:
+                    if row[i] > row[a]:
+                        return False
                     break
-            if verdict > 0:
-                return False
+            else:
+                swapped = row_i[:]
+                swapped[a], swapped[i] = row_i[i], row_i[a]
+                if swapped > grid[a]:
+                    return False
         return True
 
-    def rec(i, rem, mult):
+    def can_connect(i):
+        # rows 0..i are complete, so the component of piece i grows only
+        # through a piece with curve ends still to place; with none left it
+        # is a component of every completion, and must be all of them
+        seen = frontier = 1 << i
+        while frontier:
+            x = (frontier & -frontier).bit_length() - 1
+            if rem[x]:
+                return True
+            frontier &= frontier - 1
+            new = nbrs[x] & ~seen
+            seen |= new
+            frontier |= new
+        return seen == everyone
+
+    def rec(i):
         if i == v:
-            if all(x == 0 for x in rem):
-                out.append(dict(mult))
+            out.append(dict(mult))
             return
 
         # where columns j-1 and j agree above row i, (j-1 j) leaves those
@@ -212,8 +232,8 @@ def _multigraphs_with_degrees(degrees, genera=None):
         # distribute rem[i] over a loop at i and pairs (i, j > i)
         def pairs(j, left):
             if left == 0:
-                if prefix_ok(i):
-                    rec(i + 1, rem, mult)
+                if prefix_ok(i) and can_connect(i):
+                    rec(i + 1)
                 return
             if j == v:
                 return
@@ -223,11 +243,15 @@ def _multigraphs_with_degrees(degrees, genera=None):
                     mult[(i, j)] = m
                     rem[j] -= m
                     grid[i][j] = grid[j][i] = m
+                    nbrs[i] |= 1 << j
+                    nbrs[j] |= 1 << i
                 pairs(j + 1, left - m)
                 if m:
                     del mult[(i, j)]
                     rem[j] += m
                     grid[i][j] = grid[j][i] = 0
+                    nbrs[i] ^= 1 << j
+                    nbrs[j] ^= 1 << i
 
         saved = rem[i]
         rem[i] = 0
@@ -241,27 +265,8 @@ def _multigraphs_with_degrees(degrees, genera=None):
                 grid[i][i] = 0
         rem[i] = saved
 
-    rec(0, list(degrees), {})
+    rec(0)
     return out
-
-
-def _connected(v, mult):
-    if v == 1:
-        return True
-    adj = {i: set() for i in range(v)}
-    for (i, j), k in mult.items():
-        if i != j and k:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == v
 
 
 def _canonical(genera, mult):
@@ -323,12 +328,11 @@ def enumerate_multicurves(g: int, k: int) -> list[CutSurfaceGraph]:
         raise SurfaceError(f"need 1 <= k <= {3 * g - 3}")
     raw = []
     for v in range(max(1, k + 1 - g), k + 2):
-        for types in _vertex_type_multisets(g, k, v) or []:
+        for types in _vertex_type_multisets(g, k, v):
             genera = [t[0] for t in types]
             degrees = [t[1] for t in types]
-            for mult in _multigraphs_with_degrees(degrees, genera):
-                if _connected(v, mult):
-                    raw.append((tuple(genera), mult))
+            raw.extend((tuple(genera), mult)
+                       for mult in _multigraphs_with_degrees(degrees, genera))
     reps = _dedupe(raw)
     graphs = [_to_cut_graph(g, genera, mult) for genera, mult in reps]
     graphs.sort(key=lambda cg: (len(cg.piece_genera), cg.piece_genera, cg.curve_edges))

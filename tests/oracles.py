@@ -1,12 +1,13 @@
 """Independent reference computations shared by the test modules."""
 
+import collections
 import itertools
 
 from smallmodel import ratlin
 from smallmodel.complexes import ChainComplex, chain_complex, tensor_total, total_cells
 from smallmodel.flags import FlagError, RationalFlag, _containment_rows, _stab_constraint_rows
 from smallmodel.ratlin import sparse_rank
-from smallmodel.surfaces import SurfaceError, _connected, _dedupe, _vertex_type_multisets
+from smallmodel.surfaces import SurfaceError, _dedupe
 
 
 def brute_maximal_cliques(adj):
@@ -72,6 +73,58 @@ class ProductChainComplex:
         return ChainComplex(self.chain.ring, ranks, boundaries, check=False)
 
 
+def connected(v, mult):
+    """Whether the multigraph {(i, j): k} on vertices 0..v-1 is connected."""
+    adj = {i: set() for i in range(v)}
+    for (i, j), k in mult.items():
+        if i != j and k:
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == v
+
+
+def partitions(total, n, lo):
+    """Nondecreasing n-tuples of integers >= lo that sum to total."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(lo, total // n + 1):
+        for rest in partitions(total - first, n - 1, first):
+            yield (first,) + rest
+
+
+def vertex_type_multisets(g, k, v):
+    """Sorted (genus, degree) multisets of v cut pieces for k curves on the
+    closed genus-g surface: a partition of the piece genera, then for each
+    genus value a partition of its share of the 2k curve ends, genus-0
+    pieces taking at least 3. In lexicographic order."""
+    out = []
+    for genera in partitions(g - (k - v + 1), v, 0):
+        classes = sorted(collections.Counter(genera).items())
+
+        def split(c, ends_left, acc):
+            if c == len(classes):
+                if ends_left == 0:
+                    out.append(tuple(sorted(acc)))
+                return
+            gen, count = classes[c]
+            for share in range(ends_left + 1):
+                for degrees in partitions(share, count, 3 if gen == 0 else 1):
+                    split(c + 1, ends_left - share, acc + [(gen, d) for d in degrees])
+
+        split(0, 2 * k, [])
+    return sorted(out)
+
+
 def enumerate_multicurves_by_matching(g, k):
     """Number of k-curve multicurve types on the closed genus-g surface,
     counted by pairing half-edges (configuration-model construction)
@@ -81,7 +134,7 @@ def enumerate_multicurves_by_matching(g, k):
         raise SurfaceError("out of range")
     raw = []
     for v in range(max(1, k + 1 - g), k + 2):
-        for types in _vertex_type_multisets(g, k, v) or []:
+        for types in vertex_type_multisets(g, k, v):
             genera = [t[0] for t in types]
             degrees = [t[1] for t in types]
             half = []
@@ -90,7 +143,7 @@ def enumerate_multicurves_by_matching(g, k):
 
             def match(remaining, mult):
                 if not remaining:
-                    if _connected(len(genera), mult):
+                    if connected(len(genera), mult):
                         raw.append((tuple(genera), dict(mult)))
                     return
                 a = remaining[0]

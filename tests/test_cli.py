@@ -174,6 +174,24 @@ def test_lemma_sweep_subcommand(capsys):
     assert rep["details"]["max_exact_lhs"] == 4
 
 
+# sha256 of the report without its runtime, pinned before the multicurve
+# search emitted connected graphs only: type indices, witnesses and orbit
+# labels follow the order of the enumerated representatives
+MULTICURVE_PINS = {
+    ("lemma-sweep", "5"): "433b2796d8a3f3a2fc35b3a2723af4f94b4a40928e3d9ea1fbe29deb0e9ed6a3",
+    ("cc-certificate", "3"): "fc1594436402963f41c92a16d5f6fbc999508735c14c6214117771c7f76dffbf",
+}
+
+
+@pytest.mark.parametrize("command, genus", list(MULTICURVE_PINS))
+def test_multicurve_reports_pinned(capsys, command, genus):
+    code, rep = run_json(capsys, command, "--g", genus)
+    assert code == 0
+    del rep["runtime_ms"]
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == MULTICURVE_PINS[command, genus]
+
+
 def test_sc_obstruction_subcommand(tmp_path, capsys):
     payload = {
         "n": 4, "q": 1,

@@ -214,10 +214,34 @@ def test_total_cells_order():
 def test_dd_zero_enforced():
     c = chain_complex(projective_plane(), "Z")
     c.check_dd_zero()
-    # corrupt a boundary entry and expect the check to fire
-    c.boundaries[2][0][0] += 1
+    # corrupt a boundary entry of a copy (the complex's columns are shared
+    # by all its chain complexes) and expect the check to fire
+    cols = [dict(col) for col in c.boundaries[2]]
+    cols[0][0] += 1
+    c.boundaries[2] = cols
     with pytest.raises(ComplexError):
         c.check_dd_zero()
+
+
+def test_chain_complexes_share_the_signed_columns():
+    K = projective_plane()
+    over_z = chain_complex(K, "Z")
+    snapshot = {d: [dict(col) for col in cols] for d, cols in over_z.boundaries.items()}
+    reduced = chain_complex(K, 3, reduced=True)
+    for d in range(1, K.dim + 1):
+        assert reduced.boundaries[d] is over_z.boundaries[d]
+    # no degree 0 leaks back into the shared columns from the reduced complex
+    assert 0 not in chain_complex(K, 2).boundaries
+    for ring in ("Z", 2, 3):
+        homology(K, ring=ring)
+        homology(K, ring=ring, reduced=False)
+    assert over_z.boundaries == snapshot
+    # each column is the alternating sum of the faces
+    for d, cols in snapshot.items():
+        for s, col in zip(K.simplices(d), cols):
+            faces = K.simplices(d - 1)
+            assert {faces[i]: v for i, v in col.items()} == {
+                s[:j] + s[j + 1:]: (-1) ** j for j in range(len(s))}
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,12 +18,12 @@ from smallmodel.surfaces import (
     multicurve_stab_hdim,
     pants_decompositions,
     _canonical,
-    _connected,
     _multigraphs_with_degrees,
+    _vertex_type_multisets,
 )
 from smallmodel.smallness import VERIFIED, check_small, vanishing_certificate
 
-from oracles import enumerate_multicurves_by_matching
+from oracles import connected, enumerate_multicurves_by_matching, vertex_type_multisets
 
 
 def test_harer_formulas():
@@ -82,6 +82,17 @@ def test_genus_guard():
             enumerate_multicurves(g, k)
     with pytest.raises(SurfaceError, match="genus 9 exceeds"):
         lemma_smallstabilizers_sweep(9)
+
+
+def test_vertex_types_against_partitions():
+    # every (genus, degree) multiset the enumeration can start from, also for
+    # piece counts it never asks for (no genus left, or more pieces than a
+    # connected graph on k curves has), against genus and degree partitions
+    # that do not stop early on the genus left
+    for g in range(2, surfaces.MAX_GENUS + 1):
+        for k in range(1, 3 * g - 2):
+            for v in range(1, 2 * k + 1):
+                assert _vertex_type_multisets(g, k, v) == vertex_type_multisets(g, k, v)
 
 
 def test_enumeration_against_matching_oracle():
@@ -221,7 +232,7 @@ def test_canonical_key_decides_isomorphism(graph, other, rnd, how):
         perm = list(range(len(graph[0])))
         rnd.shuffle(perm)
         other = relabel(*graph, perm)
-    assume(_connected(len(other[0]), other[1]))
+    assume(connected(len(other[0]), other[1]))
     same = _canonical(*graph) == _canonical(*other)
     assert same == brute_isomorphic(graph, other)
 
@@ -261,7 +272,8 @@ def test_enumeration_pinned(g):
 
 
 # ---------------------------------------------------------------------------
-# The pruned search against the row-prefix search it replaced.
+# The pruned search against the row-prefix search it replaced, which also
+# emitted disconnected multigraphs: the search keeps the connected ones.
 
 
 def reference_multigraphs_with_degrees(degrees, genera):
@@ -335,6 +347,11 @@ def reference_multigraphs_with_degrees(degrees, genera):
     return out
 
 
+def connected_reference(degrees, genera):
+    return [mult for mult in reference_multigraphs_with_degrees(degrees, genera)
+            if connected(len(degrees), mult)]
+
+
 @st.composite
 def vertex_classes(draw):
     """(degrees, genera) for at most six pieces, degrees at most 6 and an
@@ -354,7 +371,7 @@ def vertex_classes(draw):
 def test_pruned_search_matches_the_row_prefix_search(classes):
     degrees, genera = classes
     assert (_multigraphs_with_degrees(degrees, genera)
-            == reference_multigraphs_with_degrees(degrees, genera))
+            == connected_reference(degrees, genera))
 
 
 @pytest.mark.parametrize("degrees, genera", [
@@ -365,4 +382,4 @@ def test_pruned_search_matches_the_row_prefix_search(classes):
 ])
 def test_pruned_search_on_crowded_classes(degrees, genera):
     assert (_multigraphs_with_degrees(degrees, genera)
-            == reference_multigraphs_with_degrees(degrees, genera))
+            == connected_reference(degrees, genera))
