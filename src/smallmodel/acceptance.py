@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, chain_complex, homology, maximal_cliques, tensor_total
-from .report import VERIFIED, VIOLATION, Report
+from .report import NOT_OBSTRUCTED, OBSTRUCTED, SATISFIABLE, VERIFIED, VIOLATION, Report
 
 
 def _criterion(number: int, name: str, ok: bool, details: dict) -> Report:
@@ -140,12 +140,7 @@ def criterion_buildings() -> Report:
         expected_facets = flags.complete_flag_count(m, q)
         h = homology(K, "Z", reduced=True)
         expected_rank = q ** (m * (m - 1) // 2)
-        good = (
-            len(K.facets) == expected_facets
-            and h.nonzero_degrees() == [m - 2]
-            and h.rank(m - 2) == expected_rank
-            and h.torsion(m - 2) == ()
-        )
+        good = flags.building_ok(K, h, m, q)
         ok = ok and good
         cases.append({"m": m, "q": q, "facets": len(K.facets),
                       "expected_facets": expected_facets,
@@ -322,21 +317,21 @@ def criterion_chaincore(pairs: int = 20, seed: int = 0) -> Report:
 def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> Report:
     failures = []
     for n in (3, 5, 7):
-        verdict = cupforms.rank_one_obstruction(cupforms.projective_space_ring(n))
-        if verdict["status"] != cupforms.OBSTRUCTED:
-            failures.append({"case": f"projective space n={n}", "verdict": verdict})
+        r = cupforms.rank_one_obstruction(cupforms.projective_space_ring(n))
+        if r.status != OBSTRUCTED:
+            failures.append({"case": f"projective space n={n}", "result": r.to_json()})
 
     T = cupforms.TripleForm(1, 1, 1, 0)
     v = cupforms.compression_criterion_b2(T)
     witness = v.details["witness"]
     bad = cupforms.verify_witness(T, witness) if witness else ["no witness"]
-    if v.status != cupforms.SATISFIABLE or bad:
+    if v.status != SATISFIABLE or bad:
         failures.append({"case": "(1,1,1,0)", "status": v.status, "violations": bad})
 
     T2 = cupforms.TripleForm(1, 2, 1, 0)
     v2 = cupforms.compression_criterion_b2(T2)
     notes = v2.details["notes"]
-    if v2.status != cupforms.OBSTRUCTED or not any("-2" in n for n in notes):
+    if v2.status != OBSTRUCTED or not any("-2" in n for n in notes):
         failures.append({"case": "(1,2,1,0)", "status": v2.status, "notes": notes})
 
     rng = random.Random((seed, "squares").__repr__())
@@ -366,29 +361,23 @@ def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> Report:
 def criterion_support() -> Report:
     from .complexes import HomologyTable
 
-    failures = []
     # boundary of the square of a one-holed torus: four-manifold filling,
     # spheres in degree 0 (q=1), boundary has large H1
     torus_sq = HomologyTable(False, "Z", ((0, 1, ()), (1, 4, ()), (2, 6, ()), (3, 1, ())))
-    r1 = smallness.simply_connected_obstruction(
-        smallness.HomologySupportProblem(4, 1, torus_sq)
-    )
-    if r1["verdict"] != smallness.OBSTRUCTED:
-        failures.append({"case": "torus-square boundary", "result": r1})
-
-    r2 = smallness.parity_obstruction(n=9, q=3, chi_zero=True)
-    if r2["verdict"] != smallness.OBSTRUCTED:
-        failures.append({"case": "parity q-1=2, d=6, chi=0", "result": r2})
-
     sphere = HomologyTable(False, "Z", ((0, 1, ()), (3, 1, ())))
-    r3 = smallness.simply_connected_obstruction(
-        smallness.HomologySupportProblem(4, 1, sphere)
+    cases = (  # (key, case, expected status, report)
+        ("torus_square", "torus-square boundary", OBSTRUCTED,
+         smallness.simply_connected_obstruction(smallness.HomologySupportProblem(4, 1, torus_sq))),
+        ("parity", "parity q-1=2, d=6, chi=0", OBSTRUCTED,
+         smallness.parity_obstruction(n=9, q=3, chi_zero=True)),
+        ("sphere", "sphere boundary", NOT_OBSTRUCTED,
+         smallness.simply_connected_obstruction(smallness.HomologySupportProblem(4, 1, sphere))),
     )
-    if r3["verdict"] != smallness.NOT_OBSTRUCTED:
-        failures.append({"case": "sphere boundary", "result": r3})
+    failures = [{"case": case, "result": r.to_json()}
+                for _, case, want, r in cases if r.status != want]
     return _criterion(11, "homology-support and parity obstructions", not failures,
                       {"failures": failures,
-                       "results": {"torus_square": r1, "parity": r2, "sphere": r3}})
+                       "results": {key: r.to_json() for key, _, _, r in cases}})
 
 
 # ---------------------------------------------------------------------------

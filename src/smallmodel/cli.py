@@ -3,6 +3,12 @@
 Reports are JSON with a digest of the inputs, a status in {verified,
 counterexample, inconclusive, error} and per-check details. Exit codes:
 0 verified, 1 counterexample, 2 inconclusive, 3 bad input.
+
+The obstruction subcommands (rank-one, b2-criterion, sc-obstruction)
+report status verified and exit 0 whatever their verdict, which is
+details.status: OBSTRUCTED, SATISFIABLE or INCONCLUSIVE. An obstruction
+is a finding about the input, not a counterexample, and exit 1 means a
+counterexample only.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import time
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, homology
 from .normalform import PivotExplosion
-from .report import INCONCLUSIVE, VERIFIED, VIOLATION, json_bool, json_int, json_rational
+from .report import INCONCLUSIVE, OBSTRUCTED, VERIFIED, VIOLATION, json_bool, json_int, json_rational
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -119,10 +125,10 @@ def cmd_sc_obstruction(args, data):
     if chi_zero is not None:
         chi_zero = json_bool(chi_zero, "chi_zero")
     table = HomologyTable(False, "Z", tuple(entries.values()))
-    res = smallness.simply_connected_obstruction(smallness.HomologySupportProblem(n, q, table))
-    if chi_zero is not None and res["verdict"] != smallness.OBSTRUCTED:
-        res = smallness.parity_obstruction(n, q, chi_zero)
-    return VERIFIED, res
+    rep = smallness.simply_connected_obstruction(smallness.HomologySupportProblem(n, q, table))
+    if chi_zero is not None and rep.status != OBSTRUCTED:
+        rep = smallness.parity_obstruction(n, q, chi_zero)
+    return VERIFIED, rep.to_json()
 
 
 def cmd_lemma_upper(args, data):
@@ -161,8 +167,7 @@ def cmd_building(args, data):
     K = flags.finite_building(args.m, args.q)
     h = homology(K, "Z", reduced=True)
     expected = args.q ** (args.m * (args.m - 1) // 2)
-    ok = h.nonzero_degrees() == [args.m - 2] and h.rank(args.m - 2) == expected
-    return (VERIFIED if ok else VIOLATION,
+    return (VERIFIED if flags.building_ok(K, h, args.m, args.q) else VIOLATION,
             {"vertices": len(K.vertices), "facets": len(K.facets),
              "homology": h.to_json(), "expected_rank": expected,
              "complete_flags": flags.complete_flag_count(args.m, args.q)})
@@ -201,7 +206,7 @@ def cmd_rank_one(args, data):
                                  json_rational(data["top_value"], "top_value"))
     else:
         R = cupforms.RankOneRing(args.k, args.m, json_rational(args.top, "--top"))
-    return VERIFIED, cupforms.rank_one_obstruction(R)
+    return VERIFIED, cupforms.rank_one_obstruction(R).to_json()
 
 
 def cmd_b2_criterion(args, data):

@@ -14,6 +14,13 @@ from dataclasses import dataclass
 from .normalform import invariant_factors, is_prime, rank_mod_p
 
 
+# size guards: a complex is refused when its facets have more than
+# MAX_FACES faces, counted facet by facet (2^|f| - 1 each, shared faces
+# again), and a tensor product when it has more than MAX_PRODUCT_CELLS cells
+MAX_FACES = 2**19
+MAX_PRODUCT_CELLS = 2**18
+
+
 class ComplexError(ValueError):
     pass
 
@@ -33,10 +40,15 @@ class SimplicialComplex:
             raise ComplexError("duplicate vertex labels")
         index = {v: i for i, v in enumerate(self.vertices)}
         fsets = []
+        faces = 0
         for f in facets:
             fs = frozenset(index[v] if v in index else self._missing(v) for v in f)
             if not fs:
                 raise ComplexError("empty facet")
+            faces += (1 << len(fs)) - 1
+            if faces > MAX_FACES:
+                raise ComplexError(f"size guard: the facets have more than MAX_FACES = "
+                                   f"{MAX_FACES} faces, counted facet by facet")
             fsets.append(fs)
         if not fsets:
             raise ComplexError("complex has no facets (empty complex rejected)")
@@ -351,6 +363,10 @@ def total_cells(ranks_a, ranks_b) -> dict:
     (i, a, j, b): cell a of degree i of A times cell b of degree j of B,
     i + j = n. Ordered by i, then a, then b; this is the one cell order
     of a tensor product, and ``tensor_total`` uses it for its bases."""
+    na, nb = sum(ranks_a), sum(ranks_b)
+    if na * nb > MAX_PRODUCT_CELLS:
+        raise ComplexError(f"size guard: {na} x {nb} cells give {na * nb} product cells, "
+                           f"more than MAX_PRODUCT_CELLS = {MAX_PRODUCT_CELLS}")
     return {
         n: [(i, a, n - i, b)
             for i in range(max(0, n - len(ranks_b) + 1), min(n, len(ranks_a) - 1) + 1)

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .report import Report, json_rational
-
-OBSTRUCTED = "OBSTRUCTED"
-SATISFIABLE = "SATISFIABLE"
-INCONCLUSIVE = "INCONCLUSIVE"
+from .report import NOT_OBSTRUCTED, OBSTRUCTED, SATISFIABLE, Report, json_rational
 
 
 class FormError(ValueError):
@@ -45,11 +41,11 @@ class RankOneRing:
         object.__setattr__(self, "top_value", _frac(self.top_value))
 
 
-def rank_one_obstruction(R: RankOneRing) -> dict:
+def rank_one_obstruction(R: RankOneRing) -> Report:
     """A compressible filling would force omega^m = 0; a nonzero top
     pairing rules it out."""
-    status = OBSTRUCTED if R.top_value != 0 else INCONCLUSIVE
-    return {"status": status, "k": R.k, "m": R.m, "top_value": str(R.top_value)}
+    return Report(OBSTRUCTED if R.top_value != 0 else NOT_OBSTRUCTED,
+                  {"k": R.k, "m": R.m, "top_value": str(R.top_value)})
 
 
 def projective_space_ring(n: int) -> RankOneRing:

@@ -67,8 +67,9 @@ def build_diagonal(K: SimplicialComplex, ring="Z") -> SubquotientComplexes:
     only for flag complexes; the CLI's ``diagonal`` report says whether
     its input is flag.
     """
+    ranks = K.f_vector()
+    cells = total_cells(ranks, ranks)  # size-guarded before C is built
     C = chain_complex(K, ring)
-    cells = total_cells(C.ranks, C.ranks)
     on = _on_diagonal(K, cells)
     return SubquotientComplexes(C, ProductCells(cells), on, tensor_total(C, C, keep=on))
 

@@ -489,3 +489,13 @@ def complete_flag_count(m: int, q: int) -> int:
     for k in range(2, m + 1):
         total *= (q**k - 1) // (q - 1)
     return total
+
+
+def building_ok(K: SimplicialComplex, h, m: int, q: int) -> bool:
+    """The rule for the building K of F_q^m with reduced homology h over Z:
+    one facet per complete flag, and h free of rank q^(m(m-1)/2) in degree
+    m-2 alone (Solomon-Tits)."""
+    return (len(K.facets) == complete_flag_count(m, q)
+            and h.nonzero_degrees() == [m - 2]
+            and h.rank(m - 2) == q ** (m * (m - 1) // 2)
+            and h.torsion(m - 2) == ())

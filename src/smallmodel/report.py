@@ -10,6 +10,11 @@ VERIFIED = "verified"
 VIOLATION = "counterexample"
 INCONCLUSIVE = "inconclusive"
 
+# an obstruction check's finding about its input, reported by a verified run
+OBSTRUCTED = "OBSTRUCTED"
+SATISFIABLE = "SATISFIABLE"
+NOT_OBSTRUCTED = "INCONCLUSIVE"
+
 
 def json_int(value, field: str, least=None) -> int:
     """An integer field of a JSON input: an int or a string of one, and no

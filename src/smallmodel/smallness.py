@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import HomologyTable
-from .report import INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_bool, json_int
-
-OBSTRUCTED = "OBSTRUCTED"
-NOT_OBSTRUCTED = "INCONCLUSIVE"
+from .report import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, VERIFIED, VIOLATION, Report,
+                     json_bool, json_int)
 
 
 class CertificateError(ValueError):
@@ -350,28 +348,20 @@ class HomologySupportProblem:
             raise CertificateError("need 1 <= q <= n")
 
 
-def simply_connected_obstruction(P: HomologySupportProblem) -> dict:
+def simply_connected_obstruction(P: HomologySupportProblem) -> Report:
     """OBSTRUCTED when the boundary homology has torsion anywhere or a
     nonzero group outside {0, q-1, n-q, n-1}; otherwise inconclusive."""
-    allowed = {0, P.q - 1, P.n - P.q, P.n - 1}
+    allowed = sorted({0, P.q - 1, P.n - P.q, P.n - 1})
     for deg, rank, torsion in P.boundary_homology.entries:
-        if torsion:
-            return {
-                "verdict": OBSTRUCTED,
-                "reason": f"torsion {list(torsion)} in degree {deg}",
-                "allowed_degrees": sorted(allowed),
-            }
-        if rank and deg not in allowed:
-            return {
-                "verdict": OBSTRUCTED,
-                "reason": f"nonzero homology of rank {rank} in degree {deg}",
-                "allowed_degrees": sorted(allowed),
-            }
-    return {"verdict": NOT_OBSTRUCTED, "reason": "support and torsion tests passed",
-            "allowed_degrees": sorted(allowed)}
+        if torsion or (rank and deg not in allowed):
+            reason = (f"torsion {list(torsion)} in degree {deg}" if torsion
+                      else f"nonzero homology of rank {rank} in degree {deg}")
+            return Report(OBSTRUCTED, {"reason": reason, "allowed_degrees": allowed})
+    return Report(NOT_OBSTRUCTED, {"reason": "support and torsion tests passed",
+                                   "allowed_degrees": allowed})
 
 
-def parity_obstruction(n: int, q: int, chi_zero: bool) -> dict:
+def parity_obstruction(n: int, q: int, chi_zero: bool) -> Report:
     """Euler-characteristic parity test with d = n - q.
 
     A vanishing Euler characteristic forces odd-degree homology when
@@ -379,7 +369,7 @@ def parity_obstruction(n: int, q: int, chi_zero: bool) -> dict:
     d = n - q
     evens = {"q-1": (q - 1) % 2 == 0, "d": d % 2 == 0, "d+q-1": (d + q - 1) % 2 == 0}
     if chi_zero and all(evens.values()):
-        return {"verdict": OBSTRUCTED, "d": d, "parities": evens,
-                "reason": "chi=0 forces odd-degree homology outside the allowed support"}
-    return {"verdict": NOT_OBSTRUCTED, "d": d, "parities": evens,
-            "reason": "parity test not decisive"}
+        return Report(OBSTRUCTED, {"d": d, "parities": evens, "reason":
+                                   "chi=0 forces odd-degree homology outside the allowed support"})
+    return Report(NOT_OBSTRUCTED, {"d": d, "parities": evens,
+                                   "reason": "parity test not decisive"})

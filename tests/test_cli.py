@@ -155,6 +155,22 @@ def test_building_subcommand(capsys):
     assert rep["details"]["complete_flags"] == 21
 
 
+@pytest.mark.parametrize("broken", ["facet count", "torsion"])
+def test_building_judged_by_criterion_4s_rule(capsys, monkeypatch, broken):
+    # the subcommand once passed a building with the wrong number of
+    # facets, or with torsion in its one nonzero degree
+    from smallmodel import flags
+    from smallmodel.complexes import HomologyTable
+
+    if broken == "facet count":
+        monkeypatch.setattr(flags, "complete_flag_count", lambda m, q: 22)
+    else:
+        monkeypatch.setattr(cli, "homology",
+                            lambda K, ring, reduced: HomologyTable(True, ring, ((1, 8, (2,)),)))
+    code, rep = run_json(capsys, "building", "--m", "3", "--q", "2")
+    assert code == 1 and rep["status"] == "counterexample"
+
+
 def test_multicurves_subcommand(capsys):
     code, rep = run_json(capsys, "multicurves", "--g", "2", "--k", "3")
     assert code == 0
@@ -204,7 +220,56 @@ def test_sc_obstruction_subcommand(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, rep = run_json(capsys, "sc-obstruction", "--in", str(path))
     assert code == 0
-    assert rep["details"]["verdict"] == "OBSTRUCTED"
+    assert rep["details"]["status"] == "OBSTRUCTED"
+
+
+# The obstruction subcommands, one case per verdict: sha256 of the report
+# without its runtime, pinned while the three obstruction functions
+# returned hand-written dicts. The `sc-obstruction` pins were re-recorded
+# when its details key "verdict" became "status", the only field that
+# changed. An `sc-obstruction` case is a payload read from sc.json; the
+# others are argv.
+SC_TORUS_SQUARE = {"n": 4, "q": 1, "boundary_homology": [
+    {"degree": 0, "rank": 1}, {"degree": 1, "rank": 4},
+    {"degree": 2, "rank": 6}, {"degree": 3, "rank": 1}]}
+SC_SPHERE = {"n": 4, "q": 1, "boundary_homology": [{"degree": 0, "rank": 1},
+                                                   {"degree": 3, "rank": 1}]}
+SC_PARITY = {"n": 9, "q": 3, "chi_zero": True,
+             "boundary_homology": [{"degree": 0, "rank": 1}, {"degree": 8, "rank": 1}]}
+OBSTRUCTION_PINS = {
+    "rank-one-obstructed": (("rank-one", "--top", "1"), "OBSTRUCTED",
+                            "78e4f4c28290bbde9ae1e1720c3cd36d91ab33e5d14071e8e0f011c0b0c4447b"),
+    "rank-one-inconclusive": (("rank-one", "--top", "0"), "INCONCLUSIVE",
+                              "56e72fdfcda0ae48fecddbb5a1632e39b4d6ed068f02620a0b5784d9d3fb11ca"),
+    "b2-satisfiable": (("b2-criterion", "--form", '{"c111":"1","c112":"1","c122":"1","c222":"0"}'),
+                       "SATISFIABLE",
+                       "28beeee45b3dd93c3c733e4259684ff167d666a58d2102cb8b581cd3a30ee13d"),
+    "b2-obstructed": (("b2-criterion", "--form", '{"c111":"1","c112":"2","c122":"1","c222":"0"}'),
+                      "OBSTRUCTED",
+                      "6cc8728fbac0309c3d6512df4eebe8f04fdd554998126844670f0c77143a7a48"),
+    "sc-torus-square": (SC_TORUS_SQUARE, "OBSTRUCTED",
+                        "3d5f58be644b7f383ab5e79340ced46ae16e0bd014e86e5023293d011149c94e"),
+    "sc-sphere": (SC_SPHERE, "INCONCLUSIVE",
+                  "06aae641498839099aa39cc375ed59d564b4d762e84bede12a02d9ff7a3a6b9f"),
+    "sc-parity": (SC_PARITY, "OBSTRUCTED",
+                  "3f92872f260e51a53e92b472a1af547beb2a2bd1b1a7dd6f54bd24075f747684"),
+}
+
+
+@pytest.mark.parametrize("name", list(OBSTRUCTION_PINS))
+def test_obstruction_reports_pinned(tmp_path, capsys, monkeypatch, name):
+    # the exit-code contract: an obstruction verdict is a finding about the
+    # input, never a counterexample, so every verdict exits 0 as verified
+    case, verdict, digest = OBSTRUCTION_PINS[name]
+    monkeypatch.chdir(tmp_path)  # the relative path keeps inputs-digest fixed
+    if isinstance(case, dict):
+        write_json(tmp_path, "sc.json", case)
+        case = ("sc-obstruction", "--in", "sc.json")
+    code, rep = run_json(capsys, *case)
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["details"]["status"] == verdict
+    del rep["runtime_ms"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_reports_are_deterministic(capsys):
@@ -636,6 +701,31 @@ def test_genus_past_the_guard_exits_at_once(argv):
     assert proc.returncode == 3, proc.stderr
     error = json.loads(proc.stdout)["details"]["error"]
     assert error == f"SurfaceError: size guard: genus {argv[2]} exceeds MAX_GENUS = 6"
+
+
+def _simplex(n):
+    return {"vertices": list(range(n)), "facets": [list(range(n))]}
+
+
+@pytest.mark.parametrize("command, payload, error", [
+    # 2047 cells: the retraction check grows about 4x per vertex and took
+    # 14 s at 9 vertices
+    ("diagonal", _simplex(11), "ComplexError: size guard: 2047 x 2047 cells give 4190209 "
+                               "product cells, more than MAX_PRODUCT_CELLS = 262144"),
+    # 2**24 - 1 faces would need gigabytes
+    ("homology", _simplex(24), "ComplexError: size guard: the facets have more than "
+                               "MAX_FACES = 524288 faces, counted facet by facet"),
+    # 1,000 disjoint facets of 10 vertices each: 1,023,000 faces
+    ("homology", {"vertices": list(range(10000)),
+                  "facets": [[10 * i + j for j in range(10)] for i in range(1000)]},
+     "ComplexError: size guard: the facets have more than MAX_FACES = 524288 faces, "
+     "counted facet by facet"),
+])
+def test_a_complex_past_the_size_guard_exits_at_once(tmp_path, command, payload, error):
+    path = write_json(tmp_path, "K.json", payload)
+    proc = _python("-m", "smallmodel", "--json", command, "--in", path, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["details"]["error"] == error
 
 
 def test_large_prime_ring_answers_at_once(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smallmodel.cupforms import (
-    INCONCLUSIVE,
+    NOT_OBSTRUCTED,
     OBSTRUCTED,
     SATISFIABLE,
     FormError,
@@ -28,18 +28,18 @@ rationals = st.fractions(
 
 def test_rank_one_projective_spaces():
     for n in (3, 5, 7):
-        assert rank_one_obstruction(projective_space_ring(n))["status"] == OBSTRUCTED
+        assert rank_one_obstruction(projective_space_ring(n)).status == OBSTRUCTED
 
 
 def test_rank_one_zero_top_inconclusive():
-    assert rank_one_obstruction(RankOneRing(2, 3, 0))["status"] == INCONCLUSIVE
+    assert rank_one_obstruction(RankOneRing(2, 3, 0)).status == NOT_OBSTRUCTED
 
 
 def test_rank_one_rescaling_invariance():
     for scale in (Fraction(2), Fraction(-1, 3), Fraction(7, 5)):
         base = rank_one_obstruction(RankOneRing(2, 4, Fraction(3)))
         scaled = rank_one_obstruction(RankOneRing(2, 4, Fraction(3) * scale ** 4))
-        assert base["status"] == scaled["status"]
+        assert base.status == scaled.status
 
 
 def test_rank_one_m_guard():

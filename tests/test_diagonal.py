@@ -225,3 +225,16 @@ def test_decomposition_check_builds_no_chain_complex(monkeypatch):
         monkeypatch.setattr(complexes, name, refuse)
     for K in (two_triangles(), hollow_triangle()):
         assert decomposition_check(K).passed
+
+
+def test_size_guards_refuse_only_past_their_bounds(monkeypatch):
+    # a filled triangle has 7 faces, and 49 cells in C x C
+    monkeypatch.setattr(complexes, "MAX_FACES", 7)
+    monkeypatch.setattr(complexes, "MAX_PRODUCT_CELLS", 49)
+    assert check_retraction(filled_triangle()).passed
+    with pytest.raises(complexes.ComplexError, match="MAX_FACES = 7"):
+        SimplicialComplex("abcd", [["a", "b", "c"], ["c", "d"]])
+    monkeypatch.setattr(complexes, "MAX_PRODUCT_CELLS", 48)
+    for check in (check_retraction, decomposition_check):
+        with pytest.raises(complexes.ComplexError, match="MAX_PRODUCT_CELLS = 48"):
+            check(filled_triangle())

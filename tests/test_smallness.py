@@ -167,22 +167,22 @@ def test_join_model_small_d_rejected():
 def test_simply_connected_support():
     sphere = HomologyTable(False, "Z", ((0, 1, ()), (3, 1, ())))
     res = simply_connected_obstruction(HomologySupportProblem(4, 1, sphere))
-    assert res["verdict"] == NOT_OBSTRUCTED
+    assert res.status == NOT_OBSTRUCTED
 
     lens_like = HomologyTable(False, "Z", ((0, 1, ()), (1, 0, (5,)), (3, 1, ())))
     res = simply_connected_obstruction(HomologySupportProblem(4, 1, lens_like))
-    assert res["verdict"] == OBSTRUCTED
-    assert "torsion" in res["reason"]
+    assert res.status == OBSTRUCTED
+    assert "torsion" in res.details["reason"]
 
     wrong_degree = HomologyTable(False, "Z", ((0, 1, ()), (2, 1, ()), (3, 1, ())))
     res = simply_connected_obstruction(HomologySupportProblem(4, 1, wrong_degree))
-    assert res["verdict"] == OBSTRUCTED
+    assert res.status == OBSTRUCTED
 
 
 def test_parity():
-    assert parity_obstruction(9, 3, True)["verdict"] == OBSTRUCTED
-    assert parity_obstruction(9, 3, False)["verdict"] == NOT_OBSTRUCTED
-    assert parity_obstruction(8, 3, True)["verdict"] == NOT_OBSTRUCTED
+    assert parity_obstruction(9, 3, True).status == OBSTRUCTED
+    assert parity_obstruction(9, 3, False).status == NOT_OBSTRUCTED
+    assert parity_obstruction(8, 3, True).status == NOT_OBSTRUCTED
 
 
 def _sha(obj):
