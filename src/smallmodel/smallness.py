@@ -69,7 +69,7 @@ class PairEntry:
     hdim: Hdim | None = None  # required when disjoint
 
     def key(self):
-        return tuple(sorted((self.a, self.b)))
+        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
 
 
 @dataclass
@@ -128,14 +128,15 @@ class OrbitComplex:
     @classmethod
     def from_json(cls, data):
         orbits = [
-            Orbit(o["label"], json_int(o["dim"], "orbit dim"), Hdim.parse(o["hdim"]))
+            Orbit(_json_label(o["label"], "orbit label"), json_int(o["dim"], "orbit dim"),
+                  Hdim.parse(o["hdim"]))
             for o in data["orbits"]
         ]
         pairs = {}
         for e in data.get("pairs", []):
             entry = PairEntry(
-                e["a"],
-                e["b"],
+                _json_label(e["a"], "pair endpoint"),
+                _json_label(e["b"], "pair endpoint"),
                 json_bool(e["disjoint"], "disjoint"),
                 Hdim.parse(e["hdim"]) if "hdim" in e else None,
             )
@@ -149,6 +150,14 @@ class OrbitComplex:
             complete=json_bool(data.get("complete", False), "complete"),
             provenance=data.get("provenance", ""),
         )
+
+
+def _json_label(value, field):
+    """An orbit label of a JSON input: a string, since pair keys order
+    their two labels (a null or a number beside a string is refused)."""
+    if not isinstance(value, str):
+        raise CertificateError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 def check_small(X: OrbitComplex) -> Report:
@@ -188,40 +197,44 @@ def check_small(X: OrbitComplex) -> Report:
 
     seen_pairs = set()
     for e in X.pair_entries():
-        seen_pairs.add(e.key())
+        key = e.key()
+        seen_pairs.add(key)
         if not e.disjoint:
-            pair_rows.append({"pair": list(e.key()), "disjoint": False, "ok": True})
+            pair_rows.append({"pair": list(key), "disjoint": False, "ok": True})
             continue
         if e.hdim is None:
             inconclusive_reason = inconclusive_reason or (
-                f"pair {e.key()} marked disjoint but carries no hdim"
+                f"pair {key} marked disjoint but carries no hdim"
             )
             continue
         da, db = X.orbit(e.a).dim, X.orbit(e.b).dim
         lhs = e.hdim.value + da + db
         ok = lhs < n
         pair_rows.append(
-            {"pair": list(e.key()), "disjoint": True, "hdim": str(e.hdim),
+            {"pair": list(key), "disjoint": True, "hdim": str(e.hdim),
              "lhs": lhs, "bound": n, "ok": ok}
         )
         if not ok:
             if e.hdim.exact:
-                witness = witness or {"kind": "pair", "pair": list(e.key()), "lhs": lhs}
+                witness = witness or {"kind": "pair", "pair": list(key), "lhs": lhs}
             else:
                 inconclusive_reason = inconclusive_reason or (
-                    f"upper bound on pair {e.key()} does not settle the pair check"
+                    f"upper bound on pair {key} does not settle the pair check"
                 )
         else:
             slacks.append(n - 1 - lhs)
 
     if X.complete:
+        # the table is complete when it lists every unordered pair of
+        # orbits, a pair of one orbit with itself included; the label pairs
+        # are walked only to name the first one missing
         labels = [o.label for o in X.orbits]
-        for i, a in enumerate(labels):
-            for b in labels[i:]:
-                if tuple(sorted((a, b))) not in seen_pairs:
-                    inconclusive_reason = inconclusive_reason or (
-                        f"pair table declared complete but pair ({a},{b}) is missing"
-                    )
+        known = set(labels)
+        listed = sum(1 for a, b in seen_pairs if a in known and b in known)
+        if listed < len(known) * (len(known) + 1) // 2 and not inconclusive_reason:
+            a, b = next((a, b) for i, a in enumerate(labels) for b in labels[i:]
+                        if ((a, b) if a <= b else (b, a)) not in seen_pairs)
+            inconclusive_reason = f"pair table declared complete but pair ({a},{b}) is missing"
 
     if witness is not None:
         status = VIOLATION
@@ -311,11 +324,12 @@ def generate_join_model(d: int) -> OrbitComplex:
     subsets.sort(key=lambda s: (len(s), sorted(s)))
 
     labelled = [(S, "f" + "".join(str(i + 1) for i in sorted(S))) for S in subsets]
-    orbits = [Orbit(la, len(S) - 1, Hdim(d)) for S, la in labelled]
+    hdims = [Hdim(d - shared) for shared in range(d + 1)]
+    orbits = [Orbit(la, len(S) - 1, hdims[0]) for S, la in labelled]
     pairs = {}
     for i, (S, la) in enumerate(labelled):
         for T, lb in labelled[i:]:
-            e = PairEntry(la, lb, True, Hdim(d - len(S & T)))
+            e = PairEntry(la, lb, True, hdims[len(S & T)])
             pairs[e.key()] = e
     return OrbitComplex(
         boundary_dim=2 * d - 1,

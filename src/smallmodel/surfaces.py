@@ -20,7 +20,7 @@ class SurfaceError(ValueError):
     pass
 
 
-# Enumerating all 69,807 types at genus 6 takes 24-27 s (lemma-sweep
+# Enumerating all 69,807 types at genus 6 takes 14-19 s (lemma-sweep
 # --g 6 on a 2-core machine, Python 3.11), and one size at genus 7
 # (multicurves --g 7 --k 10) did not finish in 20 s: a larger genus is
 # refused at once instead of left running with no output.
@@ -271,34 +271,59 @@ def _multigraphs_with_degrees(degrees, genera=None):
 
 def _canonical(genera, mult):
     """Exact isomorphism key of a cut graph by individualisation and
-    refinement (McKay, Practical graph isomorphism, 1981): colour each
-    piece by (genus, loops), refine by the multiset of (neighbour colour,
-    multiplicity) until stable, split the first non-singleton cell each
-    way, and keep the least leaf encoding (genera and multiplicities
-    relabelled by the discrete colouring)."""
+    refinement (McKay, Practical graph isomorphism, 1981; McKay-Piperno
+    2014): colour each piece by the rank of its (genus, loops), refine,
+    split the first non-singleton cell each way, and keep the least leaf
+    encoding (genera and multiplicities relabelled by the discrete
+    colouring).
+
+    A refinement round gives piece x the rank of its colour and the
+    sorted neighbour signature col[y] * base + k over its curves to other
+    pieces y of multiplicity k. With base = 1 + the largest multiplicity
+    these integers order as the pairs (col[y], k) do, and neither depends
+    on the labelling, so the key is label-free. Rounds stop as soon as
+    the colouring is discrete, or when a round splits no cell."""
     v = len(genera)
     nbrs = [[] for _ in range(v)]
     for (i, j), k in mult.items():
         if i != j:
             nbrs[i].append((j, k))
             nbrs[j].append((i, k))
+    base = 1 + max(mult.values(), default=0)
 
-    def leaf(col):
-        while True:
-            sig = [(col[x], tuple(sorted((col[y], k) for y, k in nbrs[x]))) for x in range(v)]
-            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-            cells, col = len(set(col)), [rank[s] for s in sig]
-            if len(rank) == cells:
+    def leaf(col, cells):
+        while cells < v:
+            sig = [(col[x], tuple(sorted([col[y] * base + k for y, k in nbrs[x]])))
+                   for x in range(v)]
+            ranked = sorted(set(sig))
+            if len(ranked) == cells:
                 break
-        split = [x for x in range(v) if col.count(col[x]) > 1]
-        if not split:
-            edges = sorted((*sorted((col[i], col[j])), k) for (i, j), k in mult.items())
-            return tuple(g for _, g in sorted(zip(col, genera))), tuple(edges)
-        first = min(col[x] for x in split)
-        return min(leaf([2 * c + (y != x) for y, c in enumerate(col)])
-                   for x in split if col[x] == first)
+            rank = {s: r for r, s in enumerate(ranked)}
+            col = [rank[s] for s in sig]
+            cells = len(ranked)
+        if cells == v:
+            order = sorted(range(v), key=col.__getitem__)
+            pos = [0] * v
+            for p, x in enumerate(order):
+                pos[x] = p
+            edges = sorted((pos[i], pos[j], k) if pos[i] <= pos[j] else (pos[j], pos[i], k)
+                           for (i, j), k in mult.items())
+            return tuple(genera[x] for x in order), tuple(edges)
+        size = {}
+        for c in col:
+            size[c] = size.get(c, 0) + 1
+        first = min(c for c, n in size.items() if n > 1)
+        best = None
+        for x in range(v):
+            if col[x] == first:
+                key = leaf([2 * c + (y != x) for y, c in enumerate(col)], cells + 1)
+                if best is None or key < best:
+                    best = key
+        return best
 
-    return leaf([(genera[x], mult.get((x, x), 0)) for x in range(v)])
+    init = [(genera[x], mult.get((x, x), 0)) for x in range(v)]
+    rank = {s: r for r, s in enumerate(sorted(set(init)))}
+    return leaf([rank[s] for s in init], len(rank))
 
 
 def _dedupe(raw):

@@ -91,6 +91,38 @@ def connected(v, mult):
     return len(seen) == v
 
 
+def canonical_reference(genera, mult):
+    """``surfaces._canonical`` as it was before its refinement ran on
+    integer signatures: colour each piece by (genus, loops), refine by the
+    sorted (neighbour colour, multiplicity) pairs until a round splits no
+    cell, split the first non-singleton cell each way, and keep the least
+    leaf encoding (genera and multiplicities relabelled by the discrete
+    colouring)."""
+    v = len(genera)
+    nbrs = [[] for _ in range(v)]
+    for (i, j), k in mult.items():
+        if i != j:
+            nbrs[i].append((j, k))
+            nbrs[j].append((i, k))
+
+    def leaf(col):
+        while True:
+            sig = [(col[x], tuple(sorted((col[y], k) for y, k in nbrs[x]))) for x in range(v)]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            cells, col = len(set(col)), [rank[s] for s in sig]
+            if len(rank) == cells:
+                break
+        split = [x for x in range(v) if col.count(col[x]) > 1]
+        if not split:
+            edges = sorted((*sorted((col[i], col[j])), k) for (i, j), k in mult.items())
+            return tuple(g for _, g in sorted(zip(col, genera))), tuple(edges)
+        first = min(col[x] for x in split)
+        return min(leaf([2 * c + (y != x) for y, c in enumerate(col)])
+                   for x in split if col[x] == first)
+
+    return leaf([(genera[x], mult.get((x, x), 0)) for x in range(v)])
+
+
 def partitions(total, n, lo):
     """Nondecreasing n-tuples of integers >= lo that sum to total."""
     if n == 0:

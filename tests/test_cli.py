@@ -584,6 +584,32 @@ def test_nonsense_certificates_are_input_errors(tmp_path, capsys, payload, error
 
 
 @pytest.mark.parametrize("command", ["check-small", "certificate"])
+@pytest.mark.parametrize("payload, error", [
+    # a null label in an incomplete table used to exit 2 (inconclusive), and
+    # an int label beside a string one to raise a bare TypeError from the
+    # comparison of the two in a pair key
+    ({**orbit_certificate(1), "complete": False,
+      "orbits": [{"label": None, "dim": 0, "hdim": 2}, {"label": "e", "dim": 1, "hdim": 1}],
+      "pairs": []},
+     "orbit label must be a string, got None"),
+    ({**orbit_certificate(1),
+      "orbits": [{"label": "v", "dim": 0, "hdim": 2}, {"label": 7, "dim": 1, "hdim": 1}],
+      "pairs": [{"a": "v", "b": "v", "disjoint": True, "hdim": 1},
+                {"a": 7, "b": "v", "disjoint": True, "hdim": 1},
+                {"a": 7, "b": 7, "disjoint": True, "hdim": 0}]},
+     "orbit label must be a string, got 7"),
+    ({**orbit_certificate(1), "pairs": [*orbit_certificate(1)["pairs"][:2],
+                                        {"a": "e", "b": ["e"], "disjoint": False}]},
+     "pair endpoint must be a string, got ['e']"),
+])
+def test_non_string_orbit_labels_are_input_errors(tmp_path, capsys, command, payload, error):
+    code, rep = run_json(capsys, command, "--in", write_json(tmp_path, "in.json", payload))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == f"CertificateError: {error}"
+
+
+@pytest.mark.parametrize("command", ["check-small", "certificate"])
 @pytest.mark.parametrize("a, b", [("v", "e"), ("e", "v")])
 def test_a_pair_listed_twice_is_an_input_error(tmp_path, capsys, command, a, b):
     # a later entry used to replace an earlier one: an exact violation

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smallmodel.complexes import HomologyTable
 from smallmodel.smallness import (
@@ -105,6 +107,43 @@ def test_missing_pairs_keep_the_first_reason():
     del X.pairs[("v", "v")]
     assert check_small(X).details["reason"] == (
         "pair table declared complete but pair (v,v) is missing")
+
+
+def test_a_missing_pair_is_named():
+    X = tiny_complex()
+    del X.pairs[("v", "v")]
+    rep = check_small(X)
+    assert rep.status == INCONCLUSIVE
+    assert rep.details["reason"] == "pair table declared complete but pair (v,v) is missing"
+
+
+def test_an_unknown_pair_does_not_stand_in_for_a_missing_one():
+    # as many pair keys as the table needs, but one names no orbit: the
+    # completeness count takes only pairs of two orbits
+    X = tiny_complex()
+    X.pairs[("v", "w")] = PairEntry("v", "w", False)
+    del X.pairs[("e", "v")]
+    assert len(X.pairs) == 3
+    rep = check_small(X)
+    assert rep.status == INCONCLUSIVE
+    assert rep.details["reason"] == "pair table declared complete but pair (v,e) is missing"
+
+
+@given(st.text(max_size=4), st.text(max_size=4))
+def test_pair_key_is_the_sorted_labels(a, b):
+    assert PairEntry(a, b, False).key() == tuple(sorted((a, b)))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda data: data["orbits"][0].update(label=None), "orbit label must be a string, got None"),
+    (lambda data: data["orbits"][1].update(label=1), "orbit label must be a string, got 1"),
+    (lambda data: data["pairs"][0].update(b=0), "pair endpoint must be a string, got 0"),
+])
+def test_orbit_labels_must_be_strings(edit, error):
+    data = tiny_complex().to_json()
+    edit(data)
+    with pytest.raises(CertificateError, match=f"^{re.escape(error)}$"):
+        OrbitComplex.from_json(data)
 
 
 @pytest.mark.parametrize("first, second", [("v", "e"), ("e", "v")])

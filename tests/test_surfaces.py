@@ -23,7 +23,8 @@ from smallmodel.surfaces import (
 )
 from smallmodel.smallness import VERIFIED, check_small, vanishing_certificate
 
-from oracles import connected, enumerate_multicurves_by_matching, vertex_type_multisets
+from oracles import (canonical_reference, connected, enumerate_multicurves_by_matching,
+                     vertex_type_multisets)
 
 
 def test_harer_formulas():
@@ -250,6 +251,39 @@ def test_canonical_key_splits_what_refinement_cannot():
         perm = list(range(6))
         rnd.shuffle(perm)
         assert _canonical(*relabel(genera, graph, perm)) == _canonical(genera, graph)
+
+
+def raw_candidates(g):
+    """Every (genera, mult) the search yields for genus g, before dedupe,
+    in the order enumerate_multicurves hands them to it."""
+    raw = []
+    for k in range(1, 3 * g - 2):
+        for v in range(max(1, k + 1 - g), k + 2):
+            for types in _vertex_type_multisets(g, k, v):
+                genera = tuple(t[0] for t in types)
+                raw.extend((genera, mult)
+                           for mult in _multigraphs_with_degrees([t[1] for t in types], genera))
+    return raw
+
+
+def class_indices(keys):
+    """Each key's class as the index of its first appearance."""
+    first = {}
+    return [first.setdefault(key, len(first)) for key in keys]
+
+
+def test_canonical_key_against_reference():
+    # the integer signatures and the stop at a discrete colouring change
+    # neither the search tree nor its leaves: over every raw candidate at
+    # g = 2..5 the key splits the candidates as the reference does (so
+    # _dedupe keeps the same first members), and is the reference's key
+    raw = [c for g in range(2, 6) for c in raw_candidates(g)]
+    assert len(raw) == 5737
+    keys = [_canonical(*c) for c in raw]
+    reference = [canonical_reference(*c) for c in raw]
+    assert class_indices(keys) == class_indices(reference)
+    assert max(class_indices(keys)) + 1 == 4979
+    assert keys == reference
 
 
 # sha256 of repr([(piece_genera, curve_edges), ...]) over k = 1..3g-3,
