@@ -287,11 +287,18 @@ class ChainComplex:
         """Free ranks and torsion of H_k for each degree.
 
         Over Z the ranks and torsion come from the Smith invariant factors
-        of each boundary. Over F_p the degrees are walked top down with
-        clearing (Chen-Kerber 2011): a column of d_k indexed by the lead
-        row of a reduced column of d_(k+1) is skipped. That column of
-        d_(k+1) is a boundary, so d_k sends it to 0, and the skipped
-        column of d_k is a combination of the columns before it. This
+        of each boundary. Over F_p the degrees are walked with clearing
+        (Chen-Kerber 2011) from the end with fewer cells. Top down, a
+        column of d_k indexed by the lead row of a reduced column of
+        d_(k+1) is skipped: that column of d_(k+1) is a boundary, so d_k
+        sends it to 0, and the skipped column of d_k is a combination of
+        the columns before it. When the lowest degree has fewer cells
+        than the top one, the walk goes bottom up over the coboundaries
+        d_k^T (de Silva-Morozov-Vejdemo-Johansson 2011), which have the
+        same ranks, and a column of d_(k+1)^T indexed by the lead row of
+        a reduced column of d_k^T is skipped, by the same argument with
+        d_(k+1)^T d_k^T = (d_k d_(k+1))^T = 0; so the top-degree cycles,
+        all of a building's homology, are never reduced. Either way this
         needs d_k d_(k+1) = 0, which ``chain_complex`` guarantees by
         construction and ``tensor_total`` (also for the diagonal and
         quotient of ``diagonal.build_diagonal``) through ``check=True``; a
@@ -310,18 +317,35 @@ class ChainComplex:
                 tors = tuple(f for f in facs.get(k + 1, []) if f > 1)
                 entries.append((k, r, tors))
         else:
-            p = self.ring
+            # walk from the end with fewer cells: bottom up, reduce the
+            # coboundaries d_k^T, whose columns are the (k-1)-cells
+            up = self.rank(lowest) < self.rank(self.top)
             rk = {}
             lows = set()
-            for k in reversed(degrees):
+            for k in degrees if up else reversed(degrees):
                 cols = self.boundaries.get(k)
                 cleared, lows = lows, set()
-                rk[k] = rank_mod_p(cols, p, cleared=cleared, lows=lows) if cols else 0
+                if cols:
+                    if up:
+                        cols = _transposed(cols, self.rank(k - 1))
+                    rk[k] = rank_mod_p(cols, self.ring, cleared=cleared, lows=lows)
             entries = []
             for k in degrees:
                 r = self.rank(k) - rk.get(k, 0) - rk.get(k + 1, 0)
                 entries.append((k, r, ()))
         return HomologyTable(self.augmented, self.ring, tuple(entries))
+
+
+def _transposed(cols, rows):
+    """The columns of the transpose of ``cols``, a sparse matrix with
+    ``rows`` rows, handed out in order and each dropped once taken."""
+    out = [{} for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            out[i][j] = v
+    out.reverse()
+    while out:
+        yield out.pop()
 
 
 def maximal_cliques(adj) -> list:

@@ -14,12 +14,22 @@ Computational Algebraic Number Theory*, 2.4.14) so they cannot grow.
 Rank over F_p (p must be prime) reduces each column against the
 columns before it by its largest row index. Homology over F_p uses it
 with clearing (Chen-Kerber, *Persistent homology computation with a
-twist*, 2011): the column of d_k indexed by the lead row of each reduced
-column of d_(k+1) is skipped. That is exact when d_k d_(k+1) = 0, which
-``complexes.chain_complex`` guarantees by construction and
-``complexes.tensor_total`` through ``check=True``, for the product and
-for the diagonal and quotient that ``diagonal.build_diagonal`` takes
-from it.
+twist*, 2011), walking from the end of the complex with fewer cells.
+Top down, the column of d_k indexed by the lead row of each reduced
+column of d_(k+1) is skipped. Bottom up, when the lowest degree has
+fewer cells than the top one, the coboundaries d_k^T are reduced
+instead (de Silva, Morozov and Vejdemo-Johansson, *Dualities in
+persistent (co)homology*, 2011; Bauer, *Ripser*, 2021), and the column
+of d_(k+1)^T indexed by the lead row of each reduced column of d_k^T is
+skipped: the top-degree cycles of a building are then never reduced.
+Both are exact when d_k d_(k+1) = 0, since (d_k d_(k+1))^T =
+d_(k+1)^T d_k^T: a reduced column is a boundary (a coboundary) with
+its lead in the skipped column's index, so that column is a combination
+of the columns before it. ``complexes.chain_complex`` guarantees
+d d = 0 by construction and ``complexes.tensor_total`` through
+``check=True``, for the product and for the diagonal and quotient that
+``diagonal.build_diagonal`` takes from it; a ``ChainComplex`` built with
+``check=False`` must satisfy it too.
 """
 
 from __future__ import annotations
@@ -300,7 +310,8 @@ def is_prime(n) -> bool:
 
 
 def rank_mod_p(columns, p: int, *, cleared=frozenset(), lows=None) -> int:
-    """Rank over F_p of a sparse column matrix.
+    """Rank over F_p of a sparse column matrix, given as an iterable of
+    columns {row: coefficient}, each read once.
 
     Columns are reduced left to right; a column's lead is its largest
     row index, and the rank is the number of distinct leads. Columns
@@ -320,8 +331,10 @@ def rank_mod_p(columns, p: int, *, cleared=frozenset(), lows=None) -> int:
             factor = work.pop(lead)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(factor, p - 2, p)
-                pivots[lead] = {i: v * inv % p for i, v in work.items()}
+                if factor != 1:
+                    inv = pow(factor, p - 2, p)
+                    work = {i: v * inv % p for i, v in work.items()}
+                pivots[lead] = work
                 break
             for i, v in pivot.items():
                 # p is prime, so factor * v is not 0 mod p: an entry

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_rank_mod_p
+from smallmodel import complexes
 from smallmodel.complexes import (
+    ChainComplex,
     ComplexError,
     SimplicialComplex,
     chain_complex,
@@ -15,6 +17,8 @@ from smallmodel.complexes import (
     total_cells,
 )
 from smallmodel.diagonal import build_diagonal
+from smallmodel.flags import finite_building
+from smallmodel.normalform import rank_mod_p
 
 
 def circle(n=3):
@@ -166,12 +170,53 @@ def ranks_without_clearing(C, p):
     )
 
 
+def unimodular(rng, n):
+    """A random n x n integer matrix of determinant 1 and its inverse."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # a becomes E a and inv becomes inv E^-1, for E = I + c e_i e_j^T
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return a, inv
+
+
+def random_chain_complex(rng, ranks, p):
+    """A chain complex over F_p with the given ranks and random dense
+    boundaries d_k = A_(k-1) D_k A_k^-1, each A unimodular and D_k sending
+    its first r_k cells to the last r_k cells of degree k - 1, which
+    D_(k-1) leaves out, so that d_(k-1) d_k = 0."""
+    change = [unimodular(rng, n) for n in ranks]
+    boundaries = {}
+    r = 0
+    for k in range(1, len(ranks)):
+        r = rng.randint(0, min(ranks[k - 1] - r, ranks[k]))
+        a, below = change[k - 1][0], ranks[k - 1]
+        inv = change[k][1]
+        cols = []
+        for j in range(ranks[k]):
+            image = {below - 1 - i: inv[i][j] for i in range(r)}
+            col = {t: sum(a[t][s] * x for s, x in image.items()) % p for t in range(below)}
+            cols.append({t: v for t, v in col.items() if v})
+        boundaries[k] = cols
+    return ChainComplex(p, ranks, boundaries)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
 def test_clearing_against_dense_ranks(seed, p):
     rng = random.Random(seed)
     K = random_clique_complex(rng, rng.randint(3, 8))
-    complexes = [
+    # one complex walked bottom up (its bottom end has fewer cells) and
+    # one walked top down
+    ranks = sorted(rng.randint(1, 7) for _ in range(rng.randint(2, 5)))
+    ranks[-1] += ranks[0] == ranks[-1]
+    examples = [
+        random_chain_complex(rng, ranks, p),
+        random_chain_complex(rng, ranks[::-1], p),
         chain_complex(K, p, reduced=True),
         chain_complex(K, p, reduced=False),
         tensor_total(
@@ -180,8 +225,46 @@ def test_clearing_against_dense_ranks(seed, p):
         ),
         build_diagonal(random_clique_complex(rng, rng.randint(3, 5)), p).quotient,
     ]
-    for C in complexes:
+    for C in examples:
         assert C.homology().entries == ranks_without_clearing(C, p)
+
+
+@pytest.mark.parametrize("ranks, boundaries, expected", [
+    # a rank-0 degree between two nonzero ones, walked top down and bottom up
+    ([2, 0, 1], {1: [], 2: [{}]}, [2, 0, 1]),
+    ([1, 0, 2], {1: [], 2: [{}, {}]}, [1, 0, 2]),
+    # a zero boundary between two nonzero ones: the pivots of d_3 (of
+    # d_1^T bottom up) must not skip a column of d_1 (of d_3^T)
+    ([1, 1, 1, 1], {1: [{0: 1}], 3: [{0: 1}]}, [0, 0, 0, 0]),
+    ([1, 1, 1, 2], {1: [{0: 1}], 3: [{0: 1}, {0: 1}]}, [0, 0, 0, 1]),
+])
+def test_an_empty_degree_resets_clearing(ranks, boundaries, expected):
+    for p in (2, 3):
+        C = ChainComplex(p, ranks, boundaries)
+        assert [C.homology().rank(k) for k in range(len(ranks))] == expected
+        assert C.homology().entries == ranks_without_clearing(C, p)
+
+
+def test_homology_over_f_p_walks_from_the_smaller_end(monkeypatch):
+    calls = []
+
+    def recording(columns, p, **kwargs):
+        calls.append(list(columns))
+        return rank_mod_p(calls[-1], p, **kwargs)
+
+    monkeypatch.setattr(complexes, "rank_mod_p", recording)
+    # the reduced building: degree -1 has one cell, so the walk starts
+    # with the single column of the augmentation's transpose
+    K = finite_building(4, 3)
+    assert homology(K, 3).rank(2) == 3**6
+    assert calls[0] == [dict.fromkeys(range(len(K.vertices)), 1)]
+    # triangle x circle has ranks 9, 18, 12, 3: top down, from d_3
+    calls.clear()
+    disc = SimplicialComplex("abc", [["a", "b", "c"]])
+    C = tensor_total(chain_complex(disc, 3), chain_complex(circle(), 3))
+    assert C.ranks == [9, 18, 12, 3]
+    assert [C.homology().rank(n) for n in range(4)] == [1, 1, 0, 0]
+    assert calls[0] == C.boundaries[3]
 
 
 

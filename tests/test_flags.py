@@ -433,12 +433,14 @@ def test_building_5_2_over_z():
     assert h.to_json() == [{"degree": 3, "rank": 1024, "torsion": []}]
 
 
-@pytest.mark.parametrize("m, q, p", [(4, 3, 3), (5, 2, 2)])
+@pytest.mark.parametrize("m, q, p", [(4, 3, 3), (5, 2, 2), (5, 2, 3)])
 def test_building_over_f_p(m, q, p):
-    # Solomon-Tits over F_p: a wedge of q^(m(m-1)/2) spheres of dimension m - 2
+    # Solomon-Tits over F_p: a wedge of q^(m(m-1)/2) spheres of dimension
+    # m - 2, so unreduced homology adds only H_0 = F_p
     K = finite_building(m, q, max_m=max(4, m))
-    h = homology(K, p, reduced=True)
-    assert h.to_json() == [{"degree": m - 2, "rank": q ** (m * (m - 1) // 2), "torsion": []}]
+    top = {"degree": m - 2, "rank": q ** (m * (m - 1) // 2), "torsion": []}
+    assert homology(K, p, reduced=True).to_json() == [top]
+    assert homology(K, p, reduced=False).to_json() == [{"degree": 0, "rank": 1, "torsion": []}, top]
 
 
 def test_building_size_guard():
