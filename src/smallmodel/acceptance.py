@@ -135,8 +135,8 @@ def criterion_slm_pipeline(max_m: int = 5, random_per_m: int = 500,
 def criterion_buildings() -> Report:
     cases = []
     ok = True
-    for m, q in ((3, 2), (3, 3), (4, 2)):
-        K = flags.finite_building(m, q)
+    for m, q in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 2)):
+        K = flags.finite_building(m, q, max_m=max(4, m))
         expected_facets = flags.complete_flag_count(m, q)
         h = homology(K, "Z", reduced=True)
         expected_rank = q ** (m * (m - 1) // 2)

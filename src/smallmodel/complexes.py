@@ -286,19 +286,28 @@ class ChainComplex:
     def homology(self) -> HomologyTable:
         """Free ranks and torsion of H_k for each degree.
 
-        Over Z the ranks and torsion come from the Smith invariant factors
-        of each boundary. Over F_p the degrees are walked with clearing
-        (Chen-Kerber 2011) from the end with fewer cells. Top down, a
-        column of d_k indexed by the lead row of a reduced column of
-        d_(k+1) is skipped: that column of d_(k+1) is a boundary, so d_k
-        sends it to 0, and the skipped column of d_k is a combination of
-        the columns before it. When the lowest degree has fewer cells
-        than the top one, the walk goes bottom up over the coboundaries
-        d_k^T (de Silva-Morozov-Vejdemo-Johansson 2011), which have the
-        same ranks, and a column of d_(k+1)^T indexed by the lead row of
-        a reduced column of d_k^T is skipped, by the same argument with
-        d_(k+1)^T d_k^T = (d_k d_(k+1))^T = 0; so the top-degree cycles,
-        all of a building's homology, are never reduced. Either way this
+        One walk over the degrees, with clearing: the pivot columns found
+        in one boundary name the lines of the next one that are skipped.
+        Over Z the walk goes bottom up and H_k comes from the Smith
+        invariant factors of each boundary. A +-1 pivot that the unit
+        phase takes in d_k, at a (k-1)-cell a and a k-cell b, is a step of
+        Gaussian elimination on the complex (Kaczynski-Mrozek-Slusarek
+        1998): it removes a and b, and the only change it makes to
+        d_(k+1) is that row b is dropped. So d_(k+1) is reduced without
+        the rows of d_k's unit pivots, with the same invariant factors.
+        Over F_p the walk starts from the end with fewer cells (Chen-Kerber
+        2011). Top down, a column of d_k indexed by the lead row of a
+        reduced column of d_(k+1) is skipped: that column of d_(k+1) is a
+        boundary, so d_k sends it to 0, and the skipped column of d_k is a
+        combination of the columns before it. When the lowest degree has
+        fewer cells than the top one, the walk goes bottom up over the
+        coboundaries d_k^T (de Silva-Morozov-Vejdemo-Johansson 2011),
+        which have the same ranks, and a column of d_(k+1)^T indexed by
+        the lead row of a reduced column of d_k^T is skipped, by the same
+        argument with d_(k+1)^T d_k^T = (d_k d_(k+1))^T = 0; so the
+        top-degree cycles, all of a building's homology, are never
+        reduced. Those columns are the k-cells whose rows the Z walk
+        skips. An empty degree skips nothing in the next one. Every ring
         needs d_k d_(k+1) = 0, which ``chain_complex`` guarantees by
         construction and ``tensor_total`` (also for the diagonal and
         quotient of ``diagonal.build_diagonal``) through ``check=True``; a
@@ -306,34 +315,28 @@ class ChainComplex:
         """
         lowest = -1 if self.augmented else 0
         degrees = range(lowest, self.top + 1)
-        if self.ring == "Z":
-            facs = {}
-            for k in degrees:
-                cols = self.boundaries.get(k)
-                facs[k] = invariant_factors(cols) if cols else []
-            entries = []
-            for k in degrees:
-                r = self.rank(k) - len(facs.get(k, [])) - len(facs.get(k + 1, []))
-                tors = tuple(f for f in facs.get(k + 1, []) if f > 1)
-                entries.append((k, r, tors))
-        else:
-            # walk from the end with fewer cells: bottom up, reduce the
-            # coboundaries d_k^T, whose columns are the (k-1)-cells
-            up = self.rank(lowest) < self.rank(self.top)
-            rk = {}
-            lows = set()
-            for k in degrees if up else reversed(degrees):
-                cols = self.boundaries.get(k)
-                cleared, lows = lows, set()
-                if cols:
-                    if up:
-                        cols = _transposed(cols, self.rank(k - 1))
-                    rk[k] = rank_mod_p(cols, self.ring, cleared=cleared, lows=lows)
-            entries = []
-            for k in degrees:
-                r = self.rank(k) - rk.get(k, 0) - rk.get(k + 1, 0)
-                entries.append((k, r, ()))
-        return HomologyTable(self.augmented, self.ring, tuple(entries))
+        over_z = self.ring == "Z"
+        up = over_z or self.rank(lowest) < self.rank(self.top)
+        rk, tors = {}, {}
+        lows = set()
+        for k in degrees if up else reversed(degrees):
+            cols = self.boundaries.get(k)
+            cleared, lows = lows, set()
+            if not cols:
+                continue
+            if over_z:
+                facs = invariant_factors(cols, cleared=cleared, lows=lows)
+                rk[k] = len(facs)
+                tors[k] = tuple(f for f in facs if f > 1)
+            else:
+                # bottom up, reduce the coboundaries d_k^T, whose columns
+                # are the (k-1)-cells
+                if up:
+                    cols = _transposed(cols, self.rank(k - 1))
+                rk[k] = rank_mod_p(cols, self.ring, cleared=cleared, lows=lows)
+        entries = tuple((k, self.rank(k) - rk.get(k, 0) - rk.get(k + 1, 0), tors.get(k + 1, ()))
+                        for k in degrees)
+        return HomologyTable(self.augmented, self.ring, entries)
 
 
 def _transposed(cols, rows):

@@ -16,6 +16,7 @@ boundary is written once; the full product complex is never built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,12 +33,17 @@ class ProductCells:
     cells: dict
 
 
+def _masks(K) -> list:
+    """The simplices of K by dimension, each as the bitmask of its vertex
+    indices (bit v for vertex v)."""
+    return [[sum(1 << v for v in s) for s in K.simplices(d)] for d in range(K.dim + 1)]
+
+
 def _on_diagonal(K, cells) -> dict:
     """{n: one bool per cell of ``cells[n]``}, true where the union of the
-    two simplices spans a simplex of K. Each simplex is the bitmask of its
-    vertex indices (bit v for vertex v), so a union is one ``|`` and a
-    simplex one set lookup."""
-    masks = [[sum(1 << v for v in s) for s in K.simplices(d)] for d in range(K.dim + 1)]
+    two simplices spans a simplex of K. Each simplex is a bitmask, so a
+    union is one ``|`` and a simplex one set lookup."""
+    masks = _masks(K)
     faces = {m for level in masks for m in level}
     return {n: [masks[i][a] | masks[j][b] in faces for i, a, j, b in row]
             for n, row in cells.items()}
@@ -99,17 +105,45 @@ def decomposition_check(K: SimplicialComplex) -> Report:
         for (i, _, j, _), d in zip(cells[n], on):
             if d:
                 lhs[(i, j)] = lhs.get((i, j), 0) + 1
+    stars = _star_counts(K)
     mism = []
     table = {}
     for i in range(K.dim + 1):
-        stars = [K.delta_sigma(s) for s in K.simplices(i)]
         for j in range(K.dim + 1):
             count = lhs.get((i, j), 0)
-            rhs = sum(len(star.simplices(j)) for star in stars)
+            rhs = stars.get((i, j), 0)
             table[f"({i},{j})"] = [count, rhs]
             if count != rhs:
                 mism.append((i, j, count, rhs))
     return _check("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
+
+
+def _star_counts(K) -> dict:
+    """{(i, j): the j-simplices of the closed star of each i-simplex s,
+    summed over s}. The closed star is the union of the facets that
+    contain s (``SimplicialComplex.delta_sigma``), so its simplices are
+    the nonempty subsets of those facets, counted here as bitmasks
+    without building a complex per simplex."""
+    subsets = []
+    for f in K.facets:
+        top = sum(1 << v for v in f)
+        sub, m = [], top
+        while m:
+            sub.append(m)
+            m = (m - 1) & top
+        subsets.append((top, sub))
+    counts = {}
+    for i, level in enumerate(_masks(K)):
+        sizes = Counter()
+        for s in level:
+            star = set()
+            for top, sub in subsets:
+                if top & s == s:
+                    star.update(sub)
+            sizes.update(map(int.bit_count, star))
+        for size, c in sizes.items():
+            counts[(i, size - 1)] = c  # a j-simplex has j + 1 vertices
+    return counts
 
 
 def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> Report:

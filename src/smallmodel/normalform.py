@@ -10,6 +10,15 @@ then shortest row first to limit fill (Dumas-Saunders-Villard 2001),
 and runs the Euclidean loop only on the residual, with its entries
 reduced modulo a nonzero maximal minor (Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4.14) so they cannot grow.
+Homology over Z walks the boundaries bottom up and reduces d_(k+1)
+without the rows that were unit pivot columns of d_k: each such pivot
+is one step of Gaussian elimination on the chain complex, which removes
+a (k-1)-cell and a k-cell and leaves d_(k+1) with that k-cell's row
+dropped, so the invariant factors of every degree, torsion included,
+do not change (Kaczynski-Mrozek-Slusarek, *Homology computation by
+reduction of chain complexes*, 1998; Skoldberg, *Morse theory from an
+algebraic viewpoint*, 2006). Like clearing over F_p below, this needs
+d_k d_(k+1) = 0.
 
 Rank over F_p (p must be prime) reduces each column against the
 columns before it by its largest row index. Homology over F_p uses it
@@ -59,12 +68,14 @@ class _Sparse:
     as columns {j: {i: v}}, each the mirror of the other and with no empty
     line. Every nonzero entry is written by ``_sub``."""
 
-    def __init__(self, columns, bit_bound, modulus=None):
+    def __init__(self, columns, bit_bound, modulus=None, skip=frozenset()):
         self.cols = {}
         self.rows = {}
         self.bit_bound = bit_bound
         self.modulus = modulus  # entries kept as residues in (-modulus/2, modulus/2]
         for j, col in enumerate(columns):
+            if skip:
+                col = {i: v for i, v in col.items() if i not in skip}
             # column j of the empty matrix minus -1 times the input column
             self._sub(self.cols, self.rows, j, col, -1)
 
@@ -135,8 +146,9 @@ class _Sparse:
                     del mirror[k]
 
 
-def _eliminate_units(mat) -> int:
+def _eliminate_units(mat, lows=None) -> int:
     """Pivot on +-1 entries until none is left; return the pivot count.
+    If ``lows`` is a set, the column of every pivot is added to it.
 
     Columns come off a heap shortest first; in each, the unit with the
     shortest row is the pivot. Its column is cleared by exact row
@@ -164,6 +176,8 @@ def _eliminate_units(mat) -> int:
         touched = [j for j in mat.rows[i0] if j != j0]
         mat.drop_cross(i0, j0)
         pivots += 1
+        if lows is not None:
+            lows.add(j0)
         for j in touched:
             if j in mat.cols:
                 heapq.heappush(heap, (len(mat.cols[j]), j))
@@ -199,14 +213,25 @@ def _rank_and_minor(columns):
     return rank, abs(prev)
 
 
-def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND) -> list[int]:
+def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND, *,
+                      cleared=frozenset(), lows=None) -> list[int]:
     """Nonzero Smith invariant factors (positive, divisibility-ordered).
 
     ``columns`` is a list of sparse columns {row: int}. The number of
-    factors equals the rank of the matrix over Q.
+    factors equals the rank of the matrix over Q. Rows whose index is in
+    ``cleared`` are left out, so the caller vouches that leaving them out
+    keeps the factors. For d_(k+1) of a complex, row b may go when b is
+    the column of a unit pivot of d_k: the column operations that clear
+    the pivot's row change the basis of C_k, and in the new basis every
+    cycle of d_k keeps its other coordinates and has 0 at b. The columns
+    of d_(k+1) are cycles when d_k d_(k+1) = 0, which this needs, as
+    clearing over F_p does. If ``lows`` is a set, the column of every
+    unit pivot is added to it. A pivot of the Euclidean residual is
+    taken modulo a minor, which is no change of basis over Z, and is not
+    added.
     """
-    mat = _Sparse(columns, bit_bound)
-    factors = [1] * _eliminate_units(mat)
+    mat = _Sparse(columns, bit_bound, skip=cleared)
+    factors = [1] * _eliminate_units(mat, lows)
     if not mat.cols:
         return factors
     # The residual's columns span a lattice L of rank r, and det, a nonzero

@@ -3,9 +3,19 @@
 import collections
 import itertools
 
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
+
 from smallmodel import ratlin
-from smallmodel.complexes import ChainComplex, chain_complex, tensor_total, total_cells
+from smallmodel.complexes import (
+    ChainComplex,
+    HomologyTable,
+    chain_complex,
+    tensor_total,
+    total_cells,
+)
 from smallmodel.flags import FlagError, RationalFlag, _containment_rows, _stab_constraint_rows
+from smallmodel.normalform import invariant_factors
 from smallmodel.ratlin import sparse_rank
 from smallmodel.surfaces import SurfaceError, _dedupe
 
@@ -40,6 +50,60 @@ def dense_rank_mod_p(rows, p):
         rank += 1
         col += 1
     return rank
+
+
+def homology_per_degree(C):
+    """Homology of a ChainComplex over Z from the Smith invariant factors
+    of every boundary, each reduced from scratch with no row skipped."""
+    lowest = -1 if C.augmented else 0
+    degrees = range(lowest, C.top + 1)
+    facs = {}
+    for k in degrees:
+        cols = C.boundaries.get(k)
+        facs[k] = invariant_factors(cols) if cols else []
+    return _homology_from_factors(C, facs)
+
+
+def homology_by_sympy(C):
+    """Homology of a ChainComplex over Z from sympy's Smith normal form of
+    every boundary, each as a dense matrix."""
+    facs = {}
+    for k, cols in C.boundaries.items():
+        if cols and C.rank(k - 1):
+            smith = smith_normal_form(sympy.Matrix(C.rank(k - 1), len(cols),
+                                                   lambda i, j: cols[j].get(i, 0)))
+            facs[k] = sorted(int(abs(smith[i, i])) for i in range(min(smith.shape))
+                             if smith[i, i])
+    return _homology_from_factors(C, facs)
+
+
+def _homology_from_factors(C, facs):
+    """The HomologyTable of C from {k: the nonzero invariant factors of
+    d_k, in divisibility order}."""
+    lowest = -1 if C.augmented else 0
+    entries = []
+    for k in range(lowest, C.top + 1):
+        r = C.rank(k) - len(facs.get(k, [])) - len(facs.get(k + 1, []))
+        tors = tuple(f for f in facs.get(k + 1, []) if f > 1)
+        entries.append((k, r, tors))
+    return HomologyTable(C.augmented, C.ring, tuple(entries))
+
+
+def grid_surface(n, twist):
+    """The n x n grid on the square as ``SimplicialComplex.from_json``
+    data, two triangles per cell, with x wrapping mod n; crossing the top
+    edge maps (x, n) to (x, 0) (a torus) or to (-x mod n, 0) (a Klein
+    bottle). n >= 3 keeps it simplicial."""
+    def v(x, y):
+        if y == n:
+            x, y = ((-x) % n if twist else x % n), 0
+        return f"{x % n}{y}"
+    facets = []
+    for x in range(n):
+        for y in range(n):
+            a, b, c, d = v(x, y), v(x + 1, y), v(x, y + 1), v(x + 1, y + 1)
+            facets += [[a, b, d], [a, c, d]]
+    return {"vertices": sorted({u for f in facets for u in f}), "facets": facets}
 
 
 class ProductChainComplex:

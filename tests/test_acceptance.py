@@ -43,6 +43,16 @@ def test_checked_counts_at_seed_0(results):
     assert [results[n].details["checked"] for n in (1, 2, 3)] == [18867, 14553, 12553]
 
 
+def test_buildings_over_z_include_gl4_f3_and_gl5_f2(results):
+    cases = results[4].details["cases"]
+    assert [(c["m"], c["q"]) for c in cases] == [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+    assert all(c["ok"] for c in cases)
+    assert [c["homology"] for c in cases[3:]] == [
+        [{"degree": 2, "rank": 3**6, "torsion": []}],
+        [{"degree": 3, "rank": 2**10, "torsion": []}],
+    ]
+
+
 # sha256 of criterion 11's report without its runtime, pinned while the
 # obstruction functions returned hand-written dicts; re-recorded when the
 # key "verdict" of each entry of its "results" became "status", the only

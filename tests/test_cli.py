@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import grid_surface
 from smallmodel import cli
 from smallmodel.cli import main
 from smallmodel.normalform import PivotExplosion
@@ -406,6 +407,41 @@ def test_diagonal_reports_pinned(tmp_path, capsys, monkeypatch, name):
     code, rep = run_json(capsys, "diagonal", "--in", "K.json")
     assert code == 0 and rep["status"] == "verified"
     del rep["runtime_ms"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+# `smallmodel --json homology --in K.json` over Z, reduced and unreduced:
+# sha256 of the report without its runtime, pinned before the Z walk
+# skipped the rows of unit pivots
+HOMOLOGY_PINS = {
+    "projective-plane": ({"vertices": [1, 2, 3, 4, 5, 6],
+                          "facets": [[1, 2, 6], [2, 3, 6], [3, 4, 6], [4, 5, 6], [1, 5, 6],
+                                     [1, 2, 4], [2, 4, 5], [2, 3, 5], [1, 3, 5], [1, 3, 4]]},
+                         "17b7ee00bb03f192d822f0dd7827a762b8b397cc881b730d611d38bc6de8c2aa",
+                         "0452c6cbb3ecf2132139fd512cb4fcf16de34338dd14c654726dff7753d619bb"),
+    "klein-bottle": (grid_surface(4, twist=True),
+                     "9e981cae3cb65b1e7243eab4a61361066cec37c87b4c0c933e192ac941b1e23c",
+                     "bbba1a41a7e28d56aa405fd3afc622f314c4ea8585f88de0f78838768ea8fe64"),
+    "torus": (grid_surface(3, twist=False),
+              "5d2278d542ffadae951b97d16d4397378e0fafe18fa134191a71c708a9292084",
+              "18d672f56d1990a8e762a49a9471929351386a7a43fe53de3fed4e3cd9740ab6"),
+    "hollow-tetrahedron": (DIAGONAL_PINS["hollow-tetrahedron"][0],
+                           "379f735b4b440fd4fb4332cabfed0a40ba58f18bff214a21493d54eacbcac64c",
+                           "aa646ed1fe6524428d1fa9cbdcd363c4950e3b7b2750c2b872e2df80c42b9abe"),
+}
+
+
+@pytest.mark.parametrize("unreduced", [False, True])
+@pytest.mark.parametrize("name", list(HOMOLOGY_PINS))
+def test_homology_reports_pinned(tmp_path, capsys, monkeypatch, name, unreduced):
+    payload, reduced_digest, unreduced_digest = HOMOLOGY_PINS[name]
+    monkeypatch.chdir(tmp_path)  # the relative path keeps inputs-digest fixed
+    write_json(tmp_path, "K.json", payload)
+    flags = ["--unreduced"] if unreduced else []
+    code, rep = run_json(capsys, "homology", "--in", "K.json", *flags)
+    assert code == 0 and rep["status"] == "verified"
+    del rep["runtime_ms"]
+    digest = unreduced_digest if unreduced else reduced_digest
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank_mod_p
+from oracles import dense_rank_mod_p, grid_surface, homology_by_sympy, homology_per_degree
 from smallmodel import complexes
 from smallmodel.complexes import (
     ChainComplex,
@@ -18,7 +18,7 @@ from smallmodel.complexes import (
 )
 from smallmodel.diagonal import build_diagonal
 from smallmodel.flags import finite_building
-from smallmodel.normalform import rank_mod_p
+from smallmodel.normalform import invariant_factors, rank_mod_p
 
 
 def circle(n=3):
@@ -184,25 +184,30 @@ def unimodular(rng, n):
     return a, inv
 
 
-def random_chain_complex(rng, ranks, p):
-    """A chain complex over F_p with the given ranks and random dense
-    boundaries d_k = A_(k-1) D_k A_k^-1, each A unimodular and D_k sending
-    its first r_k cells to the last r_k cells of degree k - 1, which
-    D_(k-1) leaves out, so that d_(k-1) d_k = 0."""
+def random_chain_complex(rng, ranks, ring, factors=None):
+    """A chain complex over ``ring`` (F_p or Z) with the given ranks and
+    random dense boundaries d_k = A_(k-1) D_k A_k^-1, each A unimodular
+    and D_k sending its first r_k cells to the last r_k cells of degree
+    k - 1, which D_(k-1) leaves out, so that d_(k-1) d_k = 0. Each of
+    those images is scaled by a draw from ``factors`` when it is given,
+    so that over Z a factor other than +-1 is torsion."""
     change = [unimodular(rng, n) for n in ranks]
     boundaries = {}
     r = 0
     for k in range(1, len(ranks)):
         r = rng.randint(0, min(ranks[k - 1] - r, ranks[k]))
+        scale = [rng.choice(factors) if factors else 1 for _ in range(r)]
         a, below = change[k - 1][0], ranks[k - 1]
         inv = change[k][1]
         cols = []
         for j in range(ranks[k]):
-            image = {below - 1 - i: inv[i][j] for i in range(r)}
-            col = {t: sum(a[t][s] * x for s, x in image.items()) % p for t in range(below)}
+            image = {below - 1 - i: scale[i] * inv[i][j] for i in range(r)}
+            col = {t: sum(a[t][s] * x for s, x in image.items()) for t in range(below)}
+            if ring != "Z":
+                col = {t: v % ring for t, v in col.items()}
             cols.append({t: v for t, v in col.items() if v})
         boundaries[k] = cols
-    return ChainComplex(p, ranks, boundaries)
+    return ChainComplex(ring, ranks, boundaries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,6 +248,100 @@ def test_an_empty_degree_resets_clearing(ranks, boundaries, expected):
         C = ChainComplex(p, ranks, boundaries)
         assert [C.homology().rank(k) for k in range(len(ranks))] == expected
         assert C.homology().entries == ranks_without_clearing(C, p)
+
+
+def assert_three_ways(C):
+    """The walk that skips the rows of unit pivots, every boundary reduced
+    from scratch, and sympy's Smith forms give one HomologyTable."""
+    h = C.homology()
+    assert h == homology_per_degree(C)
+    assert h == homology_by_sympy(C)
+    return h
+
+
+def shuffled(rng, K):
+    """K with its vertices renamed at random, which reorders every
+    boundary."""
+    names = rng.sample(range(len(K.vertices)), len(K.vertices))
+    return K.relabel(dict(zip(K.vertices, names)))
+
+
+# factors for the hand-built boundaries: units, and torsion
+FACTORS = (1, -1, 1, -1, 2, -2, 3, 4, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_homology_over_z_against_every_degree_from_scratch_and_sympy(seed):
+    rng = random.Random(seed)
+    klein_bottle = SimplicialComplex.from_json(grid_surface(4, twist=True))
+    for reduced in (True, False):
+        K = random_clique_complex(rng, rng.randint(3, 8))
+        assert_three_ways(chain_complex(K, "Z", reduced=reduced))
+        h = assert_three_ways(chain_complex(shuffled(rng, projective_plane()), "Z", reduced))
+        assert (h.rank(1), h.torsion(1), h.rank(2)) == (0, (2,), 0)
+        h = assert_three_ways(chain_complex(shuffled(rng, klein_bottle), "Z", reduced))
+        assert (h.rank(1), h.torsion(1), h.rank(2)) == (1, (2,), 0)
+    # dense boundaries with torsion, and their product, whose Tor terms
+    # sit one degree above the tensor terms
+    A = random_chain_complex(rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 4))],
+                             "Z", FACTORS)
+    B = random_chain_complex(rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 3))],
+                             "Z", FACTORS)
+    for C in (A, B, tensor_total(A, B)):
+        assert_three_ways(C)
+
+
+def test_homology_over_z_of_products_with_tor_terms():
+    # Z/2 in degree 0, squared: Z/2 (x) Z/2 in degree 0 and Tor(Z/2, Z/2)
+    # in degree 1
+    C = ChainComplex("Z", [1, 1], {1: [{0: 2}]})
+    assert assert_three_ways(tensor_total(C, C)).to_json() == [
+        {"degree": 0, "rank": 0, "torsion": [2]}, {"degree": 1, "rank": 0, "torsion": [2]}]
+    # RP^2 x RP^2 (Kunneth): H_1 = (Z/2)^2, H_2 = Z/2 (x) Z/2 and H_3 =
+    # Tor(Z/2, Z/2)
+    rp2 = chain_complex(projective_plane(), "Z")
+    assert assert_three_ways(tensor_total(rp2, rp2)).entries == (
+        (0, 1, ()), (1, 0, (2, 2)), (2, 0, (2,)), (3, 0, (2,)), (4, 0, ()))
+
+
+@pytest.mark.parametrize("ranks, boundaries, expected", [
+    # a rank-0 degree between two nonzero ones: the unit pivot of d_1
+    # must not skip row 0 of d_4, which holds the torsion
+    ([1, 1, 0, 1, 1], {1: [{0: 1}], 4: [{0: 2}]}, [(0, ()), (0, ()), (0, ()), (0, (2,)), (0, ())]),
+    # a zero boundary between two nonzero ones, the same way
+    ([1, 1, 1, 1], {1: [{0: 1}], 3: [{0: 3}]}, [(0, ()), (0, ()), (0, (3,)), (0, ())]),
+    ([1, 1, 1, 1], {1: [{0: 1}], 2: [{}], 3: [{0: 1}]}, [(0, ()), (0, ()), (0, ()), (0, ())]),
+])
+def test_an_empty_degree_resets_the_rows_skipped_over_z(ranks, boundaries, expected):
+    C = ChainComplex("Z", ranks, boundaries)
+    h = assert_three_ways(C)
+    assert [(h.rank(k), h.torsion(k)) for k in range(len(ranks))] == expected
+
+
+def test_homology_over_z_skips_the_rows_of_unit_pivots(monkeypatch):
+    calls = []
+
+    def recording(columns, *args, **kwargs):
+        factors = invariant_factors(columns, *args, **kwargs)
+        calls.append((columns, set(kwargs.get("cleared", ())), set(kwargs.get("lows") or ())))
+        return factors
+
+    monkeypatch.setattr(complexes, "invariant_factors", recording)
+    # the reduced building of GL_4(F_3): bottom up, one call per boundary,
+    # each skipping the rows named by the unit pivots of the one before
+    K = finite_building(4, 3)
+    C = chain_complex(K, "Z", reduced=True)
+    assert C.homology().to_json() == [{"degree": 2, "rank": 3**6, "torsion": []}]
+    assert [columns for columns, _, _ in calls] == [C.boundaries[k] for k in (0, 1, 2)]
+    (_, skip0, units0), (_, skip1, units1), (_, skip2, _) = calls
+    assert skip0 == set() and skip1 == units0 and skip2 == units1
+    # the augmentation's one pivot skips a vertex, and d_1 of a connected
+    # graph (totally unimodular) has unit pivots only, so d_2, the top
+    # boundary, reaches invariant_factors without the rows of a spanning
+    # tree's edges
+    assert len(units0) == 1
+    assert len(skip2) == len(K.vertices) - 1
 
 
 def test_homology_over_f_p_walks_from_the_smaller_end(monkeypatch):

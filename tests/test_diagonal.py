@@ -215,6 +215,21 @@ def test_check_retraction_builds_neither_product_nor_quotient(monkeypatch):
             assert check_retraction(K, ring).passed
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_star_counts_against_delta_sigma(seed):
+    # the closed stars, counted by bitmask, against the complexes
+    # ``delta_sigma`` builds
+    K = random_complex(random.Random(seed))
+    counts = {}
+    for s in K.all_simplices():
+        star = K.delta_sigma(s)
+        for j in range(star.dim + 1):
+            key = (len(s) - 1, j)
+            counts[key] = counts.get(key, 0) + len(star.simplices(j))
+    assert diagonal._star_counts(K) == counts
+
+
 def test_decomposition_check_builds_no_chain_complex(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition_check built a chain complex")
