@@ -27,11 +27,30 @@ def line(report: Report) -> str:
     return f"[{tag}] criterion {d['number']:2d} {d['name']} ({d['runtime_s']:.1f}s)"
 
 
+# Size guards of the exhaustive sweeps, as the largest m each accepts. The
+# next m outlasts a minute: lemma-upper takes about 10 s at m = 7 and over
+# 60 s at m = 8, and the pair sweeps have 121,419 coordinate pairs at
+# m = 6 but about 2.6 million at m = 7.
+MAX_FORCED_ZEROS_M = 7
+MAX_PAIR_SWEEP_M = 6
+
+
+def _check_sweep(max_m: int, bound: int, name: str, random_per_m: int = 0) -> None:
+    """Refuse a sweep that would check nothing or outlast its size guard."""
+    if max_m < 2:
+        raise flags.FlagError(f"a sweep needs m >= 2, got m = {max_m}")
+    if max_m > bound:
+        raise flags.FlagError(f"size guard: m = {max_m} exceeds {name} = {bound}")
+    if random_per_m < 0:
+        raise flags.FlagError(f"random pairs per m must be >= 0, got {random_per_m}")
+
+
 # ---------------------------------------------------------------------------
 # 1. forced zeros of permuted coordinate flags
 
 
 def criterion_forced_zeros(max_m: int = 6) -> Report:
+    _check_sweep(max_m, MAX_FORCED_ZEROS_M, "MAX_FORCED_ZEROS_M")
     checked = 0
     violations = []
     for m in range(2, max_m + 1):
@@ -78,6 +97,7 @@ def _coordinate_pairs(m: int):
 
 def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
                           seed: int = 0) -> Report:
+    _check_sweep(max_m, MAX_PAIR_SWEEP_M, "MAX_PAIR_SWEEP_M", random_per_m)
     checked = 0
     violations = []
     for m in range(2, max_m + 1):
@@ -105,6 +125,7 @@ def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
 
 def criterion_slm_pipeline(max_m: int = 5, random_per_m: int = 500,
                            seed: int = 0) -> Report:
+    _check_sweep(max_m, MAX_PAIR_SWEEP_M, "MAX_PAIR_SWEEP_M", random_per_m)
     checked = 0
     violations = []
 

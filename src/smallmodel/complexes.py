@@ -385,15 +385,21 @@ def homology(K: SimplicialComplex, ring="Z", reduced=True) -> HomologyTable:
     return chain_complex(K, ring, reduced=reduced).homology()
 
 
+def guard_product(ranks_a, ranks_b) -> None:
+    """Refuse a product of complexes with these ranks when it has more
+    than MAX_PRODUCT_CELLS cells."""
+    na, nb = sum(ranks_a), sum(ranks_b)
+    if na * nb > MAX_PRODUCT_CELLS:
+        raise ComplexError(f"size guard: {na} x {nb} cells give {na * nb} product cells, "
+                           f"more than MAX_PRODUCT_CELLS = {MAX_PRODUCT_CELLS}")
+
+
 def total_cells(ranks_a, ranks_b) -> dict:
     """Cells of the total complex of A (x) B by degree n, each as
     (i, a, j, b): cell a of degree i of A times cell b of degree j of B,
     i + j = n. Ordered by i, then a, then b; this is the one cell order
     of a tensor product, and ``tensor_total`` uses it for its bases."""
-    na, nb = sum(ranks_a), sum(ranks_b)
-    if na * nb > MAX_PRODUCT_CELLS:
-        raise ComplexError(f"size guard: {na} x {nb} cells give {na * nb} product cells, "
-                           f"more than MAX_PRODUCT_CELLS = {MAX_PRODUCT_CELLS}")
+    guard_product(ranks_a, ranks_b)
     return {
         n: [(i, a, n - i, b)
             for i in range(max(0, n - len(ranks_b) + 1), min(n, len(ranks_a) - 1) + 1)

@@ -12,6 +12,11 @@ is also computed as the nullity of its exact integer constraint system,
 which split_dims checks its formula against, and the coordinate-flag
 combinatorics (forced zero patterns) give an independent route for
 cross-checks.
+
+The ranks of the sums E_i + F_j and the induced images (E_{i+1} & F_j) + E_i
+are memoized, keyed by canonical bases, in caches of at most MEMO_SIZE
+entries: coordinate sweeps meet the same few subspaces over and over,
+while random pairs share almost none and must not grow the caches.
 """
 
 from __future__ import annotations
@@ -155,6 +160,11 @@ def forced_zero_count(spec: CoordinateFlagSpec) -> int:
 # table of intersection dimensions.
 
 
+# Bound of every memo in this module. The subspace memos are keyed by
+# canonical bases, so equal tuples are equal subspaces.
+MEMO_SIZE = 4096
+
+
 def _containment_rows(m: int, pairs):
     """Sparse rows over the m*m matrix entries cutting out
     {A : A src <= dst for every (src, dst) pair}: one row u.A.b per
@@ -172,7 +182,7 @@ def _containment_rows(m: int, pairs):
     return rows
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _stab_constraint_rows(flag: RationalFlag):
     """Rows cutting out the stabilizer algebra {A : A V <= V for every
     flag subspace}."""
@@ -185,11 +195,19 @@ def stab_dim(flag: RationalFlag) -> int:
     return flag.m * flag.m - sparse_rank(_stab_constraint_rows(flag))
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _sum_dim(a: tuple, b: tuple) -> int:
+    """dim(A + B) for canonical bases a and b."""
+    return rank(a + b)
+
+
 @functools.lru_cache(maxsize=1)
 def _pair_table(e: RationalFlag, f: RationalFlag) -> tuple:
     """Table d[i][j] = dim(E_i & F_j) over the padded flags (E_0 = F_0 = 0
     and E_a = F_b = Q^m). Cached for the last pair, which orbit_codim,
-    slm_inequality, induced_flags and f0_subflag all read.
+    slm_inequality, induced_flags and f0_subflag all read. Each entry is
+    dim E_i + dim F_j - dim(E_i + F_j), the last read from the memo
+    ``_sum_dim`` over the two canonical bases.
 
     Any two flags have a common adapted basis (they lie in a common
     apartment: Abramenko-Brown, Buildings, 2008), and
@@ -199,8 +217,7 @@ def _pair_table(e: RationalFlag, f: RationalFlag) -> tuple:
         raise FlagError("ambient dimensions differ")
     zero = (0,) * (f.length + 2)
     return (zero,) + tuple(
-        (0, *(len(ei) + len(fj) - len(ratlin.sum_space(ei, fj)) for fj in f.subspaces),
-         len(ei))
+        (0, *(len(ei) + len(fj) - _sum_dim(ei, fj) for fj in f.subspaces), len(ei))
         for ei in e.subspaces
     ) + ((0, *f.dims(), e.m),)
 
@@ -293,9 +310,15 @@ def induced_flags(e: RationalFlag, f: RationalFlag):
         first = {}
         for g, j in images:
             first.setdefault(g, f.subspaces[j - 1])
-        pieces.append([ratlin.sum_space(ratlin.intersection(hi, first[g], e.m), lo)
-                       for g in sorted(first)])
+        pieces.append([_induced_image(lo, hi, first[g]) for g in sorted(first)])
     return pieces, [len(c) for c in pieces]
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _induced_image(lo: tuple, hi: tuple, fj: tuple) -> tuple:
+    """Canonical basis of (hi & fj) + lo, for canonical bases lo <= hi
+    (hi nonzero) and fj."""
+    return ratlin.sum_space(ratlin.intersection(hi, fj, len(hi[0])), lo)
 
 
 def f0_subflag(e: RationalFlag, f: RationalFlag) -> RationalFlag:

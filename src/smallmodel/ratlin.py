@@ -6,9 +6,12 @@ of gcd 1) with a positive pivot. That form is a bijection with the rref,
 so equal subspaces compare and hash equal as tuples of ints. Rational
 input enters once, through integer_row. No floating point anywhere.
 
-Elimination (rref, sparse_rank) is fraction-free over Z (Bareiss 1968;
-Cohen, A Course in Computational Algebraic Number Theory, 2.2): integer
-row operations a*row - b*pivot_row, and no pivot is ever divided out.
+Elimination is fraction-free over Z (Bareiss 1968; Cohen, A Course in
+Computational Algebraic Number Theory, 2.2): integer row operations
+a*row - b*pivot_row, and no pivot is ever divided out. rref and rank
+share one dense kernel: rref clears every other row at each pivot, and
+rank reads the pivot count off the echelon form, clearing only the rows
+below each pivot. sparse_rank eliminates sparse rows the same way.
 """
 
 from __future__ import annotations
@@ -34,18 +37,18 @@ def integer_row(row) -> list:
     return _primitive([p * (d // q) for p, q in ratios])
 
 
-def rref(rows) -> tuple:
-    """Canonical integer basis of the row space of integer rows: the
-    reduced echelon rows, each primitive with a positive pivot; zero rows
-    dropped.
+def _eliminate(rows, reduced: bool):
+    """The one elimination kernel: (work, pivot_cols), where the first
+    len(pivot_cols) work rows are echelon rows with those pivot columns.
 
-    The work rows are made primitive again after every update, which
-    keeps their entries small, and are returned as they are, up to sign."""
+    Each pivot clears every other row when ``reduced`` (rref), and only
+    the rows below it otherwise (rank). The work rows are made primitive
+    again after every update, which keeps their entries small."""
     work = [_primitive(list(r)) for r in rows]
-    if not work:
-        return ()
-    n = len(work)
     pivot_cols = []
+    if not work:
+        return work, pivot_cols
+    n = len(work)
     for c in range(len(work[0])):
         r = len(pivot_cols)
         for pivot in range(r, n):
@@ -56,7 +59,8 @@ def rref(rows) -> tuple:
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
         pv = prow[c]
-        for i, row in enumerate(work):
+        for i in range(0 if reduced else r + 1, n):
+            row = work[i]
             f = row[c]
             if f and i != r:
                 g = gcd(pv, f)
@@ -65,6 +69,14 @@ def rref(rows) -> tuple:
         pivot_cols.append(c)
         if r + 1 == n:
             break
+    return work, pivot_cols
+
+
+def rref(rows) -> tuple:
+    """Canonical integer basis of the row space of integer rows: the
+    reduced echelon rows, each primitive with a positive pivot; zero rows
+    dropped. The work rows are returned as they are, up to sign."""
+    work, pivot_cols = _eliminate(rows, True)
     return tuple(
         tuple(row) if row[c] > 0 else tuple([-x for x in row])
         for row, c in zip(work, pivot_cols)
@@ -72,7 +84,9 @@ def rref(rows) -> tuple:
 
 
 def rank(rows) -> int:
-    return len(rref(rows))
+    """Rank of integer rows: the pivots of an echelon form, with no back
+    substitution and no sign normalisation."""
+    return len(_eliminate(rows, False)[1])
 
 
 def sparse_rank(rows) -> int:

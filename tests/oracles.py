@@ -284,6 +284,15 @@ def nil_stab_dim_by_rank(e, f):
     return e.m * e.m - sparse_rank(nilpotent_constraint_rows(e) + _stab_constraint_rows(f))
 
 
+def pair_table_by_sum_space(e, f):
+    """Table d[i][j] = dim(E_i & F_j) over the padded flags, each entry
+    from the canonical basis of E_i + F_j, with no memo."""
+    return tuple(
+        tuple(len(a) + len(b) - len(ratlin.sum_space(a, b)) for b in f.padded())
+        for a in e.padded()
+    )
+
+
 def graded_images(e, f):
     """Table of the images (E_{i+1} & F_j) + E_i inside Q^m, one row per
     graded level i of E and one entry per member F_j of F."""

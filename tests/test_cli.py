@@ -765,6 +765,36 @@ def test_genus_past_the_guard_exits_at_once(argv):
     assert error == f"SurfaceError: size guard: genus {argv[2]} exceeds MAX_GENUS = 6"
 
 
+@pytest.mark.parametrize("argv, error", [
+    # each checked nothing and exited 1, a counterexample, with no violation
+    (("orbit-codim", "--m", "1"), "a sweep needs m >= 2, got m = 1"),
+    (("orbit-codim", "--m", "0"), "a sweep needs m >= 2, got m = 0"),
+    (("slm-check", "--m", "1"), "a sweep needs m >= 2, got m = 1"),
+    (("lemma-upper", "--m", "1"), "a sweep needs m >= 2, got m = 1"),
+    # read as 0 and exited 0
+    (("orbit-codim", "--m", "3", "--random", "-1"), "random pairs per m must be >= 0, got -1"),
+    (("slm-check", "--m", "2", "--random", "-5"), "random pairs per m must be >= 0, got -5"),
+])
+def test_a_sweep_that_would_check_nothing_is_an_input_error(capsys, argv, error):
+    code, rep = run_json(capsys, *argv)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == f"FlagError: {error}"
+
+
+@pytest.mark.parametrize("argv, error", [
+    # orbit-codim --m 7 printed nothing before a 20 s timeout killed it
+    (("orbit-codim", "--m", "7", "--random", "0"), "m = 7 exceeds MAX_PAIR_SWEEP_M = 6"),
+    (("slm-check", "--m", "7"), "m = 7 exceeds MAX_PAIR_SWEEP_M = 6"),
+    # lemma-upper --m 8 ran past 60 s
+    (("lemma-upper", "--m", "8"), "m = 8 exceeds MAX_FORCED_ZEROS_M = 7"),
+])
+def test_a_sweep_past_its_size_guard_exits_at_once(argv, error):
+    proc = _python("-m", "smallmodel", "--json", *argv, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["details"]["error"] == f"FlagError: size guard: {error}"
+
+
 def _simplex(n):
     return {"vertices": list(range(n)), "facets": [list(range(n))]}
 

@@ -232,11 +232,12 @@ def test_star_counts_against_delta_sigma(seed):
 
 def test_decomposition_check_builds_no_chain_complex(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("decomposition_check built a chain complex")
+        raise AssertionError("decomposition_check built a chain complex or a cell list")
 
-    for name in ("build_diagonal", "chain_complex", "tensor_total"):
+    for name in ("build_diagonal", "chain_complex", "tensor_total", "total_cells",
+                 "_on_diagonal"):
         monkeypatch.setattr(diagonal, name, refuse)
-    for name in ("ChainComplex", "chain_complex", "tensor_total"):
+    for name in ("ChainComplex", "chain_complex", "tensor_total", "total_cells"):
         monkeypatch.setattr(complexes, name, refuse)
     for K in (two_triangles(), hollow_triangle()):
         assert decomposition_check(K).passed

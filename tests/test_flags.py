@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -13,9 +15,11 @@ from oracles import (
     induced_flags_by_images,
     nil_stab_dim_by_rank,
     nilpotent_constraint_rows,
+    pair_table_by_sum_space,
     stab_pair_dim_by_rank,
 )
-from smallmodel import acceptance
+import smallmodel
+from smallmodel import acceptance, flags
 from smallmodel.complexes import homology
 from smallmodel.flags import (
     _nil_stab_dim,
@@ -308,6 +312,43 @@ def test_pair_table_matches_constraint_systems(pair):
     else:
         with pytest.raises(FlagError, match="share a subspace"):
             f0_subflag(e, f)
+
+
+def _memos():
+    return (flags._sum_dim, flags._induced_image, flags._pair_table,
+            flags._stab_constraint_rows)
+
+
+def _interleaved_pairs():
+    """Coordinate pairs at m = 3, 4 with a seeded random pair after every
+    other one, so that memo entries of both kinds sit side by side."""
+    rng = random.Random("memo")
+    coordinate = [pair for m in (3, 4) for pair in acceptance._coordinate_pairs(m)]
+    for k, pair in enumerate(coordinate[::5]):
+        yield pair
+        if k % 2:
+            yield random_disjoint_pair(rng.randint(2, 6), rng)
+
+
+def test_memoized_pair_table_equals_the_unmemoized_oracle():
+    pairs = list(_interleaved_pairs())
+    for _ in range(2):
+        for e, f in pairs:
+            assert flags._pair_table(e, f) == pair_table_by_sum_space(e, f), (e, f)
+            assert induced_flags(e, f) == induced_flags_by_images(e, f), (e, f)
+        # coordinate subspaces recur, so both subspace memos were read
+        assert flags._sum_dim.cache_info().hits and flags._induced_image.cache_info().hits
+        for memo in _memos():
+            memo.cache_clear()
+
+
+def test_every_memo_is_bounded():
+    modules = [importlib.import_module(f"smallmodel.{info.name}")
+               for info in pkgutil.iter_modules(smallmodel.__path__)]
+    memos = [value for module in modules for value in vars(module).values()
+             if hasattr(value, "cache_parameters")]
+    assert set(_memos()) <= set(memos)
+    assert all(memo.cache_parameters()["maxsize"] is not None for memo in memos)
 
 
 PAIR_FUNCTIONS = [stab_pair_dim, orbit_codim, induced_flags, f0_subflag, slm_inequality]

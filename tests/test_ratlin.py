@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallmodel.ratlin import (
@@ -64,6 +64,38 @@ def test_rref_matches_sympy(rows, scales, flips):
     scaled = [[(-s if flip else s) * x for x in row]
               for row, s, flip in zip(integer_rows(rows), scales, flips)]
     assert rref(scaled) == ours
+
+
+@st.composite
+def rank_cases(draw):
+    """Integer rows with zero rows, repeated rows and rows that combine
+    earlier ones mixed in, often more rows than columns."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 10**20]),
+                                  min_size=n, max_size=n), max_size=8))
+    for kind, i, j, t in draw(st.lists(st.tuples(st.sampled_from("zrc"), st.integers(0, 9),
+                                                 st.integers(0, 9), st.integers(-3, 3)),
+                                       max_size=4)):
+        if kind == "z" or not rows:
+            rows.append([0] * n)
+        elif kind == "r":
+            rows.append(list(rows[i % len(rows)]))
+        else:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append([x + t * y for x, y in zip(a, b)])
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_cases())
+@example((3, []))
+@example((3, [[0, 0, 0]] * 3))
+@example((2, [[1, 2], [2, 4], [1, 2], [0, 0], [-3, -6]]))
+@example((2, [[1, 0], [0, 1], [1, 1], [2, 3]]))
+def test_rank_is_the_rref_length_and_the_sympy_rank(case):
+    n, rows = case
+    expected = sympy.Matrix(len(rows), n, [x for row in rows for x in row]).rank()
+    assert rank(rows) == len(rref(rows)) == expected
 
 
 def test_integer_row_reads_fractions_ints_and_strings():
