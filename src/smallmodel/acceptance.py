@@ -95,28 +95,28 @@ def _coordinate_pairs(m: int):
             yield flag_of[ce], flag_of[cf]
 
 
-def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
-                          seed: int = 0) -> Report:
+def _pair_sweep(max_m: int, random_per_m: int, seed: int, tag: str):
+    """(m, kind, e, f) for the coordinate pairs at each m = 2..max_m, then
+    ``random_per_m`` seeded random disjoint pairs at that m."""
     _check_sweep(max_m, MAX_PAIR_SWEEP_M, "MAX_PAIR_SWEEP_M", random_per_m)
-    checked = 0
-    violations = []
     for m in range(2, max_m + 1):
         for e, f in _coordinate_pairs(m):
-            checked += 1
-            codim = flags.orbit_codim(e, f)
-            if codim < f.length:
-                violations.append({"m": m, "kind": "coordinate",
-                                   "e": e.to_json(), "f": f.to_json(),
-                                   "codim": codim})
-        rng = random.Random((seed, "orbit", m).__repr__())
+            yield m, "coordinate", e, f
+        rng = random.Random((seed, tag, m).__repr__())
         for _ in range(random_per_m):
-            e, f = flags.random_disjoint_pair(m, rng)
-            checked += 1
-            codim = flags.orbit_codim(e, f)
-            if codim < f.length:
-                violations.append({"m": m, "kind": "random",
-                                   "e": e.to_json(), "f": f.to_json(),
-                                   "codim": codim})
+            yield (m, "random", *flags.random_disjoint_pair(m, rng))
+
+
+def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
+                          seed: int = 0) -> Report:
+    checked = 0
+    violations = []
+    for m, kind, e, f in _pair_sweep(max_m, random_per_m, seed, "orbit"):
+        checked += 1
+        codim = flags.orbit_codim(e, f)
+        if codim < f.length:
+            violations.append({"m": m, "kind": kind, "e": e.to_json(), "f": f.to_json(),
+                               "codim": codim})
     return _criterion(2, "orbit codimension >= flag length",
                       not violations and checked > 0,
                       {"checked": checked, "violations": violations,
@@ -125,25 +125,14 @@ def criterion_orbit_codim(max_m: int = 5, random_per_m: int = 1000,
 
 def criterion_slm_pipeline(max_m: int = 5, random_per_m: int = 500,
                            seed: int = 0) -> Report:
-    _check_sweep(max_m, MAX_PAIR_SWEEP_M, "MAX_PAIR_SWEEP_M", random_per_m)
     checked = 0
     violations = []
-
-    def run(m, e, f, kind):
-        nonlocal checked
+    for m, kind, e, f in _pair_sweep(max_m, random_per_m, seed, "slm"):
         checked += 1
         rep = flags.slm_inequality(e, f)
         if not rep.passed:
-            violations.append({"m": m, "kind": kind, "e": e.to_json(),
-                               "f": f.to_json(), "report": rep.to_json()})
-
-    for m in range(2, max_m + 1):
-        for e, f in _coordinate_pairs(m):
-            run(m, e, f, "coordinate")
-        rng = random.Random((seed, "slm", m).__repr__())
-        for _ in range(random_per_m):
-            e, f = flags.random_disjoint_pair(m, rng)
-            run(m, e, f, "random")
+            violations.append({"m": m, "kind": kind, "e": e.to_json(), "f": f.to_json(),
+                               "report": rep.to_json()})
     return _criterion(3, "codim chain and stabilizer-dimension inequality",
                       not violations and checked > 0,
                       {"checked": checked, "violations": violations})

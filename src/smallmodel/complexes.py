@@ -413,8 +413,8 @@ def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> Ch
     """Total complex of the tensor double complex, with the usual sign
     twist d(a x b) = da x b + (-1)^i a x db for a of degree i.
 
-    With ``keep`` ({n: one bool per cell of ``total_cells``}) only the kept
-    cells are built, in ``total_cells`` order. A face outside them raises
+    With ``keep``, a predicate on the cells (i, a, j, b) of ``total_cells``,
+    only the kept cells are built, in that order. A face outside them raises
     when ``closed`` (the kept cells must span a subcomplex: this is
     verified, not assumed) and is dropped otherwise (the quotient by the
     subcomplex on the other cells). Shapes and d∘d are checked either way."""
@@ -424,8 +424,7 @@ def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> Ch
         raise ComplexError("tensor of augmented complexes not supported")
     cells = total_cells(A.ranks, B.ranks)
     if keep is not None:
-        cells = {n: [c for c, k in zip(cl, keep[n], strict=True) if k]
-                 for n, cl in cells.items()}
+        cells = {n: list(filter(keep, cl)) for n, cl in cells.items()}
     index = {cell: pos for cl in cells.values() for pos, cell in enumerate(cl)}
     at = index.get  # None for a face outside the kept cells
     ranks = [len(cl) for cl in cells.values()]

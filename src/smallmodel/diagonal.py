@@ -10,13 +10,16 @@ quotient of the product by the diagonal computes relative homology
 (group action specialized to the trivial group, so equivariant
 statements reduce to ordinary ones).
 
-Both are ``tensor_total(C, C)`` restricted to their cells, so the product
-boundary is written once; the full product complex is never built.
+Both are ``tensor_total(C, C)``, the one product boundary, restricted by
+the one diagonal rule ``_diagonal_rule`` or by its negation, so the full
+product complex is never built.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,36 +38,37 @@ class ProductCells:
     cells: dict
 
 
-def _masks(K) -> list:
-    """The simplices of K by dimension, each as the bitmask of its vertex
-    indices (bit v for vertex v)."""
-    return [[sum(1 << v for v in s) for s in K.simplices(d)] for d in range(K.dim + 1)]
-
-
-def _on_diagonal(K, cells) -> dict:
-    """{n: one bool per cell of ``cells[n]``}, true where the union of the
-    two simplices spans a simplex of K. Each simplex is a bitmask, so a
-    union is one ``|`` and a simplex one set lookup."""
-    masks = _masks(K)
+def _diagonal_rule(K):
+    """(masks, on): the simplices of K by dimension as bitmasks of their
+    vertex indices (bit v for vertex v), and the predicate on a cell
+    (i, a, j, b) of C x C that is true when the union of the two simplices
+    spans a simplex of K. A union is one ``|`` and a simplex one set lookup."""
+    masks = [[sum(1 << v for v in s) for s in K.simplices(d)] for d in range(K.dim + 1)]
     faces = {m for level in masks for m in level}
-    return {n: [masks[i][a] | masks[j][b] in faces for i, a, j, b in row]
-            for n, row in cells.items()}
+
+    def on(cell):
+        i, a, j, b = cell
+        return masks[i][a] | masks[j][b] in faces
+
+    return masks, on
 
 
 @dataclass
 class SubquotientComplexes:
-    """The diagonal subcomplex of C x C and its quotient, built on first
-    access; ``on_diagonal[n]`` holds one bool per cell of ``product.cells[n]``."""
+    """The diagonal subcomplex of C x C on the cells ``on`` keeps; the
+    product's cells and the quotient are built on first access."""
 
     base: ChainComplex
-    product: ProductCells
-    on_diagonal: dict
+    on: Callable[[tuple], bool]
     diagonal: ChainComplex
 
     @cached_property
+    def product(self) -> ProductCells:
+        return ProductCells(total_cells(self.base.ranks, self.base.ranks))
+
+    @cached_property
     def quotient(self) -> ChainComplex:
-        off = {n: [not d for d in row] for n, row in self.on_diagonal.items()}
-        return tensor_total(self.base, self.base, keep=off, closed=False)
+        return tensor_total(self.base, self.base, keep=lambda c: not self.on(c), closed=False)
 
 
 def build_diagonal(K: SimplicialComplex, ring="Z") -> SubquotientComplexes:
@@ -76,10 +80,10 @@ def build_diagonal(K: SimplicialComplex, ring="Z") -> SubquotientComplexes:
     its input is flag.
     """
     ranks = K.f_vector()
-    cells = total_cells(ranks, ranks)  # size-guarded before C is built
+    guard_product(ranks, ranks)  # before C is built
     C = chain_complex(K, ring)
-    on = _on_diagonal(K, cells)
-    return SubquotientComplexes(C, ProductCells(cells), on, tensor_total(C, C, keep=on))
+    _, on = _diagonal_rule(K)
+    return SubquotientComplexes(C, on, tensor_total(C, C, keep=on))
 
 
 def _check(name: str, ok: bool, details: dict) -> Report:
@@ -99,18 +103,17 @@ def check_retraction(K: SimplicialComplex, ring="Z") -> Report:
 def decomposition_check(K: SimplicialComplex) -> Report:
     """Exact rank bookkeeping: in first-degree i, the diagonal cells in
     total degree i+j are counted by the j-cells of the star closures of
-    the i-simplices. Counts cells, tallied per (i, j) from pairs of
-    simplex bitmasks; builds no chain complex and no cell list."""
+    the i-simplices. Counts cells, tallied per (i, j) by the rule of
+    ``build_diagonal``; builds no chain complex and no cell list."""
     ranks = K.f_vector()
     guard_product(ranks, ranks)
-    masks = _masks(K)
-    faces = {m for level in masks for m in level}
-    stars = _star_counts(K)
+    masks, on = _diagonal_rule(K)
+    stars = _star_counts(K, masks)
     mism = []
     table = {}
     for i in range(K.dim + 1):
         for j in range(K.dim + 1):
-            count = sum(a | b in faces for a in masks[i] for b in masks[j])
+            count = sum(map(on, itertools.product((i,), range(ranks[i]), (j,), range(ranks[j]))))
             rhs = stars.get((i, j), 0)
             table[f"({i},{j})"] = [count, rhs]
             if count != rhs:
@@ -118,12 +121,13 @@ def decomposition_check(K: SimplicialComplex) -> Report:
     return _check("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
 
 
-def _star_counts(K) -> dict:
+def _star_counts(K, masks) -> dict:
     """{(i, j): the j-simplices of the closed star of each i-simplex s,
-    summed over s}. The closed star is the union of the facets that
-    contain s (``SimplicialComplex.delta_sigma``), so its simplices are
-    the nonempty subsets of those facets, counted here as bitmasks
-    without building a complex per simplex."""
+    summed over s}, for the simplices ``masks`` of K as bitmasks. The
+    closed star is the union of the facets that contain s
+    (``SimplicialComplex.delta_sigma``), so its simplices are the nonempty
+    subsets of those facets, counted here as bitmasks without building a
+    complex per simplex."""
     subsets = []
     for f in K.facets:
         top = sum(1 << v for v in f)
@@ -133,7 +137,7 @@ def _star_counts(K) -> dict:
             m = (m - 1) & top
         subsets.append((top, sub))
     counts = {}
-    for i, level in enumerate(_masks(K)):
+    for i, level in enumerate(masks):
         sizes = Counter()
         for s in level:
             star = set()

@@ -50,6 +50,8 @@ class RationalFlag:
 
     @classmethod
     def make(cls, m: int, subspaces) -> "RationalFlag":
+        if m < 1:
+            raise FlagError(f"ambient dimension m must be >= 1, got m = {m}")
         canon = []
         for sub in subspaces:
             rows = [integer_row(v) for v in sub]
@@ -475,11 +477,15 @@ def _gf_span(basis, q):
     )
 
 
-def finite_building(m: int, q: int, max_m: int = 4, max_q: int = 3) -> SimplicialComplex:
+# size guard of finite_building: the largest field order q it builds over
+MAX_BUILDING_Q = 3
+
+
+def finite_building(m: int, q: int, max_m: int = 4) -> SimplicialComplex:
     """Order complex of the proper nonzero subspaces of F_q^m: vertices
     are subspaces, simplices are containment chains. Size-guarded."""
-    if not (3 <= m <= max_m) or not (2 <= q <= max_q):
-        raise FlagError(f"size guard: need 3 <= m <= {max_m}, 2 <= q <= {max_q}")
+    if not (3 <= m <= max_m) or not (2 <= q <= MAX_BUILDING_Q):
+        raise FlagError(f"size guard: need 3 <= m <= {max_m}, 2 <= q <= {MAX_BUILDING_Q}")
     by_dim = {d: gf_subspaces(m, q, d) for d in range(1, m)}
     labels = {}
     for d, subs in by_dim.items():

@@ -540,6 +540,25 @@ def test_orbit_codim_rejects_shared_subspace(tmp_path, capsys):
     assert rep["details"]["error"] == "FlagError: flags share a subspace"
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_a_flag_in_no_ambient_space_is_an_input_error(tmp_path, capsys, m):
+    # both were verified with codim 0 and exited 0
+    flag = {"m": m, "subspaces": []}
+    path = write_json(tmp_path, "pair.json", {"e": flag, "f": flag})
+    code, rep = run_json(capsys, "orbit-codim", "--in", path)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == f"FlagError: ambient dimension m must be >= 1, got m = {m}"
+
+
+def test_empty_flags_on_a_line_are_verified(tmp_path, capsys):
+    flag = {"m": 1, "subspaces": []}
+    path = write_json(tmp_path, "pair.json", {"e": flag, "f": flag})
+    code, rep = run_json(capsys, "orbit-codim", "--in", path)
+    assert code == 0
+    assert rep["status"] == "verified"
+
+
 @pytest.mark.parametrize("command", ["orbit-codim", "slm-check", "rank-one", "b2-criterion"])
 def test_null_input_is_not_a_missing_input(tmp_path, capsys, command):
     # a file holding null is a wrongly shaped input, never the default run

@@ -34,10 +34,8 @@ def test_product_cell_counts():
     parts = build_diagonal(K)
     total_product = sum(len(cells) for cells in parts.product.cells.values())
     assert total_product == sum(K.f_vector()) ** 2
-    assert [len(v) for v in parts.on_diagonal.values()] == [
-        len(v) for v in parts.product.cells.values()]
     # every pair lies in the diagonal of a simplex
-    assert all(all(v) for v in parts.on_diagonal.values())
+    assert all(all(map(parts.on, v)) for v in parts.product.cells.values())
     assert sum(parts.diagonal.ranks) == total_product
     assert parts.quotient.ranks == [0] * len(parts.diagonal.ranks)
 
@@ -153,7 +151,7 @@ def test_diagonal_and_quotient_equal_the_restricted_product(seed, flag, ring):
             for n, cells in parts.product.cells.items()} == prod.cells
     on = {n: [frozenset(s) | frozenset(t) in faces for s, t in cells]
           for n, cells in prod.cells.items()}
-    assert parts.on_diagonal == on
+    assert {n: list(map(parts.on, cells)) for n, cells in parts.product.cells.items()} == on
     for direct, keep in ((parts.diagonal, True), (parts.quotient, False)):
         oracle = prod.restrict({n: [i for i, d in enumerate(v) if d == keep]
                                 for n, v in on.items()})
@@ -183,7 +181,7 @@ def test_diagonal_checks_past_one_machine_word():
                  for i, a, j, b in cells]
              for n, cells in parts.product.cells.items()}
     on = {n: [s | t in faces for s, t in cells] for n, cells in named.items()}
-    assert parts.on_diagonal == on
+    assert {n: list(map(parts.on, cells)) for n, cells in parts.product.cells.items()} == on
     assert parts.diagonal.ranks == [sum(row) for row in on.values()]
     rep = check_retraction(K)
     assert rep.passed, rep.details
@@ -227,20 +225,37 @@ def test_star_counts_against_delta_sigma(seed):
         for j in range(star.dim + 1):
             key = (len(s) - 1, j)
             counts[key] = counts.get(key, 0) + len(star.simplices(j))
-    assert diagonal._star_counts(K) == counts
+    assert diagonal._star_counts(K, diagonal._diagonal_rule(K)[0]) == counts
 
 
 def test_decomposition_check_builds_no_chain_complex(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition_check built a chain complex or a cell list")
 
-    for name in ("build_diagonal", "chain_complex", "tensor_total", "total_cells",
-                 "_on_diagonal"):
+    for name in ("build_diagonal", "chain_complex", "tensor_total", "total_cells"):
         monkeypatch.setattr(diagonal, name, refuse)
     for name in ("ChainComplex", "chain_complex", "tensor_total", "total_cells"):
         monkeypatch.setattr(complexes, name, refuse)
     for K in (two_triangles(), hollow_triangle()):
         assert decomposition_check(K).passed
+
+
+def test_build_diagonal_lists_the_product_cells_once(monkeypatch):
+    # tensor_total lists the cells of C x C and keeps the diagonal ones;
+    # the quotient, read later, lists them once more, and nothing else does
+    calls = []
+    listed = complexes.total_cells
+
+    def counted(ranks_a, ranks_b):
+        calls.append((ranks_a, ranks_b))
+        return listed(ranks_a, ranks_b)
+
+    monkeypatch.setattr(complexes, "total_cells", counted)
+    monkeypatch.setattr(diagonal, "total_cells", counted)
+    parts = build_diagonal(hollow_triangle())
+    assert len(calls) == 1
+    parts.quotient.homology()
+    assert len(calls) == 2
 
 
 def test_size_guards_refuse_only_past_their_bounds(monkeypatch):
