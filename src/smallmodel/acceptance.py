@@ -34,6 +34,12 @@ def line(report: Report) -> str:
 MAX_FORCED_ZEROS_M = 7
 MAX_PAIR_SWEEP_M = 6
 
+# The seeded draws of criteria 8, 9 and 10: random flag complexes, pairs of
+# them, and rationals whose squares are tested.
+DIAGONAL_COMPLEXES = 50
+CHAINCORE_PAIRS = 20
+SQUARE_CASES = 10000
+
 
 def _check_sweep(max_m: int, bound: int, name: str, random_per_m: int = 0) -> None:
     """Refuse a sweep that would check nothing or outlast its size guard."""
@@ -164,10 +170,10 @@ def criterion_buildings() -> Report:
 # 5. pants anchor
 
 
-def criterion_pants(max_g: int = 5) -> Report:
+def criterion_pants() -> Report:
     rows = []
     ok = True
-    for g in range(2, max_g + 1):
+    for g in range(2, 6):
         types = surfaces.pants_decompositions(g)
         dims = sorted({surfaces.multicurve_stab_hdim(t) for t in types})
         good = bool(types) and dims == [3 * g - 3]
@@ -249,10 +255,10 @@ def non_flag_witness() -> tuple:
     return K, sigma, h
 
 
-def criterion_diagonal(count: int = 50, seed: int = 0) -> Report:
+def criterion_diagonal(seed: int = 0) -> Report:
     rng = random.Random((seed, "diagonal").__repr__())
     failures = []
-    for idx in range(count):
+    for idx in range(DIAGONAL_COMPLEXES):
         K = random_flag_complex(rng)
         if not K.is_flag():
             failures.append({"complex": idx, "error": "generator produced non-flag"})
@@ -279,17 +285,17 @@ def criterion_diagonal(count: int = 50, seed: int = 0) -> Report:
     witness_ok = (not Kw.is_flag()) and (not hw.is_trivial())
     return _criterion(8, "diagonal retraction, acyclicity, decomposition",
                       not failures and witness_ok,
-                      {"complexes": count, "failures": failures,
+                      {"complexes": DIAGONAL_COMPLEXES, "failures": failures,
                        "non_flag_witness": {"facets": Kw.to_json()["facets"],
                                             "sigma": list(sigma),
                                             "N_homology": hw.to_json(),
                                             "ok": witness_ok}})
 
 
-def criterion_chaincore(pairs: int = 20, seed: int = 0) -> Report:
+def criterion_chaincore(seed: int = 0) -> Report:
     rng = random.Random((seed, "chaincore").__repr__())
     failures = []
-    for idx in range(pairs):
+    for idx in range(CHAINCORE_PAIRS):
         A = random_flag_complex(rng, max_vertices=6, max_cells=25)
         B = random_flag_complex(rng, max_vertices=6, max_cells=25)
         for p in (2, 3):
@@ -317,14 +323,14 @@ def criterion_chaincore(pairs: int = 20, seed: int = 0) -> Report:
             failures.append({"pair": idx, "check": "relabel", "A": A.to_json(),
                              "mapping": {str(k): v for k, v in mapping.items()}})
     return _criterion(9, "dd=0, Kunneth ranks over F2/F3, relabeling invariance",
-                      not failures, {"pairs": pairs, "failures": failures})
+                      not failures, {"pairs": CHAINCORE_PAIRS, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
 # 10. cup-product module
 
 
-def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> Report:
+def criterion_cupforms(seed: int = 0) -> Report:
     failures = []
     for n in (3, 5, 7):
         r = cupforms.rank_one_obstruction(cupforms.projective_space_ring(n))
@@ -347,7 +353,7 @@ def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> Report:
     rng = random.Random((seed, "squares").__repr__())
     primes = (2, 3, 5, 7, 11, 13)
     square_fails = 0
-    for _ in range(square_cases):
+    for _ in range(SQUARE_CASES):
         s = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         r = s * s
         good = cupforms.rational_is_square(r) and cupforms.rational_sqrt(r) ** 2 == r
@@ -360,7 +366,7 @@ def criterion_cupforms(square_cases: int = 10000, seed: int = 0) -> Report:
     if square_fails:
         failures.append({"case": "rational_is_square", "failures": square_fails})
     return _criterion(10, "cup-product obstructions and rational squares", not failures,
-                      {"failures": failures, "square_cases": square_cases,
+                      {"failures": failures, "square_cases": SQUARE_CASES,
                        "witness": witness})
 
 

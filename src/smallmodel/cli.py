@@ -22,7 +22,8 @@ import time
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, homology
 from .normalform import PivotExplosion
-from .report import INCONCLUSIVE, OBSTRUCTED, VERIFIED, VIOLATION, json_bool, json_int, json_rational
+from .report import (INCONCLUSIVE, OBSTRUCTED, VERIFIED, VIOLATION, json_bool, json_int,
+                     json_list, json_rational)
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -114,12 +115,13 @@ def cmd_sc_obstruction(args, data):
     from .complexes import HomologyTable
 
     entries = {}
-    for e in data["boundary_homology"]:
+    for e in json_list(data["boundary_homology"], "boundary_homology"):
         d = json_int(e["degree"], "degree", least=0)
         if d in entries:
             raise ValueError(f"degree {d} has two entries")
         entries[d] = (d, json_int(e["rank"], "rank", least=0),
-                      tuple(json_int(t, "torsion", least=2) for t in e.get("torsion", [])))
+                      tuple(json_int(t, "torsion", least=2)
+                            for t in json_list(e.get("torsion", []), "torsion")))
     n, q = json_int(data["n"], "n"), json_int(data["q"], "q")
     chi_zero = data.get("chi_zero")
     if chi_zero is not None:

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .normalform import invariant_factors, is_prime, rank_mod_p
+from .report import json_list
 
 
 # size guards: a complex is refused when its facets have more than
@@ -164,10 +165,11 @@ class SimplicialComplex:
     def from_json(cls, data: dict) -> "SimplicialComplex":
         """A complex from ``{"vertices": [...], "facets": [[...], ...]}``;
         a facet that names a vertex twice is refused, not read as a set."""
-        for f in data["facets"]:
+        facets = [json_list(f, "facet") for f in json_list(data["facets"], "facets")]
+        for f in facets:
             if len(set(f)) != len(f):
                 raise ComplexError(f"facet {f!r} repeats a vertex")
-        return cls(data["vertices"], data["facets"])
+        return cls(json_list(data["vertices"], "vertices"), facets)
 
     def __eq__(self, other):
         return (

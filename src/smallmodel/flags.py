@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import ratlin
 from .complexes import SimplicialComplex
 from .ratlin import integer_row, rank, rref, sparse_rank
-from .report import VERIFIED, VIOLATION, Report, json_int, json_rational
+from .report import VERIFIED, VIOLATION, Report, json_int, json_list, json_rational
 
 
 class FlagError(ValueError):
@@ -100,9 +100,12 @@ class RationalFlag:
 
     @classmethod
     def from_json(cls, data):
+        def rows(sub):
+            return [[json_rational(x, "subspace entry") for x in json_list(row, "subspace row")]
+                    for row in json_list(sub, "subspace")]
+
         return cls.make(json_int(data["m"], "m"),
-                        [[[json_rational(x, "subspace entry") for x in row] for row in sub]
-                         for sub in data["subspaces"]])
+                        [rows(sub) for sub in json_list(data["subspaces"], "subspaces")])
 
 
 def coordinate_flag(m: int, sets) -> RationalFlag:

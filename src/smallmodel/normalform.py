@@ -10,6 +10,8 @@ then shortest row first to limit fill (Dumas-Saunders-Villard 2001),
 and runs the Euclidean loop only on the residual, with its entries
 reduced modulo a nonzero maximal minor (Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4.14) so they cannot grow.
+That loop is flat: take the least entry, clear its column and row by
+floor quotients, and start again while a remainder is left.
 Homology over Z walks the boundaries bottom up and reduces d_(k+1)
 without the rows that were unit pivot columns of d_k: each such pivot
 is one step of Gaussian elimination on the chain complex, which removes
@@ -51,16 +53,6 @@ DEFAULT_BIT_BOUND = 4096
 
 class PivotExplosion(RuntimeError):
     """An intermediate Smith-reduction entry exceeded the bit bound."""
-
-
-def _round_div(a: int, v: int) -> int:
-    # quotient minimizing |a - q*v|
-    q, r = divmod(a, v)
-    # divmod's remainder has the sign of v, so shrinking |r| always
-    # means stepping q up by one, regardless of sign(v)
-    if 2 * abs(r) > abs(v):
-        q += 1
-    return q
 
 
 class _Sparse:
@@ -242,56 +234,34 @@ def invariant_factors(columns, bit_bound: int = DEFAULT_BIT_BOUND, *,
     residual = list(mat.cols.values())
     rank, det = _rank_and_minor(residual)
     mat = _Sparse(residual, bit_bound, modulus=det)
+    # Each round takes the least entry v, or keeps the pivot of the round
+    # before, and reduces its column and then its row by floor quotients.
+    # That leaves remainders below |v| <= det/2, which the modulus keeps as
+    # they are, so a remainder left makes the least entry smaller. A lone
+    # pivot that does not divide some entry takes that entry's row into its
+    # own, and the round after must leave a remainder in it. Otherwise v is
+    # a factor and its row and column go. So each round drops a row, makes
+    # the least entry smaller or sets up a round that does: the loop ends.
     pivots = []
-    while True:
-        entry = mat.min_entry()
-        if entry is None:
-            break
-        i0, j0, v = entry
-        while True:
-            # clear the pivot column with row operations
-            changed = True
-            while changed:
-                changed = False
-                for i in list(mat.cols.get(j0, {})):
-                    if i == i0:
-                        continue
-                    q = _round_div(mat.get(i, j0), v)
-                    if q:
-                        mat.row_op(i, i0, q)
-                        changed = True
-                    if mat.get(i, j0):
-                        # remainder became the smaller pivot
-                        i0, v = i, mat.get(i, j0)
-                        changed = True
-                # clear the pivot row with column operations
-                for j in list(mat.rows.get(i0, {})):
-                    if j == j0:
-                        continue
-                    q = _round_div(mat.get(i0, j), v)
-                    if q:
-                        mat.col_op(j, j0, q)
-                        changed = True
-                    if mat.get(i0, j):
-                        j0, v = j, mat.get(i0, j)
-                        changed = True
-            # pivot is isolated; enforce that it divides the rest (a unit
-            # divides everything, so there is nothing to look for)
-            if v == 1 or v == -1:
-                break
-            offender = None
-            for i, row in mat.rows.items():
-                if i == i0:
-                    continue
-                for j, w in row.items():
-                    if w % v:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
+    kept = None
+    while mat.rows:
+        i0, j0, v = kept or mat.min_entry()
+        kept = None
+        for i in list(mat.cols[j0]):
+            if i != i0:
+                mat.row_op(i, i0, mat.get(i, j0) // v)
+        for j in list(mat.rows[i0]):
+            if j != j0:
+                mat.col_op(j, j0, mat.get(i0, j) // v)
+        if len(mat.cols[j0]) > 1 or len(mat.rows[i0]) > 1:
+            continue
+        # the pivot's own row holds v alone, so it is never the offender
+        offender = next((i for i, row in mat.rows.items() if any(w % v for w in row.values())),
+                        None)
+        if offender is not None:
             mat.row_op(i0, offender, -1)
+            kept = i0, j0, v
+            continue
         pivots.append(gcd(v, det))
         mat.drop_cross(i0, j0)
     if len(pivots) > rank:

@@ -1,5 +1,6 @@
 """The one report shape every check returns, a status and its details,
-and the readers of integer, boolean and rational fields in JSON inputs."""
+and the readers of integer, list, boolean and rational fields in JSON
+inputs."""
 
 from __future__ import annotations
 
@@ -30,6 +31,14 @@ def json_int(value, field: str, least=None) -> int:
             raise ValueError(f"{field} must be at least {least}, got {value}")
         return value
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def json_list(value, field: str) -> list:
+    """A list field of a JSON input: an array and nothing else (a string
+    is refused by name, not read one character at a time)."""
+    if isinstance(value, list):
+        return value
+    raise TypeError(f"{field} must be a list, got {value!r}")
 
 
 def json_bool(value, field: str) -> bool:

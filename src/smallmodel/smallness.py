@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .complexes import HomologyTable
 from .report import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, VERIFIED, VIOLATION, Report,
-                     json_bool, json_int)
+                     json_bool, json_int, json_list)
 
 
 class CertificateError(ValueError):
@@ -130,10 +130,10 @@ class OrbitComplex:
         orbits = [
             Orbit(_json_label(o["label"], "orbit label"), json_int(o["dim"], "orbit dim"),
                   Hdim.parse(o["hdim"]))
-            for o in data["orbits"]
+            for o in json_list(data["orbits"], "orbits")
         ]
         pairs = {}
-        for e in data.get("pairs", []):
+        for e in json_list(data.get("pairs", []), "pairs"):
             entry = PairEntry(
                 _json_label(e["a"], "pair endpoint"),
                 _json_label(e["b"], "pair endpoint"),

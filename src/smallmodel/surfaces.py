@@ -155,7 +155,7 @@ def _vertex_type_multisets(g, k, v):
     return results
 
 
-def _multigraphs_with_degrees(degrees, genera=None):
+def _multigraphs_with_degrees(degrees, genera):
     """Connected loop-allowing multigraphs on labelled vertices with the
     given degree sequence, as multiplicity dicts {(i,j): k} with i <= j.
 
@@ -173,7 +173,7 @@ def _multigraphs_with_degrees(degrees, genera=None):
     complete, each transposition (a i) has its final verdict, and so has
     the component of piece i if no curve end is left to place on it."""
     v = len(degrees)
-    cls = [(degrees[i], genera[i] if genera is not None else 0) for i in range(v)]
+    cls = list(zip(degrees, genera))
     peers = [[a for a in range(i) if cls[a] == cls[i]] for i in range(v)]
     grid = [[0] * v for _ in range(v)]  # symmetric, loops on the diagonal
     nbrs = [0] * v  # bit j of nbrs[i] set when pieces i != j share a curve

@@ -118,6 +118,32 @@ def test_wrongly_shaped_input_is_input_error(tmp_path, capsys, command, payload)
     assert rep["details"]["error"].startswith("TypeError")
 
 
+STRING_FOR_A_LIST = [
+    # once read one character at a time: torsion [2, 3], OBSTRUCTED
+    ("sc-obstruction", {"n": 4, "q": 1,
+                        "boundary_homology": [{"degree": 0, "rank": 1},
+                                              {"degree": 1, "rank": 4, "torsion": "23"}]},
+     "torsion"),
+    # the row "01" once read as (0, 1), so both pairs were verified
+    ("orbit-codim", {"e": {"m": 2, "subspaces": [[[1, 0]]]}, "f": {"m": 2, "subspaces": [["01"]]}},
+     "subspace row"),
+    ("slm-check", {"e": {"m": 2, "subspaces": [[[1, 0]]]}, "f": {"m": 2, "subspaces": [["01"]]}},
+     "subspace row"),
+    # once two points, verified
+    ("homology", {"vertices": "ab", "facets": "ab"}, "facets"),
+]
+
+
+@pytest.mark.parametrize("command, payload, field", STRING_FOR_A_LIST)
+def test_a_string_where_a_list_belongs_is_input_error(tmp_path, capsys, command, payload, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, rep = run_json(capsys, command, "--in", str(path))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"].startswith(f"TypeError: {field} must be a list")
+
+
 def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harer", "--g", "x", "--r", "0", "--s", "0"])
@@ -137,7 +163,10 @@ def test_pivot_explosion_is_inconclusive(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "homology", explode)
     path = tmp_path / "circle.json"
-    path.write_text(json.dumps({"vertices": "abc", "facets": ["ab", "bc", "ac"]}))
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c"],
+        "facets": [["a", "b"], ["b", "c"], ["a", "c"]],
+    }))
     code, rep = run_json(capsys, "homology", "--in", str(path))
     assert code == 2
     assert rep["status"] == "inconclusive"

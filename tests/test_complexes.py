@@ -70,6 +70,20 @@ def test_projective_plane_torsion():
     assert h2.rank(1) == 1 and h2.rank(2) == 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_wedge_of_projective_planes(k):
+    # k copies glued at vertex 1: H_1 = (Z/2)^k and nothing else, and the
+    # k factors 2 come out of the residual loop, not the unit pivots
+    rp2 = projective_plane()
+    facets = [[1 if v == 1 else f"{c}:{v}" for v in (rp2.vertices[i] for i in f)]
+              for c in range(k) for f in rp2.facets]
+    K = SimplicialComplex(sorted({v for f in facets for v in f}, key=str), facets)
+    assert K.f_vector() == (1 + 5 * k, 15 * k, 10 * k)
+    assert homology(K).to_json() == [{"degree": 1, "rank": 0, "torsion": [2] * k}]
+    h2 = homology(K, ring=2)
+    assert h2.nonzero_degrees() == [1, 2] and h2.rank(1) == h2.rank(2) == k
+
+
 def test_unreduced_vs_reduced():
     two_points = SimplicialComplex("ab", [["a"], ["b"]])
     assert homology(two_points, reduced=False).rank(0) == 2

@@ -82,10 +82,10 @@ def watch(monkeypatch, name):
 @pytest.mark.parametrize("dense, op, entry", [
     # unit phase: row 1 minus row 0 makes -14 at (1,1)
     ([[1, 7], [1, -7]], "row_op", "(1,1)"),
-    # residual loop (no unit, det 24): pivot 4, then column 0 plus twice
-    # column 1 leaves pivot 2, and column 1 minus twice column 0 makes 12
-    # at (0,1)
-    ([[-6, 0], [-6, 4]], "col_op", "(0,1)"),
+    # residual loop (no unit, det 36): the least entry -4 at (1,0) is the
+    # pivot, row 0 minus row 1 gives [-2, -6], and column 1 plus twice
+    # column 0 makes -10 at (0,1)
+    ([[-6, 0], [-4, 6]], "col_op", "(0,1)"),
 ])
 def test_bit_bound_trips_inside_an_elimination_step(monkeypatch, dense, op, entry):
     cols = cols_from_dense(dense)
@@ -98,12 +98,15 @@ def test_bit_bound_trips_inside_an_elimination_step(monkeypatch, dense, op, entr
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_against_sympy_smith_form(seed):
+@given(st.integers(0, 10**6), st.booleans())
+def test_against_sympy_smith_form(seed, unitless):
+    # with no entry +-1 there is no unit pivot, and the residual loop runs
+    # from its first step
     rng = random.Random(seed)
     nr = rng.randint(1, 5)
     nc = rng.randint(1, 5)
-    dense = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+    entries = [v for v in range(-6, 7) if not unitless or v not in (-1, 1)]
+    dense = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
     mine = invariant_factors(cols_from_dense(dense), bit_bound=DEFAULT_BIT_BOUND)
     M = sympy.Matrix(dense)
     smith = smith_normal_form(M)
