@@ -5,7 +5,8 @@ cohomology is spanned by a single class omega, any nonvanishing top power
 already obstructs. When H^2 is two dimensional on a 6-manifold, a
 compressible filling is equivalent to a graded-algebra surjection onto
 Q[beta]/beta^3, which reduces to a rational-square condition on the
-triple intersection numbers.
+triple intersection numbers. The candidate betas are the integer roots
+of one monic integer cubic, the root 0 standing for beta = e2.
 """
 
 from __future__ import annotations
@@ -107,34 +108,30 @@ def rational_sqrt(r) -> Fraction:
     return Fraction(isqrt(r.numerator), isqrt(r.denominator))
 
 
-def _integer_roots(q):
-    """The integer roots of the monic integer polynomial q (coefficients
-    from the top, degree at most 3), in increasing order.
+def _integer_roots(b, c, d):
+    """The integer roots of the monic integer cubic q(v) = v^3 + b v^2 +
+    c v + d, in increasing order.
 
-    They lie within the Cauchy bound 1 + max |q_i|, and so do the real
-    roots of q' (Gauss-Lucas), which cut that range into pieces where q
-    is monotone; each piece holds at most one root, found by bisection."""
-    bound = 1 + max((abs(c) for c in q[1:]), default=0)
+    They lie within the Cauchy bound 1 + max(|b|, |c|, |d|), and so do the
+    real roots of q' = 3 v^2 + 2 b v + c (Gauss-Lucas), which cut that
+    range into pieces where q is monotone; each piece holds at most one
+    root, found by bisection."""
+    bound = 1 + max(abs(b), abs(c), abs(d))
 
-    def value(u):
-        v = 0
-        for c in q:
-            v = v * u + c
-        return v
+    def value(v):
+        return ((v + b) * v + c) * v + d
 
     cuts = []  # the floors of the real roots of q', in increasing order
-    if len(q) == 3:
-        cuts = [-q[1] // 2]
-    elif len(q) == 4 and q[1] ** 2 > 3 * q[2]:  # q' = 3u^2 + 2 q_1 u + q_2
-        disc = q[1] ** 2 - 3 * q[2]
+    if b * b > 3 * c:
+        disc = b * b - 3 * c
         r = isqrt(disc)
-        cuts = [(-q[1] - r - (r * r < disc)) // 3, (-q[1] + r) // 3]
+        cuts = [(-b - r - (r * r < disc)) // 3, (-b + r) // 3]
     roots = []
-    for lo, hi in zip([-bound] + [c + 1 for c in cuts], cuts + [bound]):
+    for lo, hi in zip([-bound] + [x + 1 for x in cuts], cuts + [bound]):
         if lo > hi:
             continue
         sign = 1 if value(hi) >= value(lo) else -1
-        while lo < hi:  # the first u with sign * q(u) >= 0
+        while lo < hi:  # the first v with sign * q(v) >= 0
             mid = (lo + hi) // 2
             if sign * value(mid) >= 0:
                 hi = mid
@@ -145,48 +142,26 @@ def _integer_roots(q):
     return roots
 
 
-def _rational_cubic_roots(a3, a2, a1, a0):
-    """All rational roots of a3 t^3 + a2 t^2 + a1 t + a0 = 0 (not
-    identically zero), in increasing order, in time polynomial in the
-    bit size of the coefficients. After clearing denominators and dividing
-    out the root t = 0, t = u / c_0 turns c_0^(d-1) (c_0 t^d + ... + c_d)
-    into the monic integer polynomial with coefficients c_i c_0^(i-1),
-    whose rational roots are integers (rational root theorem)."""
-    coeffs = [_frac(c) for c in (a3, a2, a1, a0)]
-    if all(c == 0 for c in coeffs):
-        raise FormError("zero cubic")
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    while ints[0] == 0:
-        ints.pop(0)
-    roots = []
-    while ints[-1] == 0:
-        ints.pop()
-        roots = [Fraction(0)]
-    lead = ints[0]
-    monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints) if i]
-    return sorted(roots + [Fraction(u, lead) for u in _integer_roots(monic)])
-
-
 def find_betas(T: TripleForm) -> list:
     """Projective candidates beta with beta^3 = 0 and beta^2 != 0, as
-    coefficient pairs in the (e1, e2) basis.
+    coefficient pairs in the (e1, e2) basis: (1, t) in increasing t, then
+    (0, 1).
 
-    beta = e1 + t e2 for rational roots t of the cubic
-    1 + 3 c112 t + 3 c122 t^2 + c222 t^3, and beta = e2 when c222 = 0.
-    A candidate survives only if beta^2 pairs nontrivially against
-    (omega, beta)."""
-    candidates = []
-    for t in _rational_cubic_roots(T.c222, 3 * T.c122, 3 * T.c112, Fraction(1)):
-        candidates.append((Fraction(1), t))
-    if T.c222 == 0:
+    beta = e1 + t e2 has int beta^3 = 1 + 3 c112 t + 3 c122 t^2 + c222 t^3,
+    which u = 1/t turns into the monic u^3 + 3 c112 u^2 + 3 c122 u + c222
+    (c111 = 1). With D the lcm of the denominators of its coefficients,
+    v = D u makes it a monic integer cubic, whose rational roots are
+    integers: each root v != 0 gives t = D/v, and the root v = 0, there
+    exactly when c222 = 0, is beta = e2. A candidate survives only if
+    beta^2 pairs nontrivially against omega."""
+    b, c, d = 3 * T.c112, 3 * T.c122, T.c222
+    D = lcm(b.denominator, c.denominator, d.denominator)
+    roots = _integer_roots(int(b * D), int(c * D ** 2), int(d * D ** 3))
+    candidates = sorted((Fraction(1), Fraction(D, v)) for v in roots if v)
+    if 0 in roots:
         candidates.append((Fraction(0), Fraction(1)))
-    kept = []
-    for beta in candidates:
-        omega = (Fraction(1), Fraction(0))
-        if T.triple(omega, beta, beta) != 0 or T.triple(beta, beta, beta) != 0:
-            kept.append(beta)
-    return kept
+    omega = (Fraction(1), Fraction(0))
+    return [beta for beta in candidates if T.triple(omega, beta, beta) != 0]
 
 
 @dataclass(frozen=True)

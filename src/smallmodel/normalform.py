@@ -9,7 +9,8 @@ Smith reduction eliminates the +-1 pivots first, shortest column and
 then shortest row first to limit fill (Dumas-Saunders-Villard 2001),
 and runs the Euclidean loop only on the residual, with its entries
 reduced modulo a nonzero maximal minor (Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4.14) so they cannot grow.
+Computational Algebraic Number Theory*, 2.4.14, one Bareiss elimination
+per block of the residual) so they cannot grow.
 That loop is flat: take the least entry, clear its column and row by
 floor quotients, and start again while a remainder is left.
 Homology over Z walks the boundaries bottom up and reduces d_(k+1)
@@ -177,8 +178,39 @@ def _eliminate_units(mat, lows=None) -> int:
 
 
 def _rank_and_minor(columns):
-    """Rank r over Q and the absolute value of a nonzero r x r minor, by
-    fraction-free (Bareiss) elimination; every entry it makes is a minor."""
+    """Rank r over Q and the absolute value of a nonzero r x r minor.
+
+    Columns joined by a shared row form one block, and a permutation of
+    rows and columns makes the matrix block diagonal, so the rank is the
+    sum of the blocks' ranks and the product of their minors is a minor."""
+    by_row = {}
+    for j, col in enumerate(columns):
+        for i in col:
+            by_row.setdefault(i, []).append(j)
+    seen = set()
+    rank, minor = 0, 1
+    for j in range(len(columns)):
+        if j in seen:
+            continue
+        seen.add(j)
+        block, stack = [], [j]
+        while stack:
+            col = columns[stack.pop()]
+            block.append(col)
+            for i in col:
+                for k in by_row.pop(i, ()):
+                    if k not in seen:
+                        seen.add(k)
+                        stack.append(k)
+        r, m = _bareiss(block)
+        rank += r
+        minor *= m
+    return rank, minor
+
+
+def _bareiss(columns):
+    """Rank and minor of one block, densified, by fraction-free (Bareiss)
+    elimination; every entry it makes is a minor."""
     rows = sorted({i for col in columns for i in col})
     at = {i: k for k, i in enumerate(rows)}
     work = []

@@ -379,10 +379,13 @@ def _hdims_by_size(g: int) -> dict:
 def lemma_smallstabilizers_sweep(g: int) -> dict:
     """Exhaustive check of hdim(Stab(A u B)) + |A| - 1 + |B| - 1 < 6g - 7.
 
-    Exact branch: every type and every split of its curves into two
-    nonempty parts. Bound branch: the counting argument for parts that
-    intersect, hdim <= hdim(Stab(B)) - |A|, swept over all sizes and all
-    types of B (with the maximal-system case |B| = 3g - 3 called out)."""
+    Exact branch: every type and every split of its c curves into two
+    nonempty parts, where the left side is h + c - 2 for every split.
+    Bound branch: the counting argument for parts that intersect,
+    hdim <= hdim(Stab(B)) - |A|, over all types of B (with the
+    maximal-system case |B| = 3g - 3 called out); its left side
+    max(|A|, h_B) + |B| - 2 never decreases in |A|, so |A| = 3g - 3
+    decides every size. Each failing type is one row."""
     if g < 2:
         raise SurfaceError("need genus >= 2")
     bound = 6 * g - 7
@@ -391,41 +394,29 @@ def lemma_smallstabilizers_sweep(g: int) -> dict:
     exact_rows = []
     max_lhs = None
     witness = None
-    ok = True
     for c in range(2, kmax + 1):
         for t_idx, h in enumerate(hdims[c]):
-            for a in range(1, c):
-                b = c - a
-                lhs = h + (a - 1) + (b - 1)
-                row_ok = lhs < bound
-                ok = ok and row_ok
-                if max_lhs is None or lhs > max_lhs:
-                    max_lhs = lhs
-                    witness = {"curves": c, "type_index": t_idx, "split": [a, b],
-                               "hdim": h, "lhs": lhs}
-                if not row_ok:
-                    exact_rows.append({"curves": c, "type_index": t_idx,
-                                       "split": [a, b], "lhs": lhs, "ok": False})
+            lhs = h + c - 2
+            if max_lhs is None or lhs > max_lhs:
+                max_lhs = lhs
+                witness = {"curves": c, "type_index": t_idx, "split": [1, c - 1],
+                           "hdim": h, "lhs": lhs}
+            if lhs >= bound:
+                exact_rows.append({"curves": c, "type_index": t_idx, "lhs": lhs, "ok": False})
     bound_rows = []
     for b in range(1, kmax + 1):
         for t_idx, hb in enumerate(hdims[b]):
             if b == kmax and hb != kmax:
                 # maximal systems are pants decompositions: twist lattice
-                ok = False
                 bound_rows.append({"B_curves": b, "type_index": t_idx,
                                    "error": "maximal system hdim != 3g-3"})
-            for a in range(1, kmax + 1):
-                est = max(0, hb - a)
-                lhs = est + (a - 1) + (b - 1)
-                row_ok = lhs < bound
-                ok = ok and row_ok
-                if not row_ok:
-                    bound_rows.append({"B_curves": b, "A_curves": a,
-                                       "type_index": t_idx, "lhs": lhs, "ok": False})
+            lhs = max(kmax, hb) + b - 2
+            if lhs >= bound:
+                bound_rows.append({"B_curves": b, "type_index": t_idx, "lhs": lhs, "ok": False})
     return {
         "genus": g,
         "bound": bound,
-        "passed": ok,
+        "passed": not exact_rows and not bound_rows,
         "max_exact_lhs": max_lhs,
         "max_exact_witness": witness,
         "exact_failures": exact_rows,

@@ -18,7 +18,6 @@ from smallmodel.cupforms import (
     rational_is_square,
     rational_sqrt,
     verify_witness,
-    _rational_cubic_roots,
 )
 
 rationals = st.fractions(
@@ -84,31 +83,45 @@ coefficients = st.one_of(st.builds(Fraction, big, st.integers(1, 10**6)), ration
 
 
 @st.composite
-def cubics(draw):
-    """Cubics (or lower, after a zero lead) with arbitrary coefficients, or
-    with rational roots planted, double roots included."""
+def b2_forms(draw):
+    """(c112, c122, c222) with arbitrary coefficients, or with rational
+    roots u planted in the monic u^3 + 3 c112 u^2 + 3 c122 u + c222
+    (u = 1/t), double roots and the roots u = 0 (c222 = 0, and with a
+    double zero also c122 = 0) included."""
     if draw(st.booleans()):
-        return [draw(coefficients) for _ in range(4)]
-    k = draw(coefficients.filter(bool))
+        c112, c122, c222 = (draw(coefficients) for _ in range(3))
+        zeros = draw(st.integers(0, 2))
+        return c112, c122 if zeros < 2 else Fraction(0), c222 if zeros < 1 else Fraction(0)
     r1, r2, r3 = (draw(coefficients) for _ in range(3))
     if draw(st.booleans()):
         r2 = r1
-    cubic = [k, -k * (r1 + r2 + r3), k * (r1 * r2 + r1 * r3 + r2 * r3), -k * r1 * r2 * r3]
-    return [Fraction(0)] + cubic[:3] if draw(st.booleans()) else cubic
+    zeros = draw(st.integers(0, 2))
+    if zeros:
+        r3 = Fraction(0)
+    if zeros == 2:
+        r2 = Fraction(0)
+    return -(r1 + r2 + r3) / 3, (r1 * r2 + r1 * r3 + r2 * r3) / 3, -r1 * r2 * r3
 
 
 @settings(max_examples=300, deadline=None)
-@given(cubics())
-def test_rational_cubic_roots_against_sympy(cubic):
+@given(b2_forms())
+def test_find_betas_against_sympy(form):
+    # the rational roots t of 1 + 3 c112 t + 3 c122 t^2 + c222 t^3, then
+    # beta = e2 exactly when c222 = 0, each kept when int omega beta^2 =
+    # 1 + 2 c112 t + c122 t^2 (or c122 for e2) is nonzero
     from sympy import QQ, Poly, symbols
 
-    assume(any(cubic))
+    c112, c122, c222 = form
+    cubic = [c222, 3 * c122, 3 * c112, Fraction(1)]
     while not cubic[0]:
         cubic = cubic[1:]
     t = symbols("t")
-    expected = Poly([QQ(c.numerator, c.denominator) for c in cubic], t, domain=QQ).ground_roots()
-    assert _rational_cubic_roots(*[Fraction(0)] * (4 - len(cubic)), *cubic) == sorted(
-        Fraction(int(r.p), int(r.q)) for r in expected)
+    roots = Poly([QQ(c.numerator, c.denominator) for c in cubic], t, domain=QQ).ground_roots()
+    expected = [(Fraction(1), r) for r in sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+                if 1 + 2 * c112 * r + c122 * r * r != 0]
+    if c222 == 0 and c122 != 0:
+        expected.append((Fraction(0), Fraction(1)))
+    assert find_betas(TripleForm(1, c112, c122, c222)) == expected
 
 
 def test_find_betas_examples():

@@ -205,11 +205,28 @@ def test_sparse_signs_against_sympy_smith_form(seed):
         assert_mirrored(mat)
 
 
+def shuffled_blocks(seed):
+    """A block-diagonal matrix of 1 to 4 blocks up to 6x6 with entries in
+    -6..6, its rows and columns shuffled."""
+    rng = random.Random(seed)
+    shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+    nc = sum(c for _, c in shapes)
+    dense, c0 = [], 0
+    for r, c in shapes:
+        dense += [[rng.randint(-6, 6) if c0 <= j < c0 + c else 0 for j in range(nc)]
+                  for _ in range(r)]
+        c0 += c
+    rng.shuffle(dense)
+    perm = rng.sample(range(nc), nc)
+    return [[row[j] for j in perm] for row in dense]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6))
-def test_rank_and_minor(seed):
-    dense = unit_heavy(seed)
-    rank, det = _rank_and_minor(cols_from_dense(dense))
+@given(st.integers(0, 10**6), st.booleans())
+def test_rank_and_minor(seed, blocks):
+    dense = shuffled_blocks(seed) if blocks else unit_heavy(seed)
+    cols = cols_from_dense(dense)
+    rank, det = _rank_and_minor(cols)
     theirs = sympy_factors(dense)
     assert rank == len(theirs)
     # any nonzero maximal minor is a multiple of the product of the factors
@@ -217,6 +234,7 @@ def test_rank_and_minor(seed):
     for f in theirs:
         product *= f
     assert det > 0 and det % product == 0
+    assert sorted(invariant_factors(cols)) == theirs
 
 
 def test_residual_entries_stay_bounded():

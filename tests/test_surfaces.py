@@ -142,6 +142,22 @@ def test_a_bad_pants_type_is_one_error_row(monkeypatch):
                                       "error": "maximal system hdim != 3g-3"}]
 
 
+def test_a_bad_type_is_one_row_per_branch(monkeypatch):
+    # a type whose hdim is too large used to be reported once per split of
+    # its curves in the exact branch and once per size of A in the bound one
+    g = 3
+    hdims = surfaces._hdims_by_size(g)
+    hdims[4][0] = 10
+    monkeypatch.setattr(surfaces, "_hdims_by_size", lambda genus: hdims)
+    rep = lemma_smallstabilizers_sweep(g)
+    assert not rep["passed"]
+    assert rep["max_exact_lhs"] == 12
+    assert rep["max_exact_witness"] == {"curves": 4, "type_index": 0, "split": [1, 3],
+                                        "hdim": 10, "lhs": 12}
+    assert rep["exact_failures"] == [{"curves": 4, "type_index": 0, "lhs": 12, "ok": False}]
+    assert rep["bound_failures"] == [{"B_curves": 4, "type_index": 0, "lhs": 12, "ok": False}]
+
+
 def test_certificate_passes_smallness():
     for g in (2, 3):
         cert = curve_complex_certificate(g)
