@@ -301,9 +301,7 @@ def criterion_chaincore(seed: int = 0) -> Report:
         for p in (2, 3):
             ca = chain_complex(A, p)
             cb = chain_complex(B, p)
-            ca.check_dd_zero()
-            cb.check_dd_zero()
-            prod = tensor_total(ca, cb)  # constructor re-verifies dd = 0
+            prod = tensor_total(ca, cb)  # checks dd = 0 on both factors
             hp = prod.homology()
             ha = ca.homology()
             hb = cb.homology()

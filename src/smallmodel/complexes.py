@@ -312,8 +312,9 @@ class ChainComplex:
         skips. An empty degree skips nothing in the next one. Every ring
         needs d_k d_(k+1) = 0, which ``chain_complex`` guarantees by
         construction and ``tensor_total`` (also for the diagonal and
-        quotient of ``diagonal.build_diagonal``) through ``check=True``; a
-        complex built with ``check=False`` must satisfy it too.
+        quotient of ``diagonal.build_diagonal``) by checking its two
+        factors, and a quotient on its own cells; a complex built with
+        ``check=False`` must satisfy it too.
         """
         lowest = -1 if self.augmented else 0
         degrees = range(lowest, self.top + 1)
@@ -419,11 +420,21 @@ def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> Ch
     only the kept cells are built, in that order. A face outside them raises
     when ``closed`` (the kept cells must span a subcomplex: this is
     verified, not assumed) and is dropped otherwise (the quotient by the
-    subcomplex on the other cells). Shapes and d∘d are checked either way."""
+    subcomplex on the other cells).
+
+    The shapes and d∘d of A and B are checked, each factor once. As
+    d²(a x b) = d²a x b + a x d²b, the two terms in different bidegrees,
+    d∘d vanishes on the product exactly when it does on both factors, and
+    then on a kept subcomplex too, whose columns are the product's; so
+    these are built unchecked. A quotient is checked on its own cells: its
+    d∘d vanishes only if the dropped cells span a subcomplex."""
     if A.ring != B.ring:
         raise ComplexError("ring mismatch in tensor product")
     if A.augmented or B.augmented:
         raise ComplexError("tensor of augmented complexes not supported")
+    for factor in (A,) if B is A else (A, B):
+        factor.check_shapes()
+        factor.check_dd_zero()
     cells = total_cells(A.ranks, B.ranks)
     if keep is not None:
         cells = {n: list(filter(keep, cl)) for n, cl in cells.items()}
@@ -451,4 +462,4 @@ def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> Ch
                 del col[None]
             cols.append({k: v for k, v in col.items() if v})
         boundaries[n] = cols
-    return ChainComplex(A.ring, ranks, boundaries, check=True)
+    return ChainComplex(A.ring, ranks, boundaries, check=not closed)

@@ -18,10 +18,10 @@ product complex is never built.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .complexes import (
     ChainComplex, SimplicialComplex, chain_complex, guard_product, tensor_total, total_cells,
@@ -39,10 +39,10 @@ class ProductCells:
 
 
 def _diagonal_rule(K):
-    """(masks, on): the simplices of K by dimension as bitmasks of their
-    vertex indices (bit v for vertex v), and the predicate on a cell
-    (i, a, j, b) of C x C that is true when the union of the two simplices
-    spans a simplex of K. A union is one ``|`` and a simplex one set lookup."""
+    """The predicate on a cell (i, a, j, b) of C x C that is true when the
+    union of the two simplices spans a simplex of K. The simplices are held
+    as bitmasks of their vertex indices (bit v for vertex v), so a union is
+    one ``|`` and a simplex one set lookup."""
     masks = [[sum(1 << v for v in s) for s in K.simplices(d)] for d in range(K.dim + 1)]
     faces = {m for level in masks for m in level}
 
@@ -50,7 +50,7 @@ def _diagonal_rule(K):
         i, a, j, b = cell
         return masks[i][a] | masks[j][b] in faces
 
-    return masks, on
+    return on
 
 
 @dataclass
@@ -82,7 +82,7 @@ def build_diagonal(K: SimplicialComplex, ring="Z") -> SubquotientComplexes:
     ranks = K.f_vector()
     guard_product(ranks, ranks)  # before C is built
     C = chain_complex(K, ring)
-    _, on = _diagonal_rule(K)
+    on = _diagonal_rule(K)
     return SubquotientComplexes(C, on, tensor_total(C, C, keep=on))
 
 
@@ -104,50 +104,32 @@ def decomposition_check(K: SimplicialComplex) -> Report:
     """Exact rank bookkeeping: in first-degree i, the diagonal cells in
     total degree i+j are counted by the j-cells of the star closures of
     the i-simplices. Counts cells, tallied per (i, j) by the rule of
-    ``build_diagonal``; builds no chain complex and no cell list."""
+    ``build_diagonal``, against ``_star_count``; builds no chain complex
+    and no cell list."""
     ranks = K.f_vector()
     guard_product(ranks, ranks)
-    masks, on = _diagonal_rule(K)
-    stars = _star_counts(K, masks)
+    on = _diagonal_rule(K)
     mism = []
     table = {}
     for i in range(K.dim + 1):
         for j in range(K.dim + 1):
             count = sum(map(on, itertools.product((i,), range(ranks[i]), (j,), range(ranks[j]))))
-            rhs = stars.get((i, j), 0)
+            rhs = _star_count(ranks, i, j)
             table[f"({i},{j})"] = [count, rhs]
             if count != rhs:
                 mism.append((i, j, count, rhs))
     return _check("decomposition", not mism, {"bidegree_counts": table, "mismatches": mism})
 
 
-def _star_counts(K, masks) -> dict:
-    """{(i, j): the j-simplices of the closed star of each i-simplex s,
-    summed over s}, for the simplices ``masks`` of K as bitmasks. The
-    closed star is the union of the facets that contain s
-    (``SimplicialComplex.delta_sigma``), so its simplices are the nonempty
-    subsets of those facets, counted here as bitmasks without building a
-    complex per simplex."""
-    subsets = []
-    for f in K.facets:
-        top = sum(1 << v for v in f)
-        sub, m = [], top
-        while m:
-            sub.append(m)
-            m = (m - 1) & top
-        subsets.append((top, sub))
-    counts = {}
-    for i, level in enumerate(masks):
-        sizes = Counter()
-        for s in level:
-            star = set()
-            for top, sub in subsets:
-                if top & s == s:
-                    star.update(sub)
-            sizes.update(map(int.bit_count, star))
-        for size, c in sizes.items():
-            counts[(i, size - 1)] = c  # a j-simplex has j + 1 vertices
-    return counts
+def _star_count(f, i, j) -> int:
+    """The j-simplices of the closed star of each i-simplex, summed over
+    the i-simplices, from the f-vector f alone. A j-simplex t lies in the
+    closed star of an i-simplex s (``SimplicialComplex.delta_sigma``)
+    exactly when s ∪ t is a face u. For u with n vertices there are
+    C(n, i+1) choices of s in u, and t holds the n-i-1 vertices of u
+    outside s and i+j+2-n of the i+1 in s."""
+    return sum(f[n - 1] * comb(n, i + 1) * comb(i + 1, i + j + 2 - n)
+               for n in range(1, min(len(f), i + j + 2) + 1))
 
 
 def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> Report:

@@ -38,10 +38,10 @@ Both are exact when d_k d_(k+1) = 0, since (d_k d_(k+1))^T =
 d_(k+1)^T d_k^T: a reduced column is a boundary (a coboundary) with
 its lead in the skipped column's index, so that column is a combination
 of the columns before it. ``complexes.chain_complex`` guarantees
-d d = 0 by construction and ``complexes.tensor_total`` through
-``check=True``, for the product and for the diagonal and quotient that
-``diagonal.build_diagonal`` takes from it; a ``ChainComplex`` built with
-``check=False`` must satisfy it too.
+d d = 0 by construction and ``complexes.tensor_total`` by checking its
+two factors (and a quotient on its own cells), for the product and for
+the diagonal and quotient that ``diagonal.build_diagonal`` takes from it;
+a ``ChainComplex`` built with ``check=False`` must satisfy it too.
 """
 
 from __future__ import annotations

@@ -137,6 +137,35 @@ class ProductChainComplex:
         return ChainComplex(self.chain.ring, ranks, boundaries, check=False)
 
 
+def star_counts(K) -> dict:
+    """{(i, j): the j-simplices of the closed star of each i-simplex s,
+    summed over s}. The closed star is the union of the facets that
+    contain s (``SimplicialComplex.delta_sigma``), so its simplices are
+    the nonempty subsets of those facets, counted here as bitmasks of
+    vertex indices without building a complex per simplex."""
+    subsets = []
+    for f in K.facets:
+        top = sum(1 << v for v in f)
+        sub, m = [], top
+        while m:
+            sub.append(m)
+            m = (m - 1) & top
+        subsets.append((top, sub))
+    counts = {}
+    for i in range(K.dim + 1):
+        sizes = collections.Counter()
+        for s in K.simplices(i):
+            s = sum(1 << v for v in s)
+            star = set()
+            for top, sub in subsets:
+                if top & s == s:
+                    star.update(sub)
+            sizes.update(map(int.bit_count, star))
+        for size, c in sizes.items():
+            counts[(i, size - 1)] = c  # a j-simplex has j + 1 vertices
+    return counts
+
+
 def connected(v, mult):
     """Whether the multigraph {(i, j): k} on vertices 0..v-1 is connected."""
     adj = {i: set() for i in range(v)}

@@ -162,6 +162,53 @@ def test_tensor_total_keeps_a_subcomplex_and_refuses_an_open_set():
     assert full.boundaries == tensor_total(c, c).boundaries
 
 
+def test_tensor_total_refuses_a_malformed_factor_by_name():
+    # degree 1 names cell 5 of a rank-2 degree 0: the face would read as a
+    # cell outside the kept ones, or drop out of a quotient unseen, if the
+    # factor's own shapes were not checked first
+    bad = ChainComplex(2, [2, 1], {1: [{0: 1, 5: 1}]}, check=False)
+    loop = ChainComplex(2, [1, 1], {1: [{}]})
+    for A, B in ((bad, loop), (loop, bad), (bad, bad)):
+        for closed in (True, False):
+            with pytest.raises(ComplexError, match="boundary 1 hits indices outside degree 0"):
+                tensor_total(A, B, closed=closed)
+
+
+@pytest.mark.parametrize("ring", ["Z", 3])
+def test_tensor_total_refuses_a_factor_with_nonzero_dd(ring):
+    # d_1 d_2 = 2 on the 0-cell, nonzero over Z and F_3; the cells over the
+    # bad factor's degree 0 are a subcomplex that holds none of its 2-cells,
+    # and the quotient by it has d∘d = 0, yet both are refused
+    bad = ChainComplex(ring, [1, 1, 1], {1: [{0: 1}], 2: [{0: 2}]}, check=False)
+    point = ChainComplex(ring, [1], {})
+    for A, B, side in ((bad, point, 0), (point, bad, 2)):
+        def low(cell, side=side):
+            return cell[side] == 0
+
+        def high(cell, side=side):
+            return cell[side] > 0
+
+        for keep, closed in ((None, True), (low, True), (high, False)):
+            with pytest.raises(ComplexError, match="boundary composition is nonzero"):
+                tensor_total(A, B, keep=keep, closed=closed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["Z", 2, 3]))
+def test_products_and_diagonals_pass_the_product_checks(seed, ring):
+    # tensor_total checks only its factors and builds a product or a kept
+    # subcomplex unchecked, since d^2(a x b) = d^2 a x b + a x d^2 b; the
+    # checks on the results themselves catch a slip in its sign rule
+    rng = random.Random(seed)
+    A = chain_complex(random_clique_complex(rng, rng.randint(2, 5)), ring)
+    B = chain_complex(random_clique_complex(rng, rng.randint(2, 5)), ring)
+    K = random_clique_complex(rng, rng.randint(3, 6))
+    for C in (tensor_total(A, B), tensor_total(B, A), tensor_total(A, A),
+              build_diagonal(K, ring).diagonal):
+        C.check_shapes()
+        C.check_dd_zero()
+
+
 def random_clique_complex(rng, n):
     """The clique complex of a random graph on n vertices."""
     edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6}

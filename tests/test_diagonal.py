@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ProductChainComplex
+from oracles import ProductChainComplex, star_counts
 from smallmodel import complexes, diagonal
 from smallmodel.complexes import SimplicialComplex, homology, maximal_cliques
 from smallmodel.diagonal import (
@@ -225,7 +225,22 @@ def test_star_counts_against_delta_sigma(seed):
         for j in range(star.dim + 1):
             key = (len(s) - 1, j)
             counts[key] = counts.get(key, 0) + len(star.simplices(j))
-    assert diagonal._star_counts(K, diagonal._diagonal_rule(K)[0]) == counts
+    assert star_counts(K) == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_star_count_from_the_f_vector_against_the_star_tally(seed, flag):
+    # the count that decomposition_check reads from the f-vector against
+    # the closed stars tallied by bitmask, every (i, j) up to the dimension
+    K = random_complex(random.Random(seed))
+    if flag:
+        K = clique_complex(K)
+    f = K.f_vector()
+    tally = star_counts(K)
+    for i in range(K.dim + 1):
+        for j in range(K.dim + 1):
+            assert diagonal._star_count(f, i, j) == tally.get((i, j), 0)
 
 
 def test_decomposition_check_builds_no_chain_complex(monkeypatch):
