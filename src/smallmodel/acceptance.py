@@ -1,8 +1,9 @@
 """The full verification battery, shared by the test suite and the CLI.
 
 Each criterion is a function returning a Report whose details carry its
-number and name; run_all executes the battery in order and times each
-criterion. Random sweeps are seeded and deterministic.
+number and name; run_all executes the battery in order, times each
+criterion and yields its report as it ends. Random sweeps are seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -416,10 +417,10 @@ SEEDED = {criterion_orbit_codim, criterion_slm_pipeline, criterion_diagonal,
 
 
 def run_all(seed: int = 0):
-    results = []
+    """The report of each criterion, in order, yielded as that criterion
+    ends, so that it can be shown before the next one runs."""
     for fn in CRITERIA:
         t0 = time.perf_counter()
         rep = fn(seed=seed) if fn in SEEDED else fn()
         rep.details["runtime_s"] = round(time.perf_counter() - t0, 3)
-        results.append(rep)
-    return results
+        yield rep

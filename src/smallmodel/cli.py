@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -50,6 +51,13 @@ def _emit(report, as_json):
         return
     print(f"{report['command']}: {report['status']}")
     _human(report["details"], indent="  ")
+
+
+def _to_devnull(stream):
+    """Point a stream whose reader left (``| head``) at devnull, so that no
+    later write, nor the flush at interpreter exit, raises: what is left
+    to print is dropped, and the verdict and its exit code stand."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _human(obj, indent=""):
@@ -219,9 +227,13 @@ def cmd_b2_criterion(args, data):
 
 
 def cmd_suite(args, data):
-    results = acceptance.run_all(seed=args.seed)
-    for r in results:
-        print(acceptance.line(r), file=sys.stderr)
+    results = []
+    for r in acceptance.run_all(seed=args.seed):
+        try:
+            print(acceptance.line(r), file=sys.stderr, flush=True)
+        except BrokenPipeError:
+            _to_devnull(sys.stderr)
+        results.append(r)
     ok = all(r.passed for r in results)
     return (VERIFIED if ok else VIOLATION,
             {"criteria": [r.to_json() for r in results]})
@@ -331,7 +343,11 @@ def main(argv=None) -> int:
     except Exception as exc:
         status, details = "error", {"error": f"{type(exc).__name__}: {exc}"}
     report = _report(args.command, inputs, status, details, args.seed, t0)
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _to_devnull(sys.stdout)
     return EXIT.get(status, 3)
 
 

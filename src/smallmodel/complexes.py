@@ -397,19 +397,26 @@ def guard_product(ranks_a, ranks_b) -> None:
                            f"more than MAX_PRODUCT_CELLS = {MAX_PRODUCT_CELLS}")
 
 
+def _blocks(ranks_a, ranks_b) -> dict:
+    """The bidegree blocks (i, j) of A (x) B by total degree n = i + j,
+    ordered by i: the one walk of a tensor product, from which
+    ``total_cells`` and ``tensor_total`` both read their cell order. A
+    product with more than MAX_PRODUCT_CELLS cells is refused."""
+    guard_product(ranks_a, ranks_b)
+    return {n: [(i, n - i) for i in range(max(0, n - len(ranks_b) + 1),
+                                          min(n, len(ranks_a) - 1) + 1)]
+            for n in range(len(ranks_a) + len(ranks_b) - 1)}
+
+
 def total_cells(ranks_a, ranks_b) -> dict:
     """Cells of the total complex of A (x) B by degree n, each as
     (i, a, j, b): cell a of degree i of A times cell b of degree j of B,
     i + j = n. Ordered by i, then a, then b; this is the one cell order
-    of a tensor product, and ``tensor_total`` uses it for its bases."""
-    guard_product(ranks_a, ranks_b)
-    return {
-        n: [(i, a, n - i, b)
-            for i in range(max(0, n - len(ranks_b) + 1), min(n, len(ranks_a) - 1) + 1)
-            for a in range(ranks_a[i])
-            for b in range(ranks_b[n - i])]
-        for n in range(len(ranks_a) + len(ranks_b) - 1)
-    }
+    of a tensor product, which ``tensor_total`` builds block by block from
+    the same walk, without listing the cells."""
+    return {n: [(i, a, j, b) for i, j in blocks
+                for a in range(ranks_a[i]) for b in range(ranks_b[j])]
+            for n, blocks in _blocks(ranks_a, ranks_b).items()}
 
 
 def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> ChainComplex:
@@ -422,6 +429,15 @@ def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> Ch
     verified, not assumed) and is dropped otherwise (the quotient by the
     subcomplex on the other cells).
 
+    The product is built one bidegree block (i, j) at a time: cell
+    (i, a, j, b) is slot a*|B_j| + b of its block, the blocks of a degree
+    laid end to end, and each degree maps its slots to the positions of
+    its kept cells (a ``range`` when every cell is kept, None for a dropped
+    one). Once per block the columns of d_i on A and d_j on B become (slot,
+    coefficient) pairs, so a product column is da x b, shifted by b, then
+    (-1)^i a x db, shifted by a*|B_(j-1)|; the two lie in different blocks,
+    so no entry is summed, and each keeps its factor's column order.
+
     The shapes and d∘d of A and B are checked, each factor once. As
     d²(a x b) = d²a x b + a x d²b, the two terms in different bidegrees,
     d∘d vanishes on the product exactly when it does on both factors, and
@@ -432,34 +448,63 @@ def tensor_total(A: ChainComplex, B: ChainComplex, keep=None, closed=True) -> Ch
         raise ComplexError("ring mismatch in tensor product")
     if A.augmented or B.augmented:
         raise ComplexError("tensor of augmented complexes not supported")
-    for factor in (A,) if B is A else (A, B):
+    factors = (A,) if B is A else (A, B)
+    for factor in factors:
         factor.check_shapes()
         factor.check_dd_zero()
-    cells = total_cells(A.ranks, B.ranks)
-    if keep is not None:
-        cells = {n: list(filter(keep, cl)) for n, cl in cells.items()}
-    index = {cell: pos for cl in cells.values() for pos, cell in enumerate(cl)}
-    at = index.get  # None for a face outside the kept cells
-    ranks = [len(cl) for cl in cells.values()]
+    blocks = _blocks(A.ranks, B.ranks)
+    start, kept, at, ranks = {}, {}, {}, []
+    for n, pairs in blocks.items():
+        slot, flags = 0, []
+        for i, j in pairs:
+            start[i, j] = slot
+            slot += A.ranks[i] * B.ranks[j]
+            if keep is not None:
+                kept[i, j] = list(map(bool, map(keep, itertools.product(
+                    (i,), range(A.ranks[i]), (j,), range(B.ranks[j])))))
+                flags += kept[i, j]
+        if keep is None:
+            at[n] = range(slot)
+            ranks.append(slot)
+        else:
+            at[n] = [p if f else None
+                     for p, f in zip(itertools.accumulate(flags, initial=0), flags)]
+            ranks.append(sum(flags))
+    # an explicit 0 in a factor column gives no entry of the product
+    zeros = not all(all(col.values()) for F in factors
+                    for cols in F.boundaries.values() for col in cols)
     a_cols = {i: A.boundary_columns(i) for i in range(1, A.top + 1)}
     b_cols = {j: B.boundary_columns(j) for j in range(1, B.top + 1)}
     boundaries = {}
-    for n in range(1, len(ranks)):
+    for n, pairs in blocks.items():
+        if n == 0:
+            continue
+        below = at[n - 1]
         cols = []
-        for (i, a, j, b) in cells[n]:
-            col = {}
-            if i > 0:
-                for a2, v in a_cols[i][a].items():
-                    col[at((i - 1, a2, j, b))] = v
-            if j > 0:
-                sign = (-1) ** i
-                for b2, v in b_cols[j][b].items():
-                    key = at((i, a, j - 1, b2))
-                    col[key] = col.get(key, 0) + sign * v
-            if None in col:
-                if closed:
-                    raise ComplexError("kept cells are not closed under the boundary")
-                del col[None]
-            cols.append({k: v for k, v in col.items() if v})
+        for i, j in pairs:
+            ra, rb = A.ranks[i], B.ranks[j]
+            sign = -1 if i & 1 else 1
+            da = ([[(start[i - 1, j] + a2 * rb, v) for a2, v in col.items()]
+                   for col in a_cols[i]] if i else [()] * ra)
+            db = ([[(start[i, j - 1] + b2, sign * v) for b2, v in col.items()]
+                   for col in b_cols[j]] if j else [()] * rb)
+            step = B.rank(j - 1)
+            cells = itertools.product(range(ra), range(rb))
+            if keep is not None:
+                cells = itertools.compress(cells, kept[i, j])
+            for a, b in cells:
+                col = {}
+                for s, v in da[a]:
+                    col[below[s + b]] = v
+                shift = a * step
+                for s, v in db[b]:
+                    col[below[s + shift]] = v
+                if None in col:
+                    if closed:
+                        raise ComplexError("kept cells are not closed under the boundary")
+                    del col[None]
+                if zeros:
+                    col = {k: v for k, v in col.items() if v}
+                cols.append(col)
         boundaries[n] = cols
     return ChainComplex(A.ring, ranks, boundaries, check=not closed)

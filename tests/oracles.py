@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from smallmodel import ratlin
 from smallmodel.complexes import (
     ChainComplex,
+    ComplexError,
     HomologyTable,
     chain_complex,
     tensor_total,
@@ -135,6 +136,49 @@ class ProductChainComplex:
                              for idx in cell_lists[n]]
         ranks = [len(cell_lists[n]) for n in sorted(cell_lists)]
         return ChainComplex(self.chain.ring, ranks, boundaries, check=False)
+
+
+def tensor_total_reference(A, B, keep=None, closed=True):
+    """``complexes.tensor_total`` as it was built before it went block by
+    block: every cell of ``total_cells`` listed as an (i, a, j, b) tuple,
+    each face looked up in a dict keyed by those tuples, and the two parts
+    of a column summed entry by entry. The oracle for the block build's
+    ranks, columns and column key order, and for its errors."""
+    if A.ring != B.ring:
+        raise ComplexError("ring mismatch in tensor product")
+    if A.augmented or B.augmented:
+        raise ComplexError("tensor of augmented complexes not supported")
+    for factor in (A,) if B is A else (A, B):
+        factor.check_shapes()
+        factor.check_dd_zero()
+    cells = total_cells(A.ranks, B.ranks)
+    if keep is not None:
+        cells = {n: list(filter(keep, cl)) for n, cl in cells.items()}
+    index = {cell: pos for cl in cells.values() for pos, cell in enumerate(cl)}
+    at = index.get  # None for a face outside the kept cells
+    ranks = [len(cl) for cl in cells.values()]
+    a_cols = {i: A.boundary_columns(i) for i in range(1, A.top + 1)}
+    b_cols = {j: B.boundary_columns(j) for j in range(1, B.top + 1)}
+    boundaries = {}
+    for n in range(1, len(ranks)):
+        cols = []
+        for (i, a, j, b) in cells[n]:
+            col = {}
+            if i > 0:
+                for a2, v in a_cols[i][a].items():
+                    col[at((i - 1, a2, j, b))] = v
+            if j > 0:
+                sign = (-1) ** i
+                for b2, v in b_cols[j][b].items():
+                    key = at((i, a, j - 1, b2))
+                    col[key] = col.get(key, 0) + sign * v
+            if None in col:
+                if closed:
+                    raise ComplexError("kept cells are not closed under the boundary")
+                del col[None]
+            cols.append({k: v for k, v in col.items() if v})
+        boundaries[n] = cols
+    return ChainComplex(A.ring, ranks, boundaries, check=not closed)
 
 
 def star_counts(K) -> dict:

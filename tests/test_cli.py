@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import grid_surface
-from smallmodel import cli
+from smallmodel import acceptance, cli
 from smallmodel.cli import main
 from smallmodel.normalform import PivotExplosion
 
@@ -560,6 +560,25 @@ def test_lemma_upper(capsys):
     assert "runtime_s" not in d and "passed" not in d and "details" not in d
 
 
+def test_suite_prints_each_criterion_as_it_ends(monkeypatch, capsys):
+    # the [PASS] line of the first criterion is on stderr before the second
+    # one starts; all eleven lines used to come after the last criterion
+    seen = []
+
+    def first():
+        return acceptance._criterion(1, "first stub", True, {})
+
+    def second():
+        seen.append(capsys.readouterr().err)
+        return acceptance._criterion(2, "second stub", False, {})
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (first, second))
+    code, rep = run_json(capsys, "suite")
+    assert seen == ["[PASS] criterion  1 first stub (0.0s)\n"]
+    assert code == 1 and rep["status"] == "counterexample"
+    assert [c["name"] for c in rep["details"]["criteria"]] == ["first stub", "second stub"]
+
+
 def test_orbit_codim_rejects_shared_subspace(tmp_path, capsys):
     flag = coordinate_flag_json(3, [{0}])
     path = write_json(tmp_path, "pair.json", {"e": flag, "f": flag})
@@ -785,6 +804,41 @@ def test_module_form_runs_the_cli():
     rep = json.loads(proc.stdout)
     assert rep["status"] == "verified"
     assert rep["details"]["dim"] == 3
+
+
+@pytest.mark.parametrize("argv, code", [
+    # about 200 KB of JSON, more than a pipe holds, so the CLI is still
+    # writing when the reader leaves after one byte
+    (("multicurves", "--g", "5", "--k", "5"), 0),
+    # exited 1, a counterexample, with a BrokenPipeError traceback
+    (("lemma-upper", "--m", "3"), 0),
+])
+def test_a_reader_that_leaves_early_keeps_the_exit_code(argv, code):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "smallmodel", "--json", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == code, stderr
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+def test_a_closed_stderr_keeps_the_suite_verdict():
+    # the first [PASS] line raised BrokenPipeError inside the command, which
+    # was reported as an error with exit 3 (``suite 2>&1 | head -c 1``)
+    code = ("import sys; from smallmodel import acceptance, cli; "
+            "acceptance.CRITERIA = (lambda: acceptance._criterion(1, 'stub', True, {}),); "
+            "sys.exit(cli.main(['--json', 'suite']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stderr.close()
+    out = proc.stdout.read()
+    assert proc.wait(timeout=120) == 0
+    assert json.loads(out)["status"] == "verified"
 
 
 def test_no_networkx_at_import():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank_mod_p, grid_surface, homology_by_sympy, homology_per_degree
+from oracles import (dense_rank_mod_p, grid_surface, homology_by_sympy, homology_per_degree,
+                     tensor_total_reference)
 from smallmodel import complexes
 from smallmodel.complexes import (
     ChainComplex,
@@ -16,7 +17,7 @@ from smallmodel.complexes import (
     tensor_total,
     total_cells,
 )
-from smallmodel.diagonal import build_diagonal
+from smallmodel.diagonal import _diagonal_rule, build_diagonal
 from smallmodel.flags import finite_building
 from smallmodel.normalform import invariant_factors, rank_mod_p
 
@@ -207,6 +208,65 @@ def test_products_and_diagonals_pass_the_product_checks(seed, ring):
               build_diagonal(K, ring).diagonal):
         C.check_shapes()
         C.check_dd_zero()
+
+
+def union_rule(KA, KB, L):
+    """The predicate on the cells (i, a, j, b) of A (x) B, A and B the
+    chains of KA and KB on shared vertex labels, that holds when the two
+    simplices span a simplex of L. Faces of a kept cell span faces of that
+    simplex, so the kept cells are closed; with KA = KB = L this is
+    ``diagonal._diagonal_rule``."""
+    faces = {frozenset(s) for s in L.all_simplices()}
+
+    def on(cell):
+        i, a, j, b = cell
+        return frozenset(KA.simplices(i)[a]) | frozenset(KB.simplices(j)[b]) in faces
+
+    return on
+
+
+def built(make, A, B, keep, closed):
+    """The ranks and each column's entries, in order, of a product, or the
+    text of the ComplexError that refuses it."""
+    try:
+        C = make(A, B, keep=keep, closed=closed)
+    except ComplexError as exc:
+        return str(exc)
+    return C.ring, C.ranks, [(n, [list(col.items()) for col in cols])
+                             for n, cols in C.boundaries.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["Z", 2, 3]))
+def test_tensor_total_matches_the_cell_list_reference(seed, ring):
+    # the block build against the 4-tuple cell list and its tuple-keyed
+    # index: ranks, columns and the key order in each column (pivots are
+    # picked in that order), and the same refusal for an open keep
+    rng = random.Random(seed)
+    KA = random_clique_complex(rng, rng.randint(2, 5))
+    KB = random_clique_complex(rng, rng.randint(2, 5))
+    A, B = chain_complex(KA, ring), chain_complex(KB, ring)
+    # an edge whose column holds an explicit 0 at its second endpoint
+    zero = ChainComplex(ring, [2, 1], {1: [{1: 0, 0: 1}]})
+    edge = SimplicialComplex(range(2), [[0, 1]])
+    cases = [(A, B, KA, KB), (B, A, KB, KA), (A, A, KA, KA), (zero, A, edge, KA),
+             (A, zero, KA, edge)]
+    for X, Y, KX, KY in cases:
+        on = _diagonal_rule(KX) if X is Y else union_rule(KX, KY, KX if rng.random() < 0.5 else KY)
+        top = X.top + Y.top
+        coin = {}
+
+        def anything(cell):
+            return coin.setdefault(cell, rng.random() < 0.7)
+
+        keeps = [(None, True), (on, True), (lambda c: not on(c), False),
+                 (lambda c: c[0] + c[2] == top, True), (lambda c: c[1] != 1, True),
+                 (lambda c: c[1] != 1, False), (anything, True), (anything, False)]
+        for keep, closed in keeps:
+            new = built(tensor_total, X, Y, keep, closed)
+            assert new == built(tensor_total_reference, X, Y, keep, closed), (keep, closed)
+            if keep is on:
+                assert not isinstance(new, str), new
 
 
 def random_clique_complex(rng, n):

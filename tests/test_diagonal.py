@@ -256,17 +256,17 @@ def test_decomposition_check_builds_no_chain_complex(monkeypatch):
 
 
 def test_build_diagonal_lists_the_product_cells_once(monkeypatch):
-    # tensor_total lists the cells of C x C and keeps the diagonal ones;
-    # the quotient, read later, lists them once more, and nothing else does
+    # tensor_total walks the blocks of C x C once and keeps the diagonal
+    # cells; the quotient, read later, walks them once more, and nothing
+    # else does
     calls = []
-    listed = complexes.total_cells
+    walk = complexes._blocks
 
     def counted(ranks_a, ranks_b):
         calls.append((ranks_a, ranks_b))
-        return listed(ranks_a, ranks_b)
+        return walk(ranks_a, ranks_b)
 
-    monkeypatch.setattr(complexes, "total_cells", counted)
-    monkeypatch.setattr(diagonal, "total_cells", counted)
+    monkeypatch.setattr(complexes, "_blocks", counted)
     parts = build_diagonal(hollow_triangle())
     assert len(calls) == 1
     parts.quotient.homology()
