@@ -34,13 +34,11 @@ from .diagonal import (
     long_exact_consistency,
 )
 from .flags import (
-    CoordinateFlagSpec,
     FlagError,
     RationalFlag,
     complete_flag_count,
     coordinate_flag,
     finite_building,
-    forced_zero_count,
     orbit_codim,
     slm_inequality,
     split_dims,

@@ -1,5 +1,6 @@
 """Flags of rational subspaces: stabilizer dimensions by exact linear
-algebra, forced-zero counting for permuted coordinate flags, the
+algebra, the forced-zero rule of permuted coordinate flags (for every
+choice of member dimensions at once, one pass per permutation), the
 semidirect splitting dimension calculus, induced flags and the
 codimension-chain inequality, plus a finite-field building generator.
 
@@ -117,47 +118,25 @@ def coordinate_flag(m: int, sets) -> RationalFlag:
     return RationalFlag.make(m, subs)
 
 
-@dataclass(frozen=True)
-class CoordinateFlagSpec:
-    """A standard flag (prefix subspaces of the given sizes) moved by a
-    permutation w of {0,...,m-1}."""
+def forced_zeros(w) -> tuple:
+    """The forced-zero rule of the standard flag moved by a permutation w
+    of {0, ..., m-1}, for every choice of member dimensions at once.
 
-    m: int
-    dims: tuple
-    w: tuple
-
-    def __post_init__(self):
-        if not self.dims or list(self.dims) != sorted(set(self.dims)):
-            raise FlagError("dims must be a nonempty sorted set")
-        if not all(1 <= d <= self.m - 1 for d in self.dims):
-            raise FlagError("dims must lie in 1..m-1")
-        if sorted(self.w) != list(range(self.m)):
-            raise FlagError("w must be a permutation of 0..m-1")
-
-    def moved_sets(self):
-        return [frozenset(self.w[i] for i in range(d)) for d in self.dims]
-
-    def fixed_levels(self):
-        return [
-            k for k, (d, s) in enumerate(zip(self.dims, self.moved_sets()))
-            if s == frozenset(range(d))
-        ]
-
-
-def forced_zero_count(spec: CoordinateFlagSpec) -> int:
-    """Number of above-diagonal matrix positions identically zero on the
-    stabilizer of the moved flag. Requires that no flag element is fixed
-    by the permutation; the count is then at least the flag length."""
-    fixed = spec.fixed_levels()
-    if fixed:
-        raise FlagError(f"permutation fixes flag element at level {fixed[0]}")
-    moved = spec.moved_sets()
-    count = 0
-    for i in range(spec.m):
-        for j in range(i + 1, spec.m):
-            if any(j in s and i not in s for s in moved):
-                count += 1
-    return count
+    The member of dimension d is w{0, ..., d-1}. With pos = w^-1, it is
+    fixed (the coordinate prefix itself) when w maps {0, ..., d-1} onto
+    itself, and it forces the matrix entry (i, j), i < j, to zero on its
+    stabilizer exactly when it holds j but not i: pos(j) < d <= pos(i).
+    Returns (fixed, forcing) as bitmasks over dimensions, bit d for d:
+    fixed has the dimensions whose member is fixed, and forcing maps each
+    entry (i, j) that some member can force to zero to the dimensions that
+    do. A flag with dimension bitmask D and no fixed member has a forced
+    zero at (i, j) exactly when forcing[i, j] & D."""
+    m = len(w)
+    pos = sorted(range(m), key=w.__getitem__)
+    fixed = sum(1 << d for d in range(1, m) if max(w[:d]) == d - 1)
+    forcing = {(i, j): (1 << pos[i] + 1) - (1 << pos[j] + 1)
+               for i, j in itertools.combinations(range(m), 2) if pos[j] < pos[i]}
+    return fixed, forcing
 
 
 # ---------------------------------------------------------------------------

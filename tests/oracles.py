@@ -15,7 +15,14 @@ from smallmodel.complexes import (
     tensor_total,
     total_cells,
 )
-from smallmodel.flags import FlagError, RationalFlag, _containment_rows, _stab_constraint_rows
+from smallmodel.flags import (
+    FlagError,
+    RationalFlag,
+    _containment_rows,
+    _stab_constraint_rows,
+    coordinate_flag,
+    forced_zeros,
+)
 from smallmodel.normalform import invariant_factors
 from smallmodel.ratlin import sparse_rank
 from smallmodel.surfaces import SurfaceError, _dedupe
@@ -402,3 +409,52 @@ def f0_subflag_by_images(e, f):
                    for lo, hi, images in zip(padded, padded[1:], table))
     )
     return RationalFlag(e.m, keep)
+
+
+# ---------------------------------------------------------------------------
+# Forced zeros of permuted coordinate flags: the per-flag set rule and the
+# stabilizer algebra itself, the references of ``flags.forced_zeros``.
+
+
+def forced_zero_count_by_sets(m, dims, w):
+    """Above-diagonal entries forced to zero on the stabilizer of the
+    standard flag with member dimensions ``dims`` moved by the permutation
+    w, counted flag by flag on sets: each member is the set w{0..d-1}, and
+    (i, j), i < j, is forced when some member holds j but not i. None when
+    a member is fixed, that is when w maps {0..d-1} onto itself."""
+    moved = [frozenset(w[:d]) for d in dims]
+    if any(s == frozenset(range(d)) for d, s in zip(dims, moved)):
+        return None
+    return sum(1 for i, j in itertools.combinations(range(m), 2)
+               if any(j in s and i not in s for s in moved))
+
+
+def forced_zero_rule_mismatches(m):
+    """(checked, mismatches): every (w, dims) at m, the dims a nonempty
+    subset of 1..m-1, on which ``flags.forced_zeros`` and
+    ``forced_zero_count_by_sets`` disagree, on whether a member is fixed or
+    on the count, and the number of pairs with no fixed member."""
+    checked, mismatches = 0, []
+    dim_sets = [dims for r in range(1, m) for dims in itertools.combinations(range(1, m), r)]
+    for w in itertools.permutations(range(m)):
+        fixed, forcing = forced_zeros(w)
+        for dims in dim_sets:
+            bits = sum(1 << d for d in dims)
+            got = None if bits & fixed else sum(1 for f in forcing.values() if f & bits)
+            expected = forced_zero_count_by_sets(m, dims, w)
+            checked += expected is not None
+            if got != expected:
+                mismatches.append((w, dims, got, expected))
+    return checked, mismatches
+
+
+def forced_zeros_by_nullspace(m, sets):
+    """The above-diagonal entries (i, j) that vanish on the whole
+    stabilizer algebra of the coordinate flag spanned by the nested index
+    sets: a basis of the algebra from ``ratlin.nullspace`` of its
+    containment constraints over the m*m matrix entries, read entry by
+    entry."""
+    rows = _stab_constraint_rows(coordinate_flag(m, sets))
+    basis = ratlin.nullspace([[row.get(k, 0) for k in range(m * m)] for row in rows], m * m)
+    return {(i, j) for i, j in itertools.combinations(range(m), 2)
+            if not any(v[i * m + j] for v in basis)}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import grid_surface
-from smallmodel import acceptance, cli
+from oracles import forced_zero_count_by_sets, grid_surface
+from smallmodel import acceptance, cli, flags
 from smallmodel.cli import main
 from smallmodel.normalform import PivotExplosion
 
@@ -558,6 +559,37 @@ def test_lemma_upper(capsys):
     assert d["name"] == "forced zeros >= flag length, exhaustive"
     # only the suite times its criteria
     assert "runtime_s" not in d and "passed" not in d and "details" not in d
+
+
+def test_lemma_upper_reports_a_counterexample(monkeypatch, capsys):
+    # the lemma holds, so only a rule that undercounts reaches this path:
+    # drop the corner entry (0, m - 1) from the forced zeros of every w
+    rule = flags.forced_zeros
+
+    def undercount(w):
+        fixed, forcing = rule(w)
+        forcing.pop((0, len(w) - 1), None)
+        return fixed, forcing
+
+    monkeypatch.setattr(flags, "forced_zeros", undercount)
+    code, rep = run_json(capsys, "lemma-upper", "--m", "3")
+    assert code == 1
+    d = rep["details"]
+    assert rep["status"] == d["status"] == "counterexample"
+    assert d["checked"] == 12
+    expected = []
+    for m in (2, 3):
+        dim_sets = [dims for r in range(1, m) for dims in itertools.combinations(range(1, m), r)]
+        for w in itertools.permutations(range(m)):
+            for dims in dim_sets:
+                count = forced_zero_count_by_sets(m, dims, w)
+                if count is None:
+                    continue
+                moved = [set(w[:d]) for d in dims]
+                count -= any(m - 1 in s and 0 not in s for s in moved)
+                if count < len(dims):
+                    expected.append({"m": m, "dims": list(dims), "w": list(w), "count": count})
+    assert expected and d["violations"] == expected
 
 
 def test_suite_prints_each_criterion_as_it_ends(monkeypatch, capsys):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     f0_subflag_by_images,
+    forced_zero_rule_mismatches,
+    forced_zeros_by_nullspace,
     induced_flags_by_images,
     nil_stab_dim_by_rank,
     nilpotent_constraint_rows,
@@ -23,14 +25,13 @@ from smallmodel import acceptance, flags
 from smallmodel.complexes import homology
 from smallmodel.flags import (
     _nil_stab_dim,
-    CoordinateFlagSpec,
     FlagError,
     RationalFlag,
     complete_flag_count,
     coordinate_flag,
     f0_subflag,
     finite_building,
-    forced_zero_count,
+    forced_zeros,
     gf_subspaces,
     induced_flags,
     orbit_codim,
@@ -192,11 +193,49 @@ def test_pair_dim_combinatorial_oracle():
                 assert stab_pair_dim(e, f) == expected, (ce, cf)
 
 
+def forced_zero_positions(w, dims):
+    """The entries forced to zero by the members of dimensions dims under
+    ``forced_zeros``, or None when w fixes one of them."""
+    fixed, forcing = forced_zeros(w)
+    bits = sum(1 << d for d in dims)
+    return None if bits & fixed else {p for p, f in forcing.items() if f & bits}
+
+
 def test_forced_zero_examples():
-    assert forced_zero_count(CoordinateFlagSpec(3, (1,), (2, 1, 0))) == 2
-    assert forced_zero_count(CoordinateFlagSpec(3, (1, 2), (1, 2, 0))) == 2
-    with pytest.raises(FlagError):
-        forced_zero_count(CoordinateFlagSpec(3, (1,), (0, 2, 1)))  # fixes <e1>
+    # <e3> forces (0, 2) and (1, 2); <e2, e3> and <e2> force (0, 1) and (0, 2)
+    assert forced_zero_positions((2, 1, 0), (1,)) == {(0, 2), (1, 2)}
+    assert forced_zero_positions((1, 2, 0), (1, 2)) == {(0, 1), (0, 2)}
+    assert forced_zero_positions((0, 2, 1), (1,)) is None  # fixes <e1>
+    assert forced_zeros((0, 2, 1))[0] == 0b10
+
+
+def test_forced_zeros_match_the_stabilizer_algebra():
+    # every moved flag with no fixed member at m <= 4: the entries the rule
+    # forces to zero are those that vanish on a basis of the stabilizer
+    # algebra, got by exact linear algebra on its containment constraints
+    checked = 0
+    for m in (2, 3, 4):
+        for w in itertools.permutations(range(m)):
+            for r in range(1, m):
+                for dims in itertools.combinations(range(1, m), r):
+                    positions = forced_zero_positions(w, dims)
+                    if positions is None:
+                        continue
+                    checked += 1
+                    expected = forced_zeros_by_nullspace(m, [w[:d] for d in dims])
+                    assert positions == expected, (w, dims)
+                    assert len(positions) >= len(dims)
+    assert checked == acceptance.criterion_forced_zeros(4).details["checked"]
+
+
+def test_forced_zeros_match_the_set_reference():
+    # every (w, dims) at m <= 6, fixed members included; CI runs m = 7
+    total = 0
+    for m in range(2, 7):
+        checked, mismatches = forced_zero_rule_mismatches(m)
+        assert mismatches == [], mismatches[:3]
+        total += checked
+    assert total == 18867
 
 
 def test_split_dims_cross_check():
