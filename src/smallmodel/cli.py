@@ -220,7 +220,11 @@ def cmd_rank_one(args, data):
 
 
 def cmd_b2_criterion(args, data):
+    if args.infile and args.form is not None:
+        raise ValueError("b2-criterion takes --in or --form, not both")
     if not args.infile:
+        if args.form is None:
+            raise ValueError("b2-criterion requires --in or --form")
         data = json.loads(args.form)
     T = cupforms.TripleForm.from_json(data)
     return VERIFIED, cupforms.compression_criterion_b2(T).to_json()

@@ -6,12 +6,15 @@ already obstructs. When H^2 is two dimensional on a 6-manifold, a
 compressible filling is equivalent to a graded-algebra surjection onto
 Q[beta]/beta^3, which reduces to a rational-square condition on the
 triple intersection numbers. The candidate betas are the integer roots
-of one monic integer cubic, the root 0 standing for beta = e2.
+of one monic integer cubic, the root 0 standing for beta = e2. The triple
+form is evaluated in integers: the four coefficients over one common
+denominator, each vector over its own, contracted with no Fraction in the
+loop and divided once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -54,6 +57,14 @@ def projective_space_ring(n: int) -> RankOneRing:
     return RankOneRing(k=2, m=n, top_value=Fraction(1))
 
 
+def _integer_pair(x) -> tuple:
+    """(p1, p2, d) with x = (p1, p2) / d in integers, for a pair of ints,
+    Fractions or strings that Fraction parses."""
+    (p1, q1), (p2, q2) = (Fraction(t).as_integer_ratio() if isinstance(t, str)
+                          else t.as_integer_ratio() for t in x)
+    return p1 * q2, p2 * q1, q1 * q2
+
+
 @dataclass(frozen=True)
 class TripleForm:
     """Symmetric triple intersection numbers ∫ e_a e_b e_c on a basis
@@ -65,47 +76,64 @@ class TripleForm:
     c122: Fraction
     c222: Fraction
 
+    # (D, n111, n112, n122, n222): the coefficients as c = n / D with one
+    # common denominator D, set once the fields are validated
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         for name in ("c111", "c112", "c122", "c222"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.c111 != 1:
             raise FormError("omega must be normalized: c111 = 1")
-
-    def coefficient(self, a: int, b: int, c: int) -> Fraction:
-        key = "c" + "".join(str(i) for i in sorted((a, b, c)))
-        return getattr(self, key)
+        coeffs = (self.c111, self.c112, self.c122, self.c222)
+        D = lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "_scaled",
+                           (D, *(c.numerator * (D // c.denominator) for c in coeffs)))
 
     def triple(self, u, v, w) -> Fraction:
-        """Trilinear evaluation on coefficient vectors in the (e1, e2) basis."""
-        total = Fraction(0)
-        for a in (1, 2):
-            for b in (1, 2):
-                for c in (1, 2):
-                    total += (self.coefficient(a, b, c)
-                              * _frac(u[a - 1]) * _frac(v[b - 1]) * _frac(w[c - 1]))
-        return total
+        """Trilinear evaluation on coefficient vectors in the (e1, e2)
+        basis (entries ints, Fractions or strings), exact.
+
+        The coefficient of u_a v_b w_c depends only on how many of a, b, c
+        are 2. Each vector is scaled to integers over its own denominator,
+        the integer coefficients are contracted with w, then v, then u, and
+        the one division by the product of the denominators comes last."""
+        D, n0, n1, n2, n3 = self._scaled
+        u1, u2, du = _integer_pair(u)
+        v1, v2, dv = _integer_pair(v)
+        w1, w2, dw = _integer_pair(w)
+        m0, m1, m2 = n0 * w1 + n1 * w2, n1 * w1 + n2 * w2, n2 * w1 + n3 * w2
+        return Fraction(u1 * (m0 * v1 + m1 * v2) + u2 * (m1 * v1 + m2 * v2),
+                        D * du * dv * dw)
 
     @classmethod
     def from_json(cls, data):
-        return cls(*(json_rational(data[name], name)
-                     for name in ("c111", "c112", "c122", "c222")))
+        names = ("c111", "c112", "c122", "c222")
+        if not isinstance(data, dict):
+            raise TypeError(f"a triple form must be a JSON object, got {data!r}")
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ValueError(f"the triple form has no {', '.join(missing)}")
+        return cls(*(json_rational(data[name], name) for name in names))
+
+
+def rational_sqrt(r):
+    """The nonnegative rational square root of r, or None when r is not
+    the square of a rational: r < 0, or the reduced numerator or
+    denominator is not a perfect square."""
+    r = _frac(r)
+    if r < 0:
+        return None
+    n, d = r.numerator, r.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        return None
+    return Fraction(rn, rd)
 
 
 def rational_is_square(r) -> bool:
-    """True iff r is the square of a rational: r >= 0 and the reduced
-    numerator and denominator are both perfect squares."""
-    r = _frac(r)
-    if r < 0:
-        return False
-    n, d = r.numerator, r.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
-def rational_sqrt(r) -> Fraction:
-    r = _frac(r)
-    if not rational_is_square(r):
-        raise FormError(f"{r} is not a rational square")
-    return Fraction(isqrt(r.numerator), isqrt(r.denominator))
+    """True iff r is the square of a rational."""
+    return rational_sqrt(r) is not None
 
 
 def _integer_roots(b, c, d):
@@ -160,7 +188,7 @@ def find_betas(T: TripleForm) -> list:
     candidates = sorted((Fraction(1), Fraction(D, v)) for v in roots if v)
     if 0 in roots:
         candidates.append((Fraction(0), Fraction(1)))
-    omega = (Fraction(1), Fraction(0))
+    omega = (1, 0)
     return [beta for beta in candidates if T.triple(omega, beta, beta) != 0]
 
 
@@ -178,14 +206,15 @@ class SurjectionWitness:
 def verify_witness(T: TripleForm, w: SurjectionWitness) -> list:
     """Re-evaluate every witness relation from the form; returns the
     list of violated relations (empty when the witness is exact)."""
-    omega = (Fraction(1), Fraction(0))
-    bad = []
-    if T.triple(w.beta, w.beta, w.beta) != 0:
-        bad.append("beta^3 != 0")
-    if T.triple(omega, w.beta, w.beta) == 0 and T.triple(w.beta, w.beta, w.beta) == 0:
-        bad.append("beta^2 = 0")
+    omega = (1, 0)
+    b3 = T.triple(w.beta, w.beta, w.beta)
     wb2 = T.triple(omega, w.beta, w.beta)
     w2b = T.triple(omega, omega, w.beta)
+    bad = []
+    if b3 != 0:
+        bad.append("beta^3 != 0")
+    if wb2 == 0 and b3 == 0:
+        bad.append("beta^2 = 0")
     if w2b == 0 or wb2 == 0:
         bad.append("degenerate pairing")
         return bad
@@ -202,6 +231,10 @@ def verify_witness(T: TripleForm, w: SurjectionWitness) -> list:
     return bad
 
 
+def _label(beta) -> str:
+    return "(" + ", ".join(map(str, beta)) + ")"
+
+
 def compression_criterion_b2(T: TripleForm) -> Report:
     """Sweep the candidate betas; SATISFIABLE with an exact witness when
     some beta admits a rational s != 0 with s = x s^2 + y, OBSTRUCTED
@@ -213,22 +246,21 @@ def compression_criterion_b2(T: TripleForm) -> Report:
     betas = find_betas(T)
     if not betas:
         notes.append("no rational beta with beta^3=0 and beta^2!=0")
-    omega = (Fraction(1), Fraction(0))
+    omega = (1, 0)
     for beta in betas:
-        label = "(" + ", ".join(map(str, beta)) + ")"
         w2b = T.triple(omega, omega, beta)
         wb2 = T.triple(omega, beta, beta)
         if w2b == 0 or wb2 == 0:
-            notes.append(f"beta={label}: degenerate pairing "
+            notes.append(f"beta={_label(beta)}: degenerate pairing "
                          f"(int omega^2 beta = {w2b}, int omega beta^2 = {wb2})")
             continue
         x = wb2 / w2b
         y = w2b / wb2 - T.c111 / w2b
         disc = 1 - 4 * x * y
-        if not rational_is_square(disc):
-            notes.append(f"beta={label}: 1-4xy = {disc} is not a rational square")
-            continue
         root = rational_sqrt(disc)
+        if root is None:
+            notes.append(f"beta={_label(beta)}: 1-4xy = {disc} is not a rational square")
+            continue
         found_zero = False
         for s in ((1 + root) / (2 * x), (1 - root) / (2 * x)):
             if s == 0:
@@ -242,6 +274,6 @@ def compression_criterion_b2(T: TripleForm) -> Report:
                                         "zero_s_roots": zero_s})
         if found_zero:
             zero_s.append(beta)
-            notes.append(f"beta={label}: only s=0 solves s=xs^2+y "
+            notes.append(f"beta={_label(beta)}: only s=0 solves s=xs^2+y "
                          "(phi(omega)=0, not accepted as a surjection)")
     return Report(OBSTRUCTED, {"witness": None, "notes": notes, "zero_s_roots": zero_s})

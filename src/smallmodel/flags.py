@@ -27,6 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import ratlin
 from .complexes import SimplicialComplex
@@ -404,14 +405,18 @@ def prefix_chains(m: int):
 
 def random_flag(m: int, dims, rng: random.Random) -> RationalFlag:
     """Random flag with the given dimension profile (sorted, in 1..m-1);
-    small-height entries, redrawn until the m rows have rank m. The
+    small-height entries a/b, redrawn until the m rows have rank m. The
     prefixes of a full-rank draw are then nested and proper, so they are
-    reduced once each and need none of ``make``'s checks."""
+    reduced once each and need none of ``make``'s checks.
+
+    Each row is drawn as its (a, b) pairs and scaled to integers by the
+    lcm L of its b's, a * (L // b) per entry, with no Fraction built."""
     while True:
-        rows = [
-            integer_row([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)])
-            for _ in range(m)
-        ]
+        rows = []
+        for _ in range(m):
+            pairs = [(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)]
+            L = lcm(*(b for _, b in pairs))
+            rows.append(integer_row([a * (L // b) for a, b in pairs]))
         if rank(rows) == m:
             return RationalFlag(m, tuple(rref(rows[:d]) for d in dims))
 

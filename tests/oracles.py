@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -24,7 +25,7 @@ from smallmodel.flags import (
     forced_zeros,
 )
 from smallmodel.normalform import invariant_factors
-from smallmodel.ratlin import sparse_rank
+from smallmodel.ratlin import integer_row, rank, rref, sparse_rank
 from smallmodel.surfaces import SurfaceError, _dedupe
 
 
@@ -458,3 +459,35 @@ def forced_zeros_by_nullspace(m, sets):
     basis = ratlin.nullspace([[row.get(k, 0) for k in range(m * m)] for row in rows], m * m)
     return {(i, j) for i, j in itertools.combinations(range(m), 2)
             if not any(v[i * m + j] for v in basis)}
+
+
+# ---------------------------------------------------------------------------
+# Random flags drawn entry by entry as Fractions, the reference of
+# ``flags.random_flag``.
+
+
+def random_flag_reference(m, dims, rng):
+    """A random flag drawn as ``flags.random_flag`` draws it, the same
+    randint pairs in the same order, with each entry built as a Fraction
+    and each row cleared by ``ratlin.integer_row``."""
+    while True:
+        rows = [integer_row([Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                             for _ in range(m)])
+                for _ in range(m)]
+        if rank(rows) == m:
+            return RationalFlag(m, tuple(rref(rows[:d]) for d in dims))
+
+
+# ---------------------------------------------------------------------------
+# The symmetric triple form as its 8-term sum, the reference of
+# ``cupforms.TripleForm.triple``.
+
+
+def triple_reference(T, u, v, w):
+    """The sum of c_abc u_a v_b w_c over a, b, c in {1, 2}, in Fractions,
+    each coefficient read from the field named by the sorted indices."""
+    total = Fraction(0)
+    for a, b, c in itertools.product((1, 2), repeat=3):
+        coefficient = getattr(T, "c" + "".join(map(str, sorted((a, b, c)))))
+        total += coefficient * Fraction(u[a - 1]) * Fraction(v[b - 1]) * Fraction(w[c - 1])
+    return total

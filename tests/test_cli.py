@@ -53,6 +53,26 @@ def test_b2_criterion_satisfiable_includes_witness(capsys):
     assert rep["details"]["witness"]["s"] == "1"
 
 
+@pytest.mark.parametrize("argv, error", [
+    # read null as JSON and failed on it with a TypeError
+    ((), "ValueError: b2-criterion requires --in or --form"),
+    # --form was read and ignored, and the run exited 0
+    (("--in", "FILE", "--form", '{"c111":"1","c112":"2","c122":"1","c222":"0"}'),
+     "ValueError: b2-criterion takes --in or --form, not both"),
+    # "list indices must be integers or slices, not str"
+    (("--form", "[1, 0, 0, 1]"), "TypeError: a triple form must be a JSON object, got [1, 0, 0, 1]"),
+    # KeyError: 'c222'
+    (("--form", '{"c111":"1","c112":"2","c122":"1"}'), "ValueError: the triple form has no c222"),
+    (("--form", '{"c111":"1"}'), "ValueError: the triple form has no c112, c122, c222"),
+])
+def test_b2_criterion_input_errors_are_named(tmp_path, capsys, argv, error):
+    path = write_json(tmp_path, "form.json", {"c111": "1", "c112": "1", "c122": "1", "c222": "0"})
+    code, rep = run_json(capsys, "b2-criterion", *(path if a == "FILE" else a for a in argv))
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == error
+
+
 def test_rank_one(capsys):
     code, rep = run_json(capsys, "rank-one", "--k", "2", "--m", "3", "--top", "1")
     assert code == 0

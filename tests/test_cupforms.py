@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from oracles import triple_reference
 
 from smallmodel.cupforms import (
     NOT_OBSTRUCTED,
@@ -57,6 +61,7 @@ def test_rational_square_basics():
     assert not rational_is_square(2)
     assert not rational_is_square(Fraction(-1, 4))
     assert rational_sqrt(Fraction(49, 4)) == Fraction(7, 2)
+    assert rational_sqrt(2) is None and rational_sqrt(Fraction(-1, 4)) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,3 +176,50 @@ def test_triple_evaluation_symmetry():
     T = TripleForm(1, Fraction(1, 2), 3, Fraction(-2, 7))
     u, v, w = (1, 2), (Fraction(1, 3), -1), (0, 5)
     assert T.triple(u, v, w) == T.triple(w, u, v) == T.triple(v, w, u)
+    # denominators on the form and on each vector, string entries included
+    T = TripleForm(1, Fraction(1, 6), Fraction(-3, 4), Fraction(5, 9))
+    u, v, w = (Fraction(1, 2), 3), ("2/5", -1), (Fraction(7, 3), Fraction(1, 7))
+    assert T.triple(u, v, w) == triple_reference(T, u, v, w)
+    assert T.triple((0, 1), (0, 1), (0, 1)) == Fraction(5, 9)
+
+
+entries = st.one_of(big, coefficients, coefficients.map(str))
+vectors = st.tuples(entries, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients, coefficients, coefficients, vectors, vectors, vectors)
+def test_triple_matches_the_eight_term_sum(c112, c122, c222, u, v, w):
+    # the integer contraction against the Fraction sum over all eight
+    # index triples, in every order of the three arguments
+    T = TripleForm(1, c112, c122, c222)
+    expected = triple_reference(T, u, v, w)
+    for args in itertools.permutations((u, v, w)):
+        assert T.triple(*args) == expected
+
+
+def test_form_equality_ignores_the_scaled_coefficients():
+    assert TripleForm(1, "1/2", 0, 3) == TripleForm(1, Fraction(1, 2), 0, 3)
+    assert hash(TripleForm(1, "1/2", 0, 3)) == hash(TripleForm(1, Fraction(1, 2), 0, 3))
+    assert repr(TripleForm(1, 0, 0, 1)) == ("TripleForm(c111=Fraction(1, 1), c112=Fraction(0, 1), "
+                                            "c122=Fraction(0, 1), c222=Fraction(1, 1))")
+
+
+@pytest.mark.parametrize("form, change, bad", [
+    # beta = e1 + e2 has int beta^3 = 7, and x is then 2, not 1
+    ((1, 1, 1, 0), {"beta": (Fraction(1), Fraction(1))},
+     ["beta^3 != 0", "x != int(omega beta^2)/int(omega^2 beta)"]),
+    ((1, 1, 1, 0), {"s": Fraction(2)}, ["s != x s^2 + y", "(2xs-1)^2 != 1-4xy"]),
+    ((1, 1, 1, 0), {"x": Fraction(2)},
+     ["x != int(omega beta^2)/int(omega^2 beta)", "s != x s^2 + y", "(2xs-1)^2 != 1-4xy"]),
+    ((1, 1, 1, 0), {"y": Fraction(1)}, ["y mismatch", "s != x s^2 + y", "(2xs-1)^2 != 1-4xy"]),
+    # y = 0 here, so s = 0 breaks no other relation
+    ((1, 1, 1, 0), {"s": Fraction(0)}, ["s = 0"]),
+    # beta = e2: int omega^2 beta = c112 = 0, int omega beta^2 = c122
+    ((1, 0, 1, 0), {}, ["degenerate pairing"]),
+    ((1, 0, 0, 0), {}, ["beta^2 = 0", "degenerate pairing"]),
+])
+def test_verify_witness_names_each_broken_relation(form, change, bad):
+    witness = compression_criterion_b2(TripleForm(1, 1, 1, 0)).details["witness"]
+    assert witness.beta == (0, 1) and (witness.s, witness.x, witness.y) == (1, 1, 0)
+    assert verify_witness(TripleForm(*form), replace(witness, **change)) == bad

@@ -18,6 +18,7 @@ from oracles import (
     nil_stab_dim_by_rank,
     nilpotent_constraint_rows,
     pair_table_by_sum_space,
+    random_flag_reference,
     stab_pair_dim_by_rank,
 )
 import smallmodel
@@ -103,6 +104,18 @@ def test_random_flag_equals_make_on_the_same_prefixes(m, seed, data):
             break
     assert f == RationalFlag.make(m, [rows[:d] for d in dims])
     assert rng.getstate() == replay.getstate()
+
+
+def test_random_flag_equals_the_fraction_draw():
+    # integer rows straight from the randint pairs: the same flags as the
+    # Fraction draw, and the generator left in the same state
+    pick = random.Random(0)
+    for m in range(2, 7):
+        for seed in range(300):
+            dims = sorted(pick.sample(range(1, m), pick.randint(1, m - 1)))
+            rng, replay = random.Random(seed), random.Random(seed)
+            assert random_flag(m, dims, rng) == random_flag_reference(m, dims, replay), (m, seed)
+            assert rng.random() == replay.random()
 
 
 SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
