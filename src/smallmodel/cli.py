@@ -23,8 +23,8 @@ import time
 from . import acceptance, cupforms, diagonal, flags, smallness, surfaces
 from .complexes import SimplicialComplex, homology
 from .normalform import PivotExplosion
-from .report import (INCONCLUSIVE, OBSTRUCTED, VERIFIED, VIOLATION, json_bool, json_int,
-                     json_list, json_rational)
+from .report import (INCONCLUSIVE, OBSTRUCTED, VERIFIED, VIOLATION, json_bool, json_field,
+                     json_int, json_list, json_rational)
 
 EXIT = {VERIFIED: 0, VIOLATION: 1, INCONCLUSIVE: 2, "error": 3}
 
@@ -123,14 +123,14 @@ def cmd_sc_obstruction(args, data):
     from .complexes import HomologyTable
 
     entries = {}
-    for e in json_list(data["boundary_homology"], "boundary_homology"):
-        d = json_int(e["degree"], "degree", least=0)
+    for e in json_list(json_field(data, "boundary_homology"), "boundary_homology"):
+        d = json_int(json_field(e, "degree", "a homology entry"), "degree", least=0)
         if d in entries:
             raise ValueError(f"degree {d} has two entries")
-        entries[d] = (d, json_int(e["rank"], "rank", least=0),
+        entries[d] = (d, json_int(json_field(e, "rank", "a homology entry"), "rank", least=0),
                       tuple(json_int(t, "torsion", least=2)
                             for t in json_list(e.get("torsion", []), "torsion")))
-    n, q = json_int(data["n"], "n"), json_int(data["q"], "q")
+    n, q = json_int(json_field(data, "n"), "n"), json_int(json_field(data, "q"), "q")
     chi_zero = data.get("chi_zero")
     if chi_zero is not None:
         chi_zero = json_bool(chi_zero, "chi_zero")
@@ -148,8 +148,7 @@ def cmd_lemma_upper(args, data):
 
 def cmd_orbit_codim(args, data):
     if args.infile:
-        e = flags.RationalFlag.from_json(data["e"])
-        f = flags.RationalFlag.from_json(data["f"])
+        e, f = _flag_pair(data)
         # the bound holds for disjoint flags only, as in slm_inequality
         if not e.disjoint_from(f):
             raise flags.FlagError("flags share a subspace")
@@ -162,11 +161,13 @@ def cmd_orbit_codim(args, data):
     return rep.status, rep.to_json()
 
 
+def _flag_pair(data):
+    return tuple(flags.RationalFlag.from_json(json_field(data, name)) for name in ("e", "f"))
+
+
 def cmd_slm_check(args, data):
     if args.infile:
-        e = flags.RationalFlag.from_json(data["e"])
-        f = flags.RationalFlag.from_json(data["f"])
-        rep = flags.slm_inequality(e, f)
+        rep = flags.slm_inequality(*_flag_pair(data))
     else:
         rep = acceptance.criterion_slm_pipeline(max_m=args.m, random_per_m=args.random,
                                                 seed=args.seed)
@@ -212,8 +213,9 @@ def cmd_cc_certificate(args, data):
 
 def cmd_rank_one(args, data):
     if args.infile:
-        R = cupforms.RankOneRing(json_int(data["k"], "k"), json_int(data["m"], "m"),
-                                 json_rational(data["top_value"], "top_value"))
+        R = cupforms.RankOneRing(json_int(json_field(data, "k"), "k"),
+                                 json_int(json_field(data, "m"), "m"),
+                                 json_rational(json_field(data, "top_value"), "top_value"))
     else:
         R = cupforms.RankOneRing(args.k, args.m, json_rational(args.top, "--top"))
     return VERIFIED, cupforms.rank_one_obstruction(R).to_json()
@@ -261,13 +263,19 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, reads_in=False, needs_in=False, **kwargs):
+    def add(name, fn, reads_in=False, needs_in=False, without_in=(), **kwargs):
         # only a subcommand that reads --in accepts it; a stray --in on any
-        # other is a usage error, not a file hashed into the digest unread
+        # other is a usage error, not a file hashed into the digest unread.
+        # The options in without_in, (name, default) pairs, are what --in
+        # replaces: they parse as None when not given, so that main can
+        # refuse one given beside --in, and take their defaults without it
         sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(fn=fn, needs_in=needs_in, infile=None)
+        sp.set_defaults(fn=fn, needs_in=needs_in, infile=None, without_in=dict(without_in))
         if reads_in or needs_in:
             sp.add_argument("--in", dest="infile", help="JSON input file")
+        for option, default in without_in:
+            sp.add_argument(f"--{option}", type=type(default),
+                            help=f"default {default}; not with --in")
         return sp
 
     sp = add("homology", cmd_homology, needs_in=True,
@@ -287,13 +295,10 @@ def build_parser():
     sp = add("lemma-upper", cmd_lemma_upper, help="forced-zero sweep")
     sp.add_argument("--m", type=int, default=6)
 
-    sp = add("orbit-codim", cmd_orbit_codim, reads_in=True, help="orbit codimension bound")
-    sp.add_argument("--m", type=int, default=5)
-    sp.add_argument("--random", type=int, default=1000)
-
-    sp = add("slm-check", cmd_slm_check, reads_in=True, help="codimension-chain inequality")
-    sp.add_argument("--m", type=int, default=5)
-    sp.add_argument("--random", type=int, default=500)
+    add("orbit-codim", cmd_orbit_codim, reads_in=True, without_in=(("m", 5), ("random", 1000)),
+        help="orbit codimension bound")
+    add("slm-check", cmd_slm_check, reads_in=True, without_in=(("m", 5), ("random", 500)),
+        help="codimension-chain inequality")
 
     sp = add("building", cmd_building, help="finite building homology")
     sp.add_argument("--m", type=int, required=True)
@@ -315,10 +320,8 @@ def build_parser():
              help="orbit certificate for curve systems")
     sp.add_argument("--g", type=int, required=True)
 
-    sp = add("rank-one", cmd_rank_one, reads_in=True, help="one-generator cup obstruction")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--top", default="1")
+    add("rank-one", cmd_rank_one, reads_in=True,
+        without_in=(("k", 2), ("m", 3), ("top", "1")), help="one-generator cup obstruction")
 
     sp = add("b2-criterion", cmd_b2_criterion, reads_in=True,
              help="two-generator surjection criterion")
@@ -335,10 +338,17 @@ def main(argv=None) -> int:
     data = None
     inputs = {"argv": [a for a in (argv if argv is not None else sys.argv[1:])]}
     try:
+        given = [f"--{option}" for option in args.without_in
+                 if getattr(args, option) is not None]
+        if args.infile and given:
+            raise ValueError(f"{args.command} takes --in or {', '.join(given)}, not both")
+        for option, default in args.without_in.items():
+            if getattr(args, option) is None:
+                setattr(args, option, default)
         if args.infile:
             data = _load(args.infile)
             inputs["data"] = data
-        elif getattr(args, "needs_in", False):
+        elif args.needs_in:
             raise ValueError(f"{args.command} requires --in")
         status, details = args.fn(args, data)
     except PivotExplosion as exc:

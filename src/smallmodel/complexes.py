@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .normalform import invariant_factors, is_prime, rank_mod_p
-from .report import json_list
+from .report import json_field, json_list
 
 
 # size guards: a complex is refused when its facets have more than
@@ -165,11 +165,11 @@ class SimplicialComplex:
     def from_json(cls, data: dict) -> "SimplicialComplex":
         """A complex from ``{"vertices": [...], "facets": [[...], ...]}``;
         a facet that names a vertex twice is refused, not read as a set."""
-        facets = [json_list(f, "facet") for f in json_list(data["facets"], "facets")]
+        facets = [json_list(f, "facet") for f in json_list(json_field(data, "facets"), "facets")]
         for f in facets:
             if len(set(f)) != len(f):
                 raise ComplexError(f"facet {f!r} repeats a vertex")
-        return cls(json_list(data["vertices"], "vertices"), facets)
+        return cls(json_list(json_field(data, "vertices"), "vertices"), facets)
 
     def __eq__(self, other):
         return (

@@ -32,7 +32,7 @@ from math import lcm
 from . import ratlin
 from .complexes import SimplicialComplex
 from .ratlin import integer_row, rank, rref, sparse_rank
-from .report import VERIFIED, VIOLATION, Report, json_int, json_list, json_rational
+from .report import VERIFIED, VIOLATION, Report, json_field, json_int, json_list, json_rational
 
 
 class FlagError(ValueError):
@@ -106,8 +106,9 @@ class RationalFlag:
             return [[json_rational(x, "subspace entry") for x in json_list(row, "subspace row")]
                     for row in json_list(sub, "subspace")]
 
-        return cls.make(json_int(data["m"], "m"),
-                        [rows(sub) for sub in json_list(data["subspaces"], "subspaces")])
+        return cls.make(json_int(json_field(data, "m", "a flag"), "m"),
+                        [rows(sub) for sub in json_list(json_field(data, "subspaces", "a flag"),
+                                                        "subspaces")])
 
 
 def coordinate_flag(m: int, sets) -> RationalFlag:

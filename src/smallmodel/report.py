@@ -1,10 +1,10 @@
 """The one report shape every check returns, a status and its details,
-and the readers of integer, list, boolean and rational fields in JSON
-inputs."""
+and the readers of JSON inputs: a field of an object, and integer, list,
+boolean and rational values."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 VERIFIED = "verified"
@@ -15,6 +15,18 @@ INCONCLUSIVE = "inconclusive"
 OBSTRUCTED = "OBSTRUCTED"
 SATISFIABLE = "SATISFIABLE"
 NOT_OBSTRUCTED = "INCONCLUSIVE"
+
+
+def json_field(obj, name: str, where: str = "the input"):
+    """Field ``name`` of ``where``, a JSON object: an input that is not an
+    object, or that lacks the field, is refused by name, not with a bare
+    ``KeyError`` or a subscript error."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {obj!r}")
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"{where} has no field {name!r}") from None
 
 
 def json_int(value, field: str, least=None) -> int:
@@ -76,7 +88,8 @@ class Report:
         return self.status == VERIFIED
 
     def to_json(self) -> dict:
-        """``{"status": status, **details}``, with every dataclass in the
-        details turned into a dict."""
-        out = asdict(self)
-        return {"status": out["status"], **out["details"]}
+        """``{"status": status, **details}``, with each dataclass value of
+        the details turned into a dict. Nothing else is copied: the rows
+        are the details' own, so a caller must not change them."""
+        return {"status": self.status,
+                **{k: asdict(v) if is_dataclass(v) else v for k, v in self.details.items()}}

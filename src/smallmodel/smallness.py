@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .complexes import HomologyTable
 from .report import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, VERIFIED, VIOLATION, Report,
-                     json_bool, json_int, json_list)
+                     json_bool, json_field, json_int, json_list)
 
 
 class CertificateError(ValueError):
@@ -128,23 +128,24 @@ class OrbitComplex:
     @classmethod
     def from_json(cls, data):
         orbits = [
-            Orbit(_json_label(o["label"], "orbit label"), json_int(o["dim"], "orbit dim"),
-                  Hdim.parse(o["hdim"]))
-            for o in json_list(data["orbits"], "orbits")
+            Orbit(_json_label(json_field(o, "label", "an orbit"), "orbit label"),
+                  json_int(json_field(o, "dim", "an orbit"), "orbit dim"),
+                  Hdim.parse(json_field(o, "hdim", "an orbit")))
+            for o in json_list(json_field(data, "orbits"), "orbits")
         ]
         pairs = {}
         for e in json_list(data.get("pairs", []), "pairs"):
             entry = PairEntry(
-                _json_label(e["a"], "pair endpoint"),
-                _json_label(e["b"], "pair endpoint"),
-                json_bool(e["disjoint"], "disjoint"),
+                _json_label(json_field(e, "a", "a pair"), "pair endpoint"),
+                _json_label(json_field(e, "b", "a pair"), "pair endpoint"),
+                json_bool(json_field(e, "disjoint", "a pair"), "disjoint"),
                 Hdim.parse(e["hdim"]) if "hdim" in e else None,
             )
             if entry.key() in pairs:
                 raise CertificateError(f"pair {entry.key()} listed twice")
             pairs[entry.key()] = entry
         return cls(
-            boundary_dim=json_int(data["boundary_dim"], "boundary_dim"),
+            boundary_dim=json_int(json_field(data, "boundary_dim"), "boundary_dim"),
             orbits=orbits,
             pairs=pairs,
             complete=json_bool(data.get("complete", False), "complete"),
@@ -168,32 +169,31 @@ def check_small(X: OrbitComplex) -> Report:
     it; one that violates it proves nothing either way.
     """
     n = X.boundary_dim
-    single_rows, pair_rows = [], []
+    single_rows, pair_rows, slacks, equality = [], [], [], []
     witness = None
-    inconclusive_reason = ""
-    if not X.complete:
-        inconclusive_reason = "pair table not declared complete"
+    reason = "" if X.complete else "pair table not declared complete"
 
-    slacks = []
-    equality = []
+    def judge(hdim, lhs, limit, kind, noun, key):
+        # the one inequality, lhs <= limit: limit n for an orbit, n - 1 for a
+        # pair (lhs < n); it holds with a slack, and a break is a witness
+        # when hdim is exact and only a reason when hdim is an upper bound
+        nonlocal witness, reason
+        if lhs <= limit:
+            slacks.append(limit - lhs)
+            return True
+        if hdim.exact:
+            witness = witness or {"kind": kind, noun: list(key) if kind == "pair" else key,
+                                  "lhs": lhs}
+        else:
+            reason = reason or f"upper bound on {noun} {key} does not settle the {kind} check"
+        return False
+
     for o in X.orbits:
         lhs = o.hdim.value + o.dim
-        ok = lhs <= n
-        single_rows.append(
-            {"orbit": o.label, "hdim": str(o.hdim), "dim": o.dim, "lhs": lhs,
-             "bound": n, "ok": ok}
-        )
-        if not ok:
-            if o.hdim.exact:
-                witness = witness or {"kind": "single", "orbit": o.label, "lhs": lhs}
-            else:
-                inconclusive_reason = inconclusive_reason or (
-                    f"upper bound on orbit {o.label} does not settle the single check"
-                )
-        else:
-            slacks.append(n - lhs)
-            if lhs == n and o.hdim.exact:
-                equality.append(o.label)
+        single_rows.append({"orbit": o.label, "hdim": str(o.hdim), "dim": o.dim, "lhs": lhs,
+                            "bound": n, "ok": judge(o.hdim, lhs, n, "single", "orbit", o.label)})
+        if lhs == n and o.hdim.exact:
+            equality.append(o.label)
 
     seen_pairs = set()
     for e in X.pair_entries():
@@ -201,28 +201,13 @@ def check_small(X: OrbitComplex) -> Report:
         seen_pairs.add(key)
         if not e.disjoint:
             pair_rows.append({"pair": list(key), "disjoint": False, "ok": True})
-            continue
-        if e.hdim is None:
-            inconclusive_reason = inconclusive_reason or (
-                f"pair {key} marked disjoint but carries no hdim"
-            )
-            continue
-        da, db = X.orbit(e.a).dim, X.orbit(e.b).dim
-        lhs = e.hdim.value + da + db
-        ok = lhs < n
-        pair_rows.append(
-            {"pair": list(key), "disjoint": True, "hdim": str(e.hdim),
-             "lhs": lhs, "bound": n, "ok": ok}
-        )
-        if not ok:
-            if e.hdim.exact:
-                witness = witness or {"kind": "pair", "pair": list(key), "lhs": lhs}
-            else:
-                inconclusive_reason = inconclusive_reason or (
-                    f"upper bound on pair {key} does not settle the pair check"
-                )
+        elif e.hdim is None:
+            reason = reason or f"pair {key} marked disjoint but carries no hdim"
         else:
-            slacks.append(n - 1 - lhs)
+            lhs = e.hdim.value + X.orbit(e.a).dim + X.orbit(e.b).dim
+            pair_rows.append({"pair": list(key), "disjoint": True, "hdim": str(e.hdim),
+                              "lhs": lhs, "bound": n,
+                              "ok": judge(e.hdim, lhs, n - 1, "pair", "pair", key)})
 
     if X.complete:
         # the table is complete when it lists every unordered pair of
@@ -231,17 +216,12 @@ def check_small(X: OrbitComplex) -> Report:
         labels = [o.label for o in X.orbits]
         known = set(labels)
         listed = sum(1 for a, b in seen_pairs if a in known and b in known)
-        if listed < len(known) * (len(known) + 1) // 2 and not inconclusive_reason:
+        if listed < len(known) * (len(known) + 1) // 2 and not reason:
             a, b = next((a, b) for i, a in enumerate(labels) for b in labels[i:]
                         if ((a, b) if a <= b else (b, a)) not in seen_pairs)
-            inconclusive_reason = f"pair table declared complete but pair ({a},{b}) is missing"
+            reason = f"pair table declared complete but pair ({a},{b}) is missing"
 
-    if witness is not None:
-        status = VIOLATION
-    elif inconclusive_reason:
-        status = INCONCLUSIVE
-    else:
-        status = VERIFIED
+    status = VIOLATION if witness is not None else INCONCLUSIVE if reason else VERIFIED
     return Report(status, {
         "single": single_rows,
         "pairs": pair_rows,
@@ -249,7 +229,7 @@ def check_small(X: OrbitComplex) -> Report:
         "max_slack": max(slacks) if slacks else None,
         "equality_orbits": equality,
         "witness": witness,
-        "reason": inconclusive_reason,
+        "reason": reason,
     })
 
 

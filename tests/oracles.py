@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+from dataclasses import asdict
 from fractions import Fraction
 
 import sympy
@@ -491,3 +492,10 @@ def triple_reference(T, u, v, w):
         coefficient = getattr(T, "c" + "".join(map(str, sorted((a, b, c)))))
         total += coefficient * Fraction(u[a - 1]) * Fraction(v[b - 1]) * Fraction(w[c - 1])
     return total
+
+
+def report_json_reference(rep):
+    """``Report.to_json`` as a deep copy: ``asdict`` of the whole report,
+    every row copied and every dataclass at any depth turned into a dict."""
+    out = asdict(rep)
+    return {"status": out["status"], **out["details"]}

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from oracles import brute_maximal_cliques
+from oracles import report_json_reference
 from smallmodel import acceptance
 from smallmodel.complexes import maximal_cliques
 
@@ -58,6 +59,11 @@ def test_buildings_over_z_include_gl4_f3_and_gl5_f2(results):
 # key "verdict" of each entry of its "results" became "status", the only
 # field that changed
 SUPPORT_PIN = "497b91bc7356895fbc3b2ea53d83f4ce68dcdb0f566e710f101978ca4546aa0c"
+
+
+def test_to_json_equals_the_deep_copy(results):
+    for number, r in results.items():
+        assert r.to_json() == report_json_reference(r), number
 
 
 def test_support_report_pinned(results):

@@ -1010,3 +1010,82 @@ def test_composite_or_undecided_ring_is_an_input_error(tmp_path, capsys, ring, e
     assert code == 3
     assert rep["status"] == "error"
     assert rep["details"]["error"] == error
+
+
+@pytest.mark.parametrize("command, payload, argv, error", [
+    # the file's top value was read and --top 0 ignored, exit 0
+    ("rank-one", {"k": 2, "m": 3, "top_value": "1"}, ["--top", "0"],
+     "ValueError: rank-one takes --in or --top, not both"),
+    ("rank-one", {"k": 2, "m": 3, "top_value": "1"}, ["--m", "3", "--k", "2"],
+     "ValueError: rank-one takes --in or --k, --m, not both"),
+    ("orbit-codim", "FLAGS", ["--m", "3"], "ValueError: orbit-codim takes --in or --m, not both"),
+    ("slm-check", "FLAGS", ["--random", "0"],
+     "ValueError: slm-check takes --in or --random, not both"),
+])
+def test_options_beside_in_are_refused(tmp_path, capsys, command, payload, argv, error):
+    if payload == "FLAGS":
+        payload = {"e": coordinate_flag_json(4, [{0}]), "f": coordinate_flag_json(4, [{3}])}
+    path = write_json(tmp_path, "in.json", payload)
+    code, rep = run_json(capsys, command, "--in", path, *argv)
+    assert code == 3
+    assert rep["status"] == "error"
+    assert rep["details"]["error"] == error
+
+
+# sha256 of the details of each command run without --in or options,
+# recorded while the options had their defaults in the parser
+DEFAULT_RUN_PINS = {
+    "rank-one": "232d0e3dcff64ed885b79dfcd423785b106f1ebf72374931d4479fd8e8d05c88",
+    "orbit-codim": "ec129f707c5b92cc83c8e592afd87449dc90dd8b5270c5305d11a3f07f38072e",
+    "slm-check": "d083f25194a7d763737308e93611fbfb035258f326c654685b0a2115e4fd1e1a",
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULT_RUN_PINS))
+def test_defaults_apply_without_in(capsys, command):
+    code, rep = run_json(capsys, command)
+    assert code == 0
+    blob = json.dumps(rep["details"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == DEFAULT_RUN_PINS[command]
+
+
+@pytest.mark.parametrize("command, field", [
+    ("homology", "facets"), ("diagonal", "facets"), ("check-small", "orbits"),
+    ("certificate", "orbits"), ("sc-obstruction", "boundary_homology"),
+    ("orbit-codim", "e"), ("slm-check", "e"), ("rank-one", "k"),
+])
+def test_a_missing_field_is_named(tmp_path, capsys, command, field):
+    # each was a bare KeyError naming the key only
+    path = write_json(tmp_path, "in.json", {})
+    code, rep = run_json(capsys, command, "--in", path)
+    assert code == 3
+    assert rep["details"]["error"] == f"ValueError: the input has no field {field!r}"
+    path = write_json(tmp_path, "in.json", ["x"])
+    code, rep = run_json(capsys, command, "--in", path)
+    assert code == 3
+    assert rep["details"]["error"] == "TypeError: the input must be a JSON object, got ['x']"
+
+
+@pytest.mark.parametrize("command, payload, error", [
+    ("check-small", {"boundary_dim": 3, "orbits": [{"label": "v", "hdim": 0}]},
+     "ValueError: an orbit has no field 'dim'"),
+    ("certificate", {"boundary_dim": 3, "orbits": [{"label": "v", "dim": 0, "hdim": 0}],
+                     "pairs": [{"a": "v", "b": "v"}]},
+     "ValueError: a pair has no field 'disjoint'"),
+    ("check-small", {"orbits": []}, "ValueError: the input has no field 'boundary_dim'"),
+    ("check-small", {"boundary_dim": 3, "orbits": [3]},
+     "TypeError: an orbit must be a JSON object, got 3"),
+    ("sc-obstruction", {"n": 4, "q": 1, "boundary_homology": [{"degree": 0}]},
+     "ValueError: a homology entry has no field 'rank'"),
+    ("sc-obstruction", {"boundary_homology": []}, "ValueError: the input has no field 'n'"),
+    ("slm-check", {"e": {"m": 4}, "f": {"m": 4, "subspaces": []}},
+     "ValueError: a flag has no field 'subspaces'"),
+    ("orbit-codim", {"e": coordinate_flag_json(4, [{0}])}, "ValueError: the input has no field 'f'"),
+    ("rank-one", {"k": 2, "m": 3}, "ValueError: the input has no field 'top_value'"),
+    ("homology", {"facets": []}, "ValueError: the input has no field 'vertices'"),
+])
+def test_a_missing_nested_field_is_named(tmp_path, capsys, command, payload, error):
+    path = write_json(tmp_path, "in.json", payload)
+    code, rep = run_json(capsys, command, "--in", path)
+    assert code == 3
+    assert rep["details"]["error"] == error

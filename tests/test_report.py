@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from smallmodel.cupforms import SurjectionWitness
+from oracles import report_json_reference
+from smallmodel.cupforms import SurjectionWitness, TripleForm, compression_criterion_b2
 from smallmodel.report import (
     INCONCLUSIVE, VERIFIED, VIOLATION, Report, json_bool, json_int, json_rational,
 )
@@ -33,6 +34,15 @@ def test_to_json_flattens_details_and_keeps_exact_values():
     }
     # the report itself is left as it was
     assert rep.details["witness"] is witness
+
+
+def test_to_json_equals_the_deep_copy_on_a_satisfiable_b2_report():
+    rep = compression_criterion_b2(TripleForm(*map(Fraction, (1, 1, 1, 0))))
+    assert rep.status == "SATISFIABLE"
+    assert isinstance(rep.details["witness"], SurjectionWitness)
+    assert rep.to_json() == report_json_reference(rep)
+    # only the dataclass is converted; the other values are the details' own
+    assert rep.to_json()["notes"] is rep.details["notes"]
 
 
 def test_json_int_reads_ints_and_integer_strings():

@@ -154,6 +154,60 @@ def test_a_pair_listed_twice_is_refused(first, second):
         OrbitComplex.from_json(data)
 
 
+def two_orbits(v_hdim, pair_hdim, boundary_dim=3):
+    """Orbits v (dim 0) and w (dim 1, hdim 0) and one disjoint pair (v, w):
+    lhs is hdim(v) for v's check and hdim(pair) + 1 for the pair's."""
+    orbits = [Orbit("v", 0, v_hdim), Orbit("w", 1, Hdim(0))]
+    entries = [PairEntry("v", "v", False), PairEntry("w", "v", True, pair_hdim),
+               PairEntry("w", "w", False)]
+    return OrbitComplex(boundary_dim, orbits, {e.key(): e for e in entries}, complete=True)
+
+
+# each inequality breaks by one past its limit: n for an orbit, n - 1 for a
+# pair (lhs < n); an exact hdim names a witness, an upper bound a reason
+@pytest.mark.parametrize("v_hdim, pair_hdim, table, lhs, status, witness, reason", [
+    (Hdim(4), Hdim(0), "single", 4, VIOLATION, {"kind": "single", "orbit": "v", "lhs": 4}, ""),
+    (Hdim(4, False), Hdim(0), "single", 4, INCONCLUSIVE, None,
+     "upper bound on orbit v does not settle the single check"),
+    (Hdim(0), Hdim(2), "pairs", 3, VIOLATION, {"kind": "pair", "pair": ["v", "w"], "lhs": 3},
+     ""),
+    (Hdim(0), Hdim(2, False), "pairs", 3, INCONCLUSIVE, None,
+     "upper bound on pair ('v', 'w') does not settle the pair check"),
+])
+def test_a_broken_inequality_is_a_witness_or_a_reason(v_hdim, pair_hdim, table, lhs, status,
+                                                      witness, reason):
+    rep = check_small(two_orbits(v_hdim, pair_hdim))
+    assert rep.status == status
+    assert rep.details["witness"] == witness
+    assert rep.details["reason"] == reason
+    rows = rep.details["single"] + rep.details["pairs"]
+    assert [row for row in rows if not row["ok"]] == [
+        row for row in rep.details[table] if row.get("lhs") == lhs]
+    # one short of the limit, both inequalities hold
+    rep = check_small(two_orbits(Hdim(3, v_hdim.exact), Hdim(1, pair_hdim.exact)))
+    assert rep.status == VERIFIED
+    assert rep.details["witness"] is None and rep.details["reason"] == ""
+
+
+def test_a_witness_after_a_reason_keeps_both():
+    # the orbit's upper bound breaks first, then the pair's exact value
+    rep = check_small(two_orbits(Hdim(4, False), Hdim(2)))
+    assert rep.status == VIOLATION
+    assert rep.details["witness"] == {"kind": "pair", "pair": ["v", "w"], "lhs": 3}
+    assert rep.details["reason"] == "upper bound on orbit v does not settle the single check"
+
+
+def test_slacks_of_orbits_and_pairs():
+    # orbit slacks n - lhs: 3 - 1 (v) and 3 - 1 (w); pair slack n - 1 - lhs:
+    # 3 - 1 - 2 = 0
+    rep = check_small(two_orbits(Hdim(1), Hdim(1)))
+    assert rep.status == VERIFIED
+    assert [row["lhs"] for row in rep.details["single"]] == [1, 1]
+    assert [row.get("lhs") for row in rep.details["pairs"]] == [None, 2, None]
+    assert (rep.details["min_slack"], rep.details["max_slack"]) == (0, 2)
+    assert rep.details["equality_orbits"] == []
+
+
 def test_equality_detection():
     X = tiny_complex(hdim_v=3)
     rep = check_small(X)
