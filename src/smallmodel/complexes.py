@@ -171,16 +171,6 @@ class SimplicialComplex:
                 raise ComplexError(f"facet {f!r} repeats a vertex")
         return cls(json_list(json_field(data, "vertices"), "vertices"), facets)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertices == other.vertices
-            and self.facets == other.facets
-        )
-
-    def __repr__(self):
-        return f"SimplicialComplex({len(self.vertices)} vertices, f={self.f_vector()})"
-
 
 # ---------------------------------------------------------------------------
 

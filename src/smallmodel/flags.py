@@ -15,9 +15,16 @@ combinatorics (forced zero patterns) give an independent route for
 cross-checks.
 
 The ranks of the sums E_i + F_j and the induced images (E_{i+1} & F_j) + E_i
-are memoized, keyed by canonical bases, in caches of at most MEMO_SIZE
-entries: coordinate sweeps meet the same few subspaces over and over,
-while random pairs share almost none and must not grow the caches.
+are memoized, keyed by canonical bases, and so is the per-flag work:
+coordinate_flag per (m, chain), through ``make``, and split_dims per flag,
+its self-check included, since a sweep's first flag meets every second
+flag. Each memo holds at most MEMO_SIZE entries: coordinate sweeps meet
+the same few subspaces and flags over and over, while random pairs share
+almost none and must not grow the caches. A raise is never stored, so a
+refused flag is refused on every call. The criteria's coordinate sweeps
+still build their flags once per chain in a local dict: at m = 6 there are
+4,682 chains, more than MEMO_SIZE, and an LRU cache walked in that order
+would miss every time.
 """
 
 from __future__ import annotations
@@ -39,6 +46,17 @@ class FlagError(ValueError):
     pass
 
 
+# Bound of every memo in this module. The subspace memos are keyed by
+# canonical bases, so equal tuples are equal subspaces.
+MEMO_SIZE = 4096
+
+# size guard of RationalFlag.make: the largest ambient dimension it accepts.
+# The cost of a pair grows with m and with the number of members; the worst
+# known input, two complete flags of dense rows, takes 1.2-1.3 s through
+# slm-check at m = 18, 2.1 s at m = 19 and 11 s at m = 24 (2-core machine)
+MAX_FLAG_M = 18
+
+
 @dataclass(frozen=True)
 class RationalFlag:
     """Strictly increasing chain of proper nonzero subspaces of Q^m.
@@ -54,6 +72,8 @@ class RationalFlag:
     def make(cls, m: int, subspaces) -> "RationalFlag":
         if m < 1:
             raise FlagError(f"ambient dimension m must be >= 1, got m = {m}")
+        if m > MAX_FLAG_M:
+            raise FlagError(f"size guard: m = {m} exceeds MAX_FLAG_M = {MAX_FLAG_M}")
         canon = []
         for sub in subspaces:
             rows = [integer_row(v) for v in sub]
@@ -113,11 +133,13 @@ class RationalFlag:
 
 def coordinate_flag(m: int, sets) -> RationalFlag:
     """Flag of coordinate subspaces spanned by the given nested index sets
-    (0-based)."""
-    subs = []
-    for s in sets:
-        subs.append([[int(j == i) for j in range(m)] for i in sorted(s)])
-    return RationalFlag.make(m, subs)
+    (0-based), one ``make`` per distinct chain."""
+    return _coordinate_flag(m, tuple(tuple(sorted(s)) for s in sets))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _coordinate_flag(m: int, chain: tuple) -> RationalFlag:
+    return RationalFlag.make(m, [[[int(j == i) for j in range(m)] for i in s] for s in chain])
 
 
 def forced_zeros(w) -> tuple:
@@ -146,11 +168,6 @@ def forced_zeros(w) -> tuple:
 # table of intersection dimensions.
 
 
-# Bound of every memo in this module. The subspace memos are keyed by
-# canonical bases, so equal tuples are equal subspaces.
-MEMO_SIZE = 4096
-
-
 def _containment_rows(m: int, pairs):
     """Sparse rows over the m*m matrix entries cutting out
     {A : A src <= dst for every (src, dst) pair}: one row u.A.b per
@@ -168,7 +185,6 @@ def _containment_rows(m: int, pairs):
     return rows
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _stab_constraint_rows(flag: RationalFlag):
     """Rows cutting out the stabilizer algebra {A : A V <= V for every
     flag subspace}."""
@@ -253,6 +269,7 @@ class SplitDims:
     dim_stab: int
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def split_dims(flag: RationalFlag) -> SplitDims:
     dims = [0] + [len(b) for b in flag.subspaces] + [flag.m]
     graded = tuple(b - a for a, b in zip(dims, dims[1:]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from oracles import forced_zero_count_by_sets, grid_surface
 from smallmodel import acceptance, cli, flags
 from smallmodel.cli import main
 from smallmodel.normalform import PivotExplosion
+from smallmodel.report import VIOLATION, Report
 
 
 def run(capsys, *argv):
@@ -612,6 +614,69 @@ def test_lemma_upper_reports_a_counterexample(monkeypatch, capsys):
     assert expected and d["violations"] == expected
 
 
+@pytest.fixture
+def fresh_flag_memos():
+    memos = [v for v in vars(flags).values() if hasattr(v, "cache_clear")]
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+# The pair whose verdict the two tests below patch, and its rows. The
+# theorems hold, so only a patched check reaches the violation rows.
+E3_JSON = {"m": 3, "subspaces": [[["1", "0", "0"]]]}
+F3_JSON = {"m": 3, "subspaces": [[["0", "1", "0"]], [["0", "1", "0"], ["0", "0", "1"]]]}
+
+
+def _chosen(e, f):
+    return e == flags.coordinate_flag(3, [{0}]) and f == flags.coordinate_flag(3, [{1}, {1, 2}])
+
+
+def _check_counterexample(capsys, criterion, command, expected):
+    rep = criterion(max_m=3, random_per_m=0)
+    assert rep.status == "counterexample" and not rep.passed
+    assert rep.details["checked"] == 98
+    assert rep.details["violations"] == expected
+    assert json.loads(json.dumps(rep.to_json()))["violations"] == expected
+    cli._human(rep.to_json())
+    assert "violations:" in capsys.readouterr().out
+    code, out = run(capsys, "--json", command, "--m", "3", "--random", "0")
+    assert code == 1
+    cli_rep = json.loads(out)
+    assert cli_rep["status"] == cli_rep["details"]["status"] == "counterexample"
+    assert cli_rep["details"]["violations"] == expected
+    code, out = run(capsys, command, "--m", "3", "--random", "0")
+    assert code == 1 and out.startswith(f"{command}: counterexample\n") and "kind: coordinate" in out
+
+
+def test_orbit_codim_sweep_reports_a_counterexample(monkeypatch, capsys, fresh_flag_memos):
+    codim = flags.orbit_codim
+    monkeypatch.setattr(flags, "orbit_codim",
+                        lambda e, f: f.length - 1 if _chosen(e, f) else codim(e, f))
+    expected = [{"m": 3, "kind": "coordinate", "e": E3_JSON, "f": F3_JSON, "codim": 1}]
+    _check_counterexample(capsys, acceptance.criterion_orbit_codim, "orbit-codim", expected)
+
+
+def test_slm_sweep_reports_a_counterexample(monkeypatch, capsys, fresh_flag_memos):
+    slm = flags.slm_inequality
+
+    def patched(e, f):
+        rep = slm(e, f)
+        if not _chosen(e, f):
+            return rep
+        return Report(VIOLATION, {**rep.details, "lhs": 4, "inequality_ok": False})
+
+    monkeypatch.setattr(flags, "slm_inequality", patched)
+    expected = [{"m": 3, "kind": "coordinate", "e": E3_JSON, "f": F3_JSON, "report": {
+        "status": "counterexample", "m": 3, "length_e": 1, "length_f": 2, "dim_n_quotient": 2,
+        "induced_lengths": [0, 1], "length_f0": 1, "codim": 5, "codim_bound": 4,
+        "codim_ok": True, "dim_gk": 1, "lhs": 4, "rhs": 3, "inequality_ok": False,
+        "chain_ok": True, "counting_identity": True}}]
+    _check_counterexample(capsys, acceptance.criterion_slm_pipeline, "slm-check", expected)
+
+
 def test_suite_prints_each_criterion_as_it_ends(monkeypatch, capsys):
     # the [PASS] line of the first criterion is on stderr before the second
     # one starts; all eleven lines used to come after the last criterion
@@ -629,6 +694,23 @@ def test_suite_prints_each_criterion_as_it_ends(monkeypatch, capsys):
     assert seen == ["[PASS] criterion  1 first stub (0.0s)\n"]
     assert code == 1 and rep["status"] == "counterexample"
     assert [c["name"] for c in rep["details"]["criteria"]] == ["first stub", "second stub"]
+
+
+@pytest.mark.parametrize("command", ["orbit-codim", "slm-check"])
+def test_flag_pair_size_guard(tmp_path, capsys, command):
+    # MAX_FLAG_M is accepted, one more is refused by name, for either flag
+    top = flags.MAX_FLAG_M
+    path = write_json(tmp_path, "pair.json", {"e": coordinate_flag_json(top, [{0}, {0, 1}]),
+                                              "f": coordinate_flag_json(top, [{top - 1}])})
+    code, rep = run_json(capsys, command, "--in", path)
+    assert code == 0 and rep["status"] == "verified"
+    refused = f"FlagError: size guard: m = {top + 1} exceeds MAX_FLAG_M = {top}"
+    for big in ("e", "f"):
+        pair = {"e": coordinate_flag_json(top, [{0}]), "f": coordinate_flag_json(top, [{1}]),
+                big: coordinate_flag_json(top + 1, [{0}])}
+        code, rep = run_json(capsys, command, "--in", write_json(tmp_path, "big.json", pair))
+        assert code == 3 and rep["status"] == "error"
+        assert rep["details"]["error"] == refused
 
 
 def test_orbit_codim_rejects_shared_subspace(tmp_path, capsys):
@@ -848,6 +930,19 @@ def _python(*args, timeout=120):
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=timeout)
+
+
+def test_json_output_is_the_bytes_of_json_dumps(capsys):
+    # many batches of encoder pieces, a nested value and one that only
+    # default=str can print: streaming must not add or drop a byte
+    report = {"rows": [{"i": i, "x": Fraction(i, 7), "ok": i % 2 == 0} for i in range(2000)],
+              "command": "stub", "status": "verified"}
+    cli._emit(report, True)
+    out = capsys.readouterr().out
+    expected = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+    # digests, so that a failure prints no diff of two 100 KB strings
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        len(expected), hashlib.sha256(expected.encode()).hexdigest())
 
 
 def test_module_form_runs_the_cli():

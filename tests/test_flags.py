@@ -368,7 +368,7 @@ def test_pair_table_matches_constraint_systems(pair):
 
 def _memos():
     return (flags._sum_dim, flags._induced_image, flags._pair_table,
-            flags._stab_constraint_rows)
+            flags._coordinate_flag, flags.split_dims)
 
 
 def _interleaved_pairs():
@@ -392,6 +392,73 @@ def test_memoized_pair_table_equals_the_unmemoized_oracle():
         assert flags._sum_dim.cache_info().hits and flags._induced_image.cache_info().hits
         for memo in _memos():
             memo.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    for memo in _memos():
+        memo.cache_clear()
+    yield
+    for memo in _memos():
+        memo.cache_clear()
+
+
+def _unit_rows(m, chain):
+    return [[[int(j == i) for j in range(m)] for i in sorted(s)] for s in chain]
+
+
+def test_coordinate_flag_is_make_once_per_chain(fresh_memos):
+    # m ascending, so a memo keyed without m would hand m = 3 the m = 2 flag
+    for m in range(2, 6):
+        for chain in subset_chains(m):
+            expected = RationalFlag.make(m, _unit_rows(m, chain))
+            first = coordinate_flag(m, [set(s) for s in chain])
+            assert first == expected, (m, chain)
+            for spelled in ([tuple(sorted(s, reverse=True)) for s in chain], list(chain)):
+                assert coordinate_flag(m, spelled) is first, (m, chain)
+    assert coordinate_flag(2, [{0}]).m == 2 and coordinate_flag(3, [{0}]).m == 3
+
+
+def test_coordinate_flag_refuses_on_every_call(fresh_memos):
+    # lru_cache stores no raise: a bad chain is refused again
+    for _ in range(2):
+        with pytest.raises(FlagError, match="strictly increase"):
+            coordinate_flag(3, [{0, 1}, {0, 1}])
+    with pytest.raises(FlagError, match="size guard"):
+        coordinate_flag(flags.MAX_FLAG_M + 1, [{0}])
+    assert flags._coordinate_flag.cache_info().currsize == 0
+
+
+def _split_formula(flag):
+    dims = (0,) + flag.dims() + (flag.m,)
+    graded = tuple(b - a for a, b in zip(dims, dims[1:]))
+    dim_n = sum(g * h for i, g in enumerate(graded) for h in graded[i + 1:])
+    return graded, dim_n, sum(g * g for g in graded)
+
+
+def test_split_dims_equals_the_formula_and_the_nullspace(fresh_memos):
+    rng = random.Random("split")
+    cases = [coordinate_flag(m, c) for m in range(2, 6) for c in subset_chains(m)]
+    for m in range(2, 7):
+        for _ in range(10):
+            cases.append(random_flag(m, sorted(rng.sample(range(1, m), rng.randint(1, m - 1))),
+                                     rng))
+    for flag in cases:
+        graded, dim_n, dim_levi = _split_formula(flag)
+        sd = split_dims(flag)
+        assert (sd.graded_dims, sd.dim_n, sd.dim_levi) == (graded, dim_n, dim_levi), flag
+        assert sd.dim_stab == dim_n + dim_levi == stab_dim(flag), flag
+        assert split_dims(flag) is sd
+
+
+def test_split_dims_refuses_a_wrong_self_check_on_every_call(fresh_memos, monkeypatch):
+    stab = flags.stab_dim
+    monkeypatch.setattr(flags, "stab_dim", lambda flag: stab(flag) + 1)
+    flag = coordinate_flag(4, [{0}, {0, 1, 2}])
+    for _ in range(2):
+        with pytest.raises(FlagError, match="splitting dimensions disagree"):
+            split_dims(flag)
+    assert flags.split_dims.cache_info().currsize == 0
 
 
 def test_every_memo_is_bounded():
