@@ -104,11 +104,7 @@ def cmd_homology(args, data):
 
 def cmd_diagonal(args, data):
     K = SimplicialComplex.from_json(data)
-    checks = [
-        diagonal.check_retraction(K),
-        diagonal.decomposition_check(K),
-        diagonal.long_exact_consistency(K),
-    ]
+    checks = diagonal.diagonal_checks(K)
     ok = all(c.passed for c in checks)
     return (VERIFIED if ok else VIOLATION,
             {"flag": K.is_flag(), "checks": [c.to_json() for c in checks]})

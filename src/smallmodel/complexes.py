@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .normalform import invariant_factors, is_prime, rank_mod_p
+from .normalform import _Residues, invariant_factors, is_prime, rank_mod_p
 from .report import json_field, json_list
 
 
@@ -299,7 +299,10 @@ class ChainComplex:
         argument with d_(k+1)^T d_k^T = (d_k d_(k+1))^T = 0; so the
         top-degree cycles, all of a building's homology, are never
         reduced. Those columns are the k-cells whose rows the Z walk
-        skips. An empty degree skips nothing in the next one. Every ring
+        skips. An empty degree skips nothing in the next one. Top down,
+        ``rank_mod_p`` copies the complex's shared columns into residues
+        mod p; bottom up, ``_transposed`` writes the residues once, and
+        ``rank_mod_p`` reduces them without a copy. Every ring
         needs d_k d_(k+1) = 0, which ``chain_complex`` guarantees by
         construction and ``tensor_total`` (also for the diagonal and
         quotient of ``diagonal.build_diagonal``) by checking its two
@@ -325,20 +328,24 @@ class ChainComplex:
                 # bottom up, reduce the coboundaries d_k^T, whose columns
                 # are the (k-1)-cells
                 if up:
-                    cols = _transposed(cols, self.rank(k - 1))
+                    cols = _transposed(cols, self.rank(k - 1), self.ring)
                 rk[k] = rank_mod_p(cols, self.ring, cleared=cleared, lows=lows)
         entries = tuple((k, self.rank(k) - rk.get(k, 0) - rk.get(k + 1, 0), tors.get(k + 1, ()))
                         for k in degrees)
         return HomologyTable(self.augmented, self.ring, entries)
 
 
-def _transposed(cols, rows):
+def _transposed(cols, rows, p):
     """The columns of the transpose of ``cols``, a sparse matrix with
-    ``rows`` rows, handed out in order and each dropped once taken."""
-    out = [{} for _ in range(rows)]
+    ``rows`` rows, as the nonzero residues mod p: fresh ``_Residues``,
+    handed out in order and each dropped once taken, which
+    ``rank_mod_p`` reduces without copying them."""
+    out = [_Residues() for _ in range(rows)]
     for j, col in enumerate(cols):
         for i, v in col.items():
-            out[i][j] = v
+            v %= p
+            if v:
+                out[i][j] = v
     out.reverse()
     while out:
         yield out.pop()

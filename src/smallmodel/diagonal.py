@@ -70,6 +70,14 @@ class SubquotientComplexes:
     def quotient(self) -> ChainComplex:
         return tensor_total(self.base, self.base, keep=lambda c: not self.on(c), closed=False)
 
+    def over(self, ring) -> "SubquotientComplexes":
+        """The same split over ``ring``. The columns of C and of the
+        diagonal are +-1 over every ring, and d∘d = 0 over Z holds over
+        every ring, so both are shared, not built or checked again."""
+        return SubquotientComplexes(
+            ChainComplex(ring, self.base.ranks, self.base.boundaries, check=False), self.on,
+            ChainComplex(ring, self.diagonal.ranks, self.diagonal.boundaries, check=False))
+
 
 def build_diagonal(K: SimplicialComplex, ring="Z") -> SubquotientComplexes:
     """Split the cells of C x C into the diagonal subcomplex and the rest.
@@ -93,7 +101,10 @@ def _check(name: str, ok: bool, details: dict) -> Report:
 def check_retraction(K: SimplicialComplex, ring="Z") -> Report:
     """Degreewise H(diagonal) == H(C): the computable shadow of the
     straight-line retraction of the diagonal onto the base."""
-    parts = build_diagonal(K, ring)
+    return _retraction(build_diagonal(K, ring))
+
+
+def _retraction(parts: SubquotientComplexes) -> Report:
     h_diag = parts.diagonal.homology()
     h_base = parts.base.homology()
     return _check("retraction", h_diag.same_groups(h_base),
@@ -132,14 +143,23 @@ def _star_count(f, i, j) -> int:
                for n in range(1, min(len(f), i + j + 2) + 1))
 
 
-def long_exact_consistency(K: SimplicialComplex, p: int = 2) -> Report:
-    """Over F_p the alternating sums of dim H(CxC), dim H(diagonal) and
-    dim H(CxC, diagonal) must satisfy chi(product) = chi(diag) + chi(rel).
-    The product's cells are pairs of cells of C, so chi(product) = chi(C)^2."""
-    parts = build_diagonal(K, p)
-    chi_prod = sum((-1) ** d * f for d, f in enumerate(K.f_vector())) ** 2
+def long_exact_consistency(parts: SubquotientComplexes) -> Report:
+    """Over F_p, the ring of ``parts`` (``build_diagonal(K, p)``, or a
+    split built once and read ``over(p)``), the alternating sums of
+    dim H(CxC), dim H(diagonal) and dim H(CxC, diagonal) must satisfy
+    chi(product) = chi(diag) + chi(rel). The product's cells are pairs of
+    cells of C, so chi(product) = chi(C)^2."""
+    chi_prod = sum((-1) ** d * f for d, f in enumerate(parts.base.ranks)) ** 2
     chi_diag = parts.diagonal.homology().euler_characteristic()
     chi_rel = parts.quotient.homology().euler_characteristic()
     return _check("long-exact-consistency", chi_prod == chi_diag + chi_rel,
                   {"chi_product": chi_prod, "chi_diagonal": chi_diag,
                    "chi_relative": chi_rel})
+
+
+def diagonal_checks(K: SimplicialComplex) -> list[Report]:
+    """``check_retraction`` over Z, ``decomposition_check`` and
+    ``long_exact_consistency`` over F_2, on one build of the diagonal:
+    the F_2 check reads the Z build ``over(2)``."""
+    parts = build_diagonal(K)
+    return [_retraction(parts), decomposition_check(K), long_exact_consistency(parts.over(2))]

@@ -474,12 +474,21 @@ def gf_subspaces(m: int, q: int, d: int):
     return out
 
 
-def _gf_span(basis, q):
-    """The q^d vectors of the span over F_q of the d rows of ``basis``."""
-    return frozenset(
-        tuple(sum(c * x for c, x in zip(coeffs, column)) % q for column in zip(*basis))
-        for coeffs in itertools.product(range(q), repeat=len(basis))
-    )
+def _span_mask(basis, q):
+    """The span over F_q of the d rows of ``basis`` as a bitmask over the
+    q^m vectors of F_q^m: bit sum(x_c q^(m-1-c)) for each vector x in it,
+    so one subspace lies in another when its bits are a subset of theirs."""
+    vectors = [(0,) * len(basis[0])]
+    for row in basis:
+        vectors += [tuple((x + c * y) % q for x, y in zip(v, row))
+                    for c in range(1, q) for v in vectors]
+    mask = 0
+    for v in vectors:
+        index = 0
+        for x in v:
+            index = index * q + x
+        mask |= 1 << index
+    return mask
 
 
 # size guard of finite_building: the largest field order q it builds over
@@ -491,30 +500,16 @@ def finite_building(m: int, q: int, max_m: int = 4) -> SimplicialComplex:
     are subspaces, simplices are containment chains. Size-guarded."""
     if not (3 <= m <= max_m) or not (2 <= q <= MAX_BUILDING_Q):
         raise FlagError(f"size guard: need 3 <= m <= {max_m}, 2 <= q <= {MAX_BUILDING_Q}")
-    by_dim = {d: gf_subspaces(m, q, d) for d in range(1, m)}
-    labels = {}
-    for d, subs in by_dim.items():
-        for i, s in enumerate(subs):
-            labels[s] = f"d{d}s{i}"
+    # each subspace as its label and the bitmask of its span
+    level = {d: [(f"d{d}s{i}", _span_mask(s, q)) for i, s in enumerate(gf_subspaces(m, q, d))]
+             for d in range(1, m)}
+    succ = {label: [t for t, outer in level[d + 1] if inner & outer == inner]
+            for d in range(1, m - 1) for label, inner in level[d]}
     # maximal chains: one subspace of every dimension, nested
-    span = {s: _gf_span(s, q) for subs in by_dim.values() for s in subs}
-    succ = {}
-    for d in range(1, m - 1):
-        for s in by_dim[d]:
-            succ[s] = [t for t in by_dim[d + 1] if span[s] <= span[t]]
-    chains = []
-
-    def grow(chain):
-        if len(chain) == m - 1:
-            chains.append([labels[s] for s in chain])
-            return
-        for t in succ[chain[-1]]:
-            grow(chain + [t])
-
-    for s in by_dim[1]:
-        grow([s])
-    vertices = [labels[s] for d in range(1, m) for s in by_dim[d]]
-    return SimplicialComplex(vertices, chains)
+    chains = [[label] for label, _ in level[1]]
+    for _ in range(m - 2):
+        chains = [chain + [t] for chain in chains for t in succ[chain[-1]]]
+    return SimplicialComplex([label for d in range(1, m) for label, _ in level[d]], chains)
 
 
 def complete_flag_count(m: int, q: int) -> int:

@@ -37,7 +37,10 @@ skipped: the top-degree cycles of a building are then never reduced.
 Both are exact when d_k d_(k+1) = 0, since (d_k d_(k+1))^T =
 d_(k+1)^T d_k^T: a reduced column is a boundary (a coboundary) with
 its lead in the skipped column's index, so that column is a combination
-of the columns before it. ``complexes.chain_complex`` guarantees
+of the columns before it. A top-down walk hands ``rank_mod_p`` the
+complex's own columns, which it copies into residues mod p and never
+changes; a bottom-up walk hands it fresh transposed columns of residues
+(``_Residues``), which it reduces without a copy. ``complexes.chain_complex`` guarantees
 d d = 0 by construction and ``complexes.tensor_total`` by checking its
 two factors (and a quotient on its own cells), for the product and for
 the diagonal and quotient that ``diagonal.build_diagonal`` takes from it;
@@ -59,18 +62,37 @@ class PivotExplosion(RuntimeError):
 class _Sparse:
     """Mutable sparse integer matrix, held twice: as rows {i: {j: v}} and
     as columns {j: {i: v}}, each the mirror of the other and with no empty
-    line. Every nonzero entry is written by ``_sub``."""
+    line. The input columns are copied in directly, without the rows in
+    ``skip`` and without zeros; with a ``modulus`` they are written by
+    ``_sub``, which writes every entry an elimination step makes."""
 
     def __init__(self, columns, bit_bound, modulus=None, skip=frozenset()):
-        self.cols = {}
-        self.rows = {}
+        self.cols = cols = {}
+        self.rows = rows = {}
         self.bit_bound = bit_bound
         self.modulus = modulus  # entries kept as residues in (-modulus/2, modulus/2]
+        if modulus:
+            for j, col in enumerate(columns):
+                # column j of the empty matrix minus -1 times the input column
+                self._sub(cols, rows, j, col, -1)
+            return
         for j, col in enumerate(columns):
-            if skip:
-                col = {i: v for i, v in col.items() if i not in skip}
-            # column j of the empty matrix minus -1 times the input column
-            self._sub(self.cols, self.rows, j, col, -1)
+            line = {}
+            for i, v in col.items():
+                if v and i not in skip:
+                    line[i] = v
+                    row = rows.get(i)
+                    if row is None:
+                        rows[i] = {j: v}
+                    else:
+                        row[j] = v
+            if not line:
+                continue
+            cols[j] = line
+            if max(line.values()).bit_length() > bit_bound or \
+                    min(line.values()).bit_length() > bit_bound:
+                i = next(i for i, v in line.items() if v.bit_length() > bit_bound)
+                raise PivotExplosion(f"entry at ({i},{j}) exceeds {bit_bound} bits")
 
     def _sub(self, lines, mirror, dst, line, q):
         """lines[dst] -= q * line, for a ``line`` that is not lines[dst],
@@ -336,6 +358,14 @@ def is_prime(n) -> bool:
     return True
 
 
+class _Residues(dict):
+    """A sparse column {row: residue} whose entries are the nonzero
+    residues mod p in 1..p-1, made fresh for one ``rank_mod_p`` call over
+    F_p, which reduces it in place instead of copying it."""
+
+    __slots__ = ()
+
+
 def rank_mod_p(columns, p: int, *, cleared=frozenset(), lows=None) -> int:
     """Rank over F_p of a sparse column matrix, given as an iterable of
     columns {row: coefficient}, each read once.
@@ -345,27 +375,47 @@ def rank_mod_p(columns, p: int, *, cleared=frozenset(), lows=None) -> int:
     whose index is in ``cleared`` are skipped, so the caller vouches that
     each is a combination of the columns before it. If ``lows`` is a
     set, the lead of every nonzero reduced column is added to it.
+
+    A column is copied into its nonzero residues mod p before it is
+    reduced, so the caller's columns never change: the top-down walks of
+    ``ChainComplex.homology`` hand in the complex's own columns. Only a
+    ``_Residues`` column, which the bottom-up walk makes fresh for this
+    call, is reduced as it stands, without a copy. A pivot keeps its
+    lead, scaled to 1 mod p, so a column that is a pivot as it comes
+    keeps the table it was built with; if that column is the caller's,
+    with no entry 0 mod p and its lead 1 mod p, the pivot is the
+    caller's column itself, only read.
     """
     if not is_prime(p):
         raise ValueError(f"rank_mod_p needs a prime modulus, got {p!r}")
-    pivots = {}  # lead -> the rest of its reduced column, scaled so the lead is 1
+    pivots = {}  # lead -> its reduced column, the lead 1 mod p
     for j, col in enumerate(columns):
         if j in cleared:
             continue
-        work = {i: v % p for i, v in col.items() if v % p}
+        if type(col) is _Residues:
+            work = col
+        else:
+            work = {i: v % p for i, v in col.items() if v % p}
+        # a copy that dropped no entry of the caller's column and that no
+        # step changes may be stored as that column, which is only read
+        same = work is not col and len(work) == len(col)
         while work:
             lead = max(work)
-            factor = work.pop(lead)
+            factor = work[lead]
             pivot = pivots.get(lead)
             if pivot is None:
                 if factor != 1:
                     inv = pow(factor, p - 2, p)
                     work = {i: v * inv % p for i, v in work.items()}
+                elif same:
+                    work = col
                 pivots[lead] = work
                 break
+            same = False
+            # the pivot's lead is 1 mod p, so this clears work[lead] too
             for i, v in pivot.items():
-                # p is prime, so factor * v is not 0 mod p: an entry
-                # that becomes 0 was nonzero and is present
+                # p is prime and v is not 0 mod p, so factor * v is not 0
+                # mod p: an entry that becomes 0 was nonzero and is present
                 w = (work.get(i, 0) - factor * v) % p
                 if w:
                     work[i] = w

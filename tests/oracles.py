@@ -13,6 +13,7 @@ from smallmodel.complexes import (
     ChainComplex,
     ComplexError,
     HomologyTable,
+    SimplicialComplex,
     chain_complex,
     tensor_total,
     total_cells,
@@ -24,6 +25,7 @@ from smallmodel.flags import (
     _stab_constraint_rows,
     coordinate_flag,
     forced_zeros,
+    gf_subspaces,
 )
 from smallmodel.normalform import invariant_factors
 from smallmodel.ratlin import integer_row, rank, rref, sparse_rank
@@ -60,6 +62,28 @@ def dense_rank_mod_p(rows, p):
         rank += 1
         col += 1
     return rank
+
+
+def gf_span(basis, q):
+    """The q^d vectors of the span over F_q of the d rows of ``basis``, as
+    a frozenset of tuples."""
+    return frozenset(
+        tuple(sum(c * x for c, x in zip(coeffs, column)) % q for column in zip(*basis))
+        for coeffs in itertools.product(range(q), repeat=len(basis))
+    )
+
+
+def building_by_vector_sets(m, q):
+    """The building of F_q^m with the labels of ``flags.finite_building``,
+    one subspace inside another when its set of vectors (``gf_span``) is a
+    subset of theirs, and the maximal chains grown from each line."""
+    by_dim = {d: gf_subspaces(m, q, d) for d in range(1, m)}
+    labels = {s: f"d{d}s{i}" for d, subs in by_dim.items() for i, s in enumerate(subs)}
+    span = {s: gf_span(s, q) for s in labels}
+    chains = [[s] for s in by_dim[1]]
+    for d in range(2, m):
+        chains = [chain + [t] for chain in chains for t in by_dim[d] if span[chain[-1]] <= span[t]]
+    return SimplicialComplex(labels.values(), [[labels[s] for s in chain] for chain in chains])
 
 
 def homology_per_degree(C):

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from oracles import forced_zero_count_by_sets, grid_surface
-from smallmodel import acceptance, cli, flags
+from smallmodel import acceptance, cli, diagonal, flags
+from smallmodel.complexes import HomologyTable, SimplicialComplex
 from smallmodel.cli import main
 from smallmodel.normalform import PivotExplosion
 from smallmodel.report import VIOLATION, Report
@@ -675,6 +676,79 @@ def test_slm_sweep_reports_a_counterexample(monkeypatch, capsys, fresh_flag_memo
         "codim_ok": True, "dim_gk": 1, "lhs": 4, "rhs": 3, "inequality_ok": False,
         "chain_ok": True, "counting_identity": True}}]
     _check_counterexample(capsys, acceptance.criterion_slm_pipeline, "slm-check", expected)
+
+
+# The building of GL_3(F_2) read with reduced rank 7 instead of 8, and the
+# row that criterion 4 writes for it. Solomon-Tits holds, so only a patched
+# homology reaches a failing row.
+BUILDING32_ROW = {"m": 3, "q": 2, "facets": 21, "expected_facets": 21,
+                  "homology": [{"degree": 1, "rank": 7, "torsion": []}],
+                  "expected_rank": 8, "ok": False}
+
+
+def test_building_criterion_reports_a_counterexample(monkeypatch, capsys):
+    real = acceptance.homology
+
+    def off_by_one(K, ring="Z", reduced=True):
+        h = real(K, ring, reduced=reduced)
+        if len(K.vertices) != 14:  # the 7 lines and 7 planes of F_2^3
+            return h
+        return HomologyTable(h.reduced, h.ring,
+                             tuple((d, r - (d == 1), t) for d, r, t in h.entries))
+
+    monkeypatch.setattr(acceptance, "homology", off_by_one)
+    monkeypatch.setattr(cli, "homology", off_by_one)
+    rep = acceptance.criterion_buildings()
+    assert rep.status == "counterexample" and not rep.passed
+    cases = rep.details["cases"]
+    assert cases[0] == BUILDING32_ROW
+    assert [(c["m"], c["q"]) for c in cases if c["ok"]] == [(3, 3), (4, 2), (4, 3), (5, 2)]
+    assert json.loads(json.dumps(rep.to_json()))["cases"][0] == BUILDING32_ROW
+    cli._human(rep.to_json())
+    assert capsys.readouterr().out.startswith(
+        "status: counterexample\nnumber: 4\nname: building homology: one degree, rank "
+        "q^(m(m-1)/2)\ncases:\n  m: 3\n  q: 2\n  facets: 21\n  expected_facets: 21\n"
+        "  homology:\n    degree: 1\n    rank: 7\n    torsion:\n\n  expected_rank: 8\n"
+        "  ok: False\n\n  m: 3\n  q: 3\n")
+    # the suite, in process and through cli.main, on criterion 4 alone
+    monkeypatch.setattr(acceptance, "CRITERIA", (acceptance.criterion_buildings,))
+    (suite_rep,) = acceptance.run_all()
+    assert suite_rep.status == "counterexample" and suite_rep.details["cases"][0] == BUILDING32_ROW
+    code, out = run(capsys, "--json", "suite")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "counterexample"
+    (criterion,) = rep["details"]["criteria"]
+    assert criterion["number"] == 4 and criterion["status"] == "counterexample"
+    assert criterion["cases"][0] == BUILDING32_ROW
+    code, out = run(capsys, "suite")
+    assert code == 1 and out.startswith("suite: counterexample\n") and "rank: 7" in out
+    # and the building subcommand, which reads the same homology
+    code, rep = run_json(capsys, "building", "--m", "3", "--q", "2")
+    assert code == 1 and rep["status"] == "counterexample"
+    assert rep["details"]["homology"] == BUILDING32_ROW["homology"]
+    assert rep["details"]["expected_rank"] == 8
+
+
+def test_diagonal_builds_the_diagonal_once(tmp_path, capsys, monkeypatch):
+    # the three checks of the diagonal command, one build of C x C's
+    # diagonal among them, report what the three public checks report
+    # when each builds its own
+    payload = {"vertices": [0, 1, 2, 3], "facets": [[0, 1, 2], [1, 2, 3], [0, 3]]}
+    K = SimplicialComplex.from_json(payload)
+    separate = [diagonal.check_retraction(K).to_json(), diagonal.decomposition_check(K).to_json(),
+                diagonal.long_exact_consistency(diagonal.build_diagonal(K, 2)).to_json()]
+    builds = []
+    build = diagonal.build_diagonal
+
+    def counted(K, ring="Z"):
+        builds.append(ring)
+        return build(K, ring)
+
+    monkeypatch.setattr(diagonal, "build_diagonal", counted)
+    code, rep = run_json(capsys, "diagonal", "--in", write_json(tmp_path, "K.json", payload))
+    assert code == 0 and builds == ["Z"]
+    assert rep["details"]["checks"] == separate
 
 
 def test_suite_prints_each_criterion_as_it_ends(monkeypatch, capsys):

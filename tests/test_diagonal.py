@@ -66,7 +66,7 @@ def test_quotient_sees_the_hole():
 def test_long_exact_consistency():
     for K in (filled_triangle(), two_triangles(), hollow_triangle()):
         for p in (2, 3):
-            rep = long_exact_consistency(K, p)
+            rep = long_exact_consistency(build_diagonal(K, p))
             assert rep.passed, rep.details
 
 

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    building_by_vector_sets,
     f0_subflag_by_images,
     forced_zero_rule_mismatches,
     forced_zeros_by_nullspace,
+    gf_span,
     induced_flags_by_images,
     nil_stab_dim_by_rank,
     nilpotent_constraint_rows,
@@ -575,6 +577,27 @@ def test_building_pinned(m, q):
     K = finite_building(m, q, max_m=max(4, m))
     blob = json.dumps(K.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == BUILDING_PINS[(m, q)]
+
+
+@pytest.mark.parametrize("m, q", [(4, 3), (5, 2)])
+def test_span_masks_against_vector_sets(m, q):
+    # bit sum(x_c q^(m-1-c)) of the mask is set exactly for the vectors x
+    # of the span, for every proper nonzero subspace
+    vectors = list(itertools.product(range(q), repeat=m))
+    for d in range(1, m):
+        for basis in gf_subspaces(m, q, d):
+            mask = flags._span_mask(basis, q)
+            assert {x for index, x in enumerate(vectors) if mask >> index & 1} == gf_span(basis, q)
+
+
+@pytest.mark.parametrize("m, q", list(BUILDING_PINS))
+def test_building_against_vector_set_containment(m, q):
+    K = finite_building(m, q, max_m=max(4, m))
+    L = building_by_vector_sets(m, q)
+    assert K.vertices == L.vertices
+    assert K.facets == L.facets
+    assert K.dim == L.dim == m - 2
+    assert all(K.simplices(d) == L.simplices(d) for d in range(m - 1))
 
 
 def test_building_3_2():

@@ -14,6 +14,7 @@ from smallmodel.normalform import (
     PivotExplosion,
     _eliminate_units,
     _rank_and_minor,
+    _Residues,
     _Sparse,
     invariant_factors,
     is_prime,
@@ -60,6 +61,42 @@ def test_rank_mod_p_drops_on_divisor():
 def test_pivot_explosion_is_loud():
     with pytest.raises(PivotExplosion):
         invariant_factors(cols_from_dense([[1 << 40, 3], [5, 7]]), bit_bound=16)
+
+
+def test_a_wide_input_entry_is_named():
+    # column 1 holds -9 (4 bits) in row 2 and 9 in row 3: the first of them
+    # in column order is named, as an elimination step would name it
+    cols = [{0: 1, 2: 7}, {0: 1, 2: -9, 3: 9}]
+    with pytest.raises(PivotExplosion, match=re.escape("entry at (2,1) exceeds 3 bits")):
+        invariant_factors(cols, bit_bound=3)
+    with pytest.raises(PivotExplosion, match=re.escape("entry at (3,1) exceeds 3 bits")):
+        invariant_factors(cols, bit_bound=3, cleared={2})
+    # rows left out are never read
+    assert invariant_factors(cols, bit_bound=3, cleared={2, 3}) == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sparse_is_filled_as_the_subtraction_would_fill_it(seed):
+    # _Sparse copies its input straight into rows and columns; written
+    # through _sub instead, one column at a time without the skipped rows,
+    # it holds the same entries in the same order
+    rng = random.Random(seed)
+    dense = sparse_signs(seed)
+    cols = cols_from_dense(dense)
+    for col in cols:
+        if col and rng.random() < 0.3:
+            col[rng.choice(list(col))] = 0  # an explicit zero is dropped
+    skip = frozenset(i for i in range(len(dense)) if rng.random() < 0.3)
+    mat = _Sparse(cols, DEFAULT_BIT_BOUND, skip=skip)
+    ref = _Sparse([], DEFAULT_BIT_BOUND)
+    for j, col in enumerate(cols):
+        ref._sub(ref.cols, ref.rows, j, {i: v for i, v in col.items() if i not in skip}, -1)
+    assert_mirrored(mat)
+    for got, want in ((mat.cols, ref.cols), (mat.rows, ref.rows)):
+        assert list(got) == list(want)
+        assert [list(line.items()) for line in got.values()] == \
+            [list(line.items()) for line in want.values()]
 
 
 def watch(monkeypatch, name):
@@ -292,6 +329,30 @@ def test_rank_mod_p_against_dense_elimination(seed, p, large):
         nc = rng.randint(1, 5)
         dense = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
     assert rank_mod_p(cols_from_dense(dense), p) == dense_rank_mod_p(dense, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5]))
+def test_rank_mod_p_on_plain_and_residue_columns(seed, p):
+    # plain columns, some entries 0 mod p and some leads 1 mod p but not 1,
+    # are read and never changed; the same matrix as residue columns, and
+    # as columns with entries moved by wide multiples of p, has the same
+    # rank and the same leads
+    rng = random.Random(seed)
+    dense = sparse_with_fill(rng)
+    cols = cols_from_dense(dense)
+    snapshot = [dict(col) for col in cols]
+    wide = [{i: v + p * rng.randint(-10**30, 10**30) for i, v in col.items()} for col in cols]
+    wide_snapshot = [dict(col) for col in wide]
+    residues = [_Residues({i: v % p for i, v in col.items() if v % p}) for col in cols]
+    expected = dense_rank_mod_p(dense, p)
+    leads = []
+    for columns in (cols, residues, wide, iter(cols)):
+        lows = set()
+        assert rank_mod_p(columns, p, lows=lows) == expected
+        leads.append(lows)
+    assert leads[0] == leads[1] == leads[2] == leads[3]
+    assert cols == snapshot and wide == wide_snapshot
 
 
 @pytest.mark.parametrize("p", [4, 1, -3, 0])
