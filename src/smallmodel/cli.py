@@ -159,8 +159,7 @@ def cmd_orbit_codim(args, data):
         ok = codim >= f.length
         return (VERIFIED if ok else VIOLATION,
                 {"codim": codim, "length_f": f.length, "ok": ok})
-    rep = acceptance.criterion_orbit_codim(max_m=args.m, random_per_m=args.random,
-                                           seed=args.seed)
+    rep = acceptance.criterion_orbit_codim(max_m=args.m)
     return rep.status, rep.to_json()
 
 
@@ -172,8 +171,7 @@ def cmd_slm_check(args, data):
     if args.infile:
         rep = flags.slm_inequality(*_flag_pair(data))
     else:
-        rep = acceptance.criterion_slm_pipeline(max_m=args.m, random_per_m=args.random,
-                                                seed=args.seed)
+        rep = acceptance.criterion_slm_pipeline(max_m=args.m)
     return rep.status, rep.to_json()
 
 
@@ -263,7 +261,8 @@ def build_parser():
         description="stabilizer-dimension and cup-product verification toolkit",
     )
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random draws of suite criteria 8, 9 and 10")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, reads_in=False, needs_in=False, without_in=(), **kwargs):
@@ -298,9 +297,9 @@ def build_parser():
     sp = add("lemma-upper", cmd_lemma_upper, help="forced-zero sweep")
     sp.add_argument("--m", type=int, default=6)
 
-    add("orbit-codim", cmd_orbit_codim, reads_in=True, without_in=(("m", 5), ("random", 1000)),
+    add("orbit-codim", cmd_orbit_codim, reads_in=True, without_in=(("m", 5),),
         help="orbit codimension bound")
-    add("slm-check", cmd_slm_check, reads_in=True, without_in=(("m", 5), ("random", 500)),
+    add("slm-check", cmd_slm_check, reads_in=True, without_in=(("m", 5),),
         help="codimension-chain inequality")
 
     sp = add("building", cmd_building, help="finite building homology")

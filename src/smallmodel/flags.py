@@ -19,22 +19,24 @@ are memoized, keyed by canonical bases, and so is the per-flag work:
 coordinate_flag per (m, chain), through ``make``, and split_dims per flag,
 its self-check included, since a sweep's first flag meets every second
 flag. Each memo holds at most MEMO_SIZE entries: coordinate sweeps meet
-the same few subspaces and flags over and over, while random pairs share
-almost none and must not grow the caches. A raise is never stored, so a
-refused flag is refused on every call. The criteria's coordinate sweeps
-still build their flags once per chain in a local dict: at m = 6 there are
-4,682 chains, more than MEMO_SIZE, and an LRU cache walked in that order
-would miss every time.
+the same few subspaces and flags over and over, while pairs of general
+rational flags share almost none and must not grow the caches. A raise is
+never stored, so a refused flag is refused on every call. The criteria's
+coordinate sweeps still build their flags once per chain in a local dict:
+at m = 6 there are 4,682 chains, more than MEMO_SIZE, and an LRU cache
+walked in that order would miss every time.
+
+Coordinate flags realise every relative position (table d) of two
+disjoint flags, so the coordinate sweeps are the whole of criteria 2 and
+3; flags with general rational entries are drawn in the tests alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import ratlin
 from .complexes import SimplicialComplex
@@ -386,7 +388,7 @@ def slm_inequality(e: RationalFlag, f: RationalFlag) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate-flag enumeration (exhaustive sweeps) and random rational flags.
+# Coordinate-flag enumeration (exhaustive sweeps).
 
 
 def subset_chains(m: int):
@@ -419,36 +421,6 @@ def prefix_chains(m: int):
         for dims in itertools.combinations(range(1, m), r):
             out.append(tuple(frozenset(range(d)) for d in dims))
     return out
-
-
-def random_flag(m: int, dims, rng: random.Random) -> RationalFlag:
-    """Random flag with the given dimension profile (sorted, in 1..m-1);
-    small-height entries a/b, redrawn until the m rows have rank m. The
-    prefixes of a full-rank draw are then nested and proper, so they are
-    reduced once each and need none of ``make``'s checks.
-
-    Each row is drawn as its (a, b) pairs and scaled to integers by the
-    lcm L of its b's, a * (L // b) per entry, with no Fraction built."""
-    while True:
-        rows = []
-        for _ in range(m):
-            pairs = [(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(m)]
-            L = lcm(*(b for _, b in pairs))
-            rows.append(integer_row([a * (L // b) for a, b in pairs]))
-        if rank(rows) == m:
-            return RationalFlag(m, tuple(rref(rows[:d]) for d in dims))
-
-
-def random_disjoint_pair(m: int, rng: random.Random):
-    while True:
-        r1 = rng.randint(1, m - 1)
-        r2 = rng.randint(1, m - 1)
-        d1 = sorted(rng.sample(range(1, m), r1))
-        d2 = sorted(rng.sample(range(1, m), r2))
-        e = random_flag(m, d1, rng)
-        f = random_flag(m, d2, rng)
-        if e.disjoint_from(f):
-            return e, f
 
 
 # ---------------------------------------------------------------------------

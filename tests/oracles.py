@@ -487,20 +487,79 @@ def forced_zeros_by_nullspace(m, sets):
 
 
 # ---------------------------------------------------------------------------
-# Random flags drawn entry by entry as Fractions, the reference of
-# ``flags.random_flag``.
+# Random flags drawn entry by entry as Fractions: the flags with general
+# rational entries that the pair-table tests read, which no criterion draws.
 
 
 def random_flag_reference(m, dims, rng):
-    """A random flag drawn as ``flags.random_flag`` draws it, the same
-    randint pairs in the same order, with each entry built as a Fraction
-    and each row cleared by ``ratlin.integer_row``."""
+    """A random flag with the given dimension profile (sorted, in 1..m-1):
+    m rows of m small-height entries a/b, each drawn as randint(-5, 5) then
+    randint(1, 5) and built as a Fraction, each row cleared by
+    ``ratlin.integer_row``, redrawn until the rows have rank m. The flag is
+    built from the rref of each prefix with no ``RationalFlag.make``: the
+    prefixes of a full-rank draw are nested and proper."""
     while True:
         rows = [integer_row([Fraction(rng.randint(-5, 5), rng.randint(1, 5))
                              for _ in range(m)])
                 for _ in range(m)]
         if rank(rows) == m:
             return RationalFlag(m, tuple(rref(rows[:d]) for d in dims))
+
+
+def random_disjoint_pair(m, rng):
+    """Two random flags at m with random dimension profiles, redrawn until
+    they share no subspace."""
+    while True:
+        r1, r2 = rng.randint(1, m - 1), rng.randint(1, m - 1)
+        d1, d2 = sorted(rng.sample(range(1, m), r1)), sorted(rng.sample(range(1, m), r2))
+        e = random_flag_reference(m, d1, rng)
+        f = random_flag_reference(m, d2, rng)
+        if e.disjoint_from(f):
+            return e, f
+
+
+# ---------------------------------------------------------------------------
+# Relative positions of two flags, enumerated from their margins: the
+# completeness oracle of the coordinate sweeps of criteria 2 and 3.
+
+
+def _margin_matrices(rows, cols):
+    """Every nonnegative integer matrix with the given row and column sums,
+    as a tuple of row tuples."""
+    if not rows:
+        if not any(cols):
+            yield ()
+        return
+    for row in itertools.product(*(range(c + 1) for c in cols)):
+        if sum(row) == rows[0]:
+            for rest in _margin_matrices(rows[1:], tuple(c - x for c, x in zip(cols, row))):
+                yield (row,) + rest
+
+
+def disjoint_positions(m):
+    """The set of tables d[i][j] = dim(E_i & F_j), as ``flags._pair_table``
+    writes them, of every pair of nonempty flags in Q^m that share no
+    subspace, from the margins alone: for each pair of dimension profiles,
+    every nonnegative integer matrix n whose row sums are the graded
+    dimensions of E and whose column sums are those of F (n[k][l] counts
+    the vectors of a common adapted basis at E-level k and F-level l),
+    summed into its cumulative table d. A table with dim E_i = d[i][j] =
+    dim F_j has E_i = F_j, and is dropped."""
+    profiles = [(0, *dims, m) for r in range(1, m)
+                for dims in itertools.combinations(range(1, m), r)]
+    tables = set()
+    for pe, pf in itertools.product(profiles, repeat=2):
+        graded_e = tuple(b - a for a, b in zip(pe, pe[1:]))
+        graded_f = tuple(b - a for a, b in zip(pf, pf[1:]))
+        for n in _margin_matrices(graded_e, graded_f):
+            d = [[0] * len(pf)]
+            for row in n:
+                sums = itertools.accumulate(row, initial=0)
+                d.append([above + s for above, s in zip(d[-1], sums)])
+            if not any(d[i][j] == pe[i] == pf[j]
+                       for i in range(1, len(pe) - 1) for j in range(1, len(pf) - 1)):
+                tables.add(tuple(map(tuple, d)))
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,11 +12,11 @@ from pathlib import Path
 import pytest
 
 from oracles import forced_zero_count_by_sets, grid_surface
-from smallmodel import acceptance, cli, diagonal, flags
-from smallmodel.complexes import HomologyTable, SimplicialComplex
+from smallmodel import acceptance, cli, cupforms, diagonal, flags, smallness, surfaces
+from smallmodel.complexes import HomologyTable, SimplicialComplex, chain_complex
 from smallmodel.cli import main
 from smallmodel.normalform import PivotExplosion
-from smallmodel.report import VIOLATION, Report
+from smallmodel.report import NOT_OBSTRUCTED, VIOLATION, Report
 
 
 def run(capsys, *argv):
@@ -173,6 +175,15 @@ def test_usage_error_exits_3(capsys):
         main(["harer", "--g", "x", "--r", "0", "--s", "0"])
     assert exc.value.code == 3
     assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["orbit-codim", "slm-check"])
+def test_random_is_a_usage_error(capsys, command):
+    # the sweeps draw no random pairs: they reach every relative position
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--m", "3", "--random", "0"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --random 0" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -636,27 +647,28 @@ def _chosen(e, f):
 
 
 def _check_counterexample(capsys, criterion, command, expected):
-    rep = criterion(max_m=3, random_per_m=0)
+    rep = criterion(max_m=3)
     assert rep.status == "counterexample" and not rep.passed
     assert rep.details["checked"] == 98
     assert rep.details["violations"] == expected
     assert json.loads(json.dumps(rep.to_json()))["violations"] == expected
     cli._human(rep.to_json())
     assert "violations:" in capsys.readouterr().out
-    code, out = run(capsys, "--json", command, "--m", "3", "--random", "0")
+    code, out = run(capsys, "--json", command, "--m", "3")
     assert code == 1
     cli_rep = json.loads(out)
     assert cli_rep["status"] == cli_rep["details"]["status"] == "counterexample"
     assert cli_rep["details"]["violations"] == expected
-    code, out = run(capsys, command, "--m", "3", "--random", "0")
-    assert code == 1 and out.startswith(f"{command}: counterexample\n") and "kind: coordinate" in out
+    code, out = run(capsys, command, "--m", "3")
+    assert code == 1 and out.startswith(f"{command}: counterexample\n")
+    assert "  violations:\n    m: 3\n    e:\n" in out
 
 
 def test_orbit_codim_sweep_reports_a_counterexample(monkeypatch, capsys, fresh_flag_memos):
     codim = flags.orbit_codim
     monkeypatch.setattr(flags, "orbit_codim",
                         lambda e, f: f.length - 1 if _chosen(e, f) else codim(e, f))
-    expected = [{"m": 3, "kind": "coordinate", "e": E3_JSON, "f": F3_JSON, "codim": 1}]
+    expected = [{"m": 3, "e": E3_JSON, "f": F3_JSON, "codim": 1}]
     _check_counterexample(capsys, acceptance.criterion_orbit_codim, "orbit-codim", expected)
 
 
@@ -670,7 +682,7 @@ def test_slm_sweep_reports_a_counterexample(monkeypatch, capsys, fresh_flag_memo
         return Report(VIOLATION, {**rep.details, "lhs": 4, "inequality_ok": False})
 
     monkeypatch.setattr(flags, "slm_inequality", patched)
-    expected = [{"m": 3, "kind": "coordinate", "e": E3_JSON, "f": F3_JSON, "report": {
+    expected = [{"m": 3, "e": E3_JSON, "f": F3_JSON, "report": {
         "status": "counterexample", "m": 3, "length_e": 1, "length_f": 2, "dim_n_quotient": 2,
         "induced_lengths": [0, 1], "length_f0": 1, "codim": 5, "codim_bound": 4,
         "codim_ok": True, "dim_gk": 1, "lhs": 4, "rhs": 3, "inequality_ok": False,
@@ -728,6 +740,159 @@ def test_building_criterion_reports_a_counterexample(monkeypatch, capsys):
     assert code == 1 and rep["status"] == "counterexample"
     assert rep["details"]["homology"] == BUILDING32_ROW["homology"]
     assert rep["details"]["expected_rank"] == 8
+
+
+# Criteria 5-11 with one check patched to fail. Each theorem holds, so only
+# a patched check reaches the rows that report a failure.
+
+
+def _suite_counterexample(monkeypatch, capsys, criterion, key, default=None):
+    """Run ``criterion`` in process and through ``suite --json`` and
+    ``suite`` on it alone: status counterexample, exit 1, and the report
+    through ``json.dumps`` (``default`` as in ``cli._emit``) and the text
+    printer ``cli._human``. Returns its ``key`` rows, equal in both runs."""
+    rep = criterion()
+    assert rep.status == "counterexample" and not rep.passed
+    rows = json.loads(json.dumps(rep.to_json(), default=default))[key]
+    cli._human(rep.to_json())
+    assert f"\n{key}:\n" in capsys.readouterr().out
+    monkeypatch.setattr(acceptance, "CRITERIA", (criterion,))
+    code, out = run(capsys, "--json", "suite")
+    assert code == 1
+    suite_rep = json.loads(out)
+    assert suite_rep["status"] == "counterexample"
+    (row,) = suite_rep["details"]["criteria"]
+    assert row["number"] == rep.details["number"] and row["status"] == "counterexample"
+    assert row[key] == rows
+    code, out = run(capsys, "suite")
+    assert code == 1 and out.startswith("suite: counterexample\n")
+    return rows
+
+
+def test_pants_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # one pants decomposition of genus 3 read one dimension too small
+    first = surfaces.pants_decompositions(3)[0]
+    real = surfaces.multicurve_stab_hdim
+    monkeypatch.setattr(surfaces, "multicurve_stab_hdim", lambda G: real(G) - (G == first))
+    rows = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_pants, "rows")
+    assert rows == [{"g": g, "types": types, "hdims": hdims, "expected": 3 * g - 3, "ok": ok}
+                    for g, types, hdims, ok in ((2, 2, [3], True), (3, 5, [5, 6], False),
+                                                (4, 17, [9], True), (5, 71, [12], True))]
+
+
+def test_multicurve_sweep_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # the genus-2 sweep passes but reports its extreme case one too low
+    real = surfaces.lemma_smallstabilizers_sweep
+
+    def low(g):
+        rep = real(g)
+        return {**rep, "max_exact_lhs": rep["max_exact_lhs"] - 1} if g == 2 else rep
+
+    monkeypatch.setattr(surfaces, "lemma_smallstabilizers_sweep", low)
+    rows = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_multicurve_sweep,
+                                 "rows")
+    assert rows[0] == {"g": 2, "passed": True, "max_exact_lhs": 3, "expected_max": 4,
+                       "witness": {"curves": 3, "type_index": 0, "split": [1, 2], "hdim": 3,
+                                   "lhs": 4},
+                       "ok": False}
+    assert [row["ok"] for row in rows] == [False, True]
+
+
+def test_certificates_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # the 2-factor join model with its boundary dimension one higher: every
+    # inequality holds with slack, so no orbit attains equality
+    real = smallness.generate_join_model
+
+    def slack(d):
+        X = real(d)
+        return dataclasses.replace(X, boundary_dim=X.boundary_dim + 1) if d == 2 else X
+
+    monkeypatch.setattr(smallness, "generate_join_model", slack)
+    rows = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_certificates, "rows")
+    assert rows[2] == {"model": "join model d=2", "check": "verified", "vanishing": "verified",
+                       "equality_orbits": [], "ok": False}
+    assert [row["ok"] for row in rows] == [True, True, False, True, True, True, True]
+
+
+def test_diagonal_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # the third complex of seed 0 has a diagonal read with one circle short
+    rng = random.Random((0, "diagonal").__repr__())
+    third = [acceptance.random_flag_complex(rng) for _ in range(3)][2].to_json()
+    real = diagonal.check_retraction
+    short = [{"degree": 0, "rank": 1, "torsion": []}, {"degree": 1, "rank": 2, "torsion": []}]
+
+    def failing(K, ring="Z"):
+        rep = real(K, ring)
+        if K.to_json() != third:
+            return rep
+        return Report(VIOLATION, {**rep.details, "H(diagonal)": short})
+
+    monkeypatch.setattr(diagonal, "check_retraction", failing)
+    failures = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_diagonal,
+                                     "failures")
+    assert third == {"vertices": [str(v) for v in range(8)],
+                     "facets": [["0", "2"], ["0", "3", "4", "6"], ["0", "7"], ["1", "2"],
+                                ["1", "6"], ["2", "5"], ["3", "4", "5"], ["5", "7"]]}
+    assert failures == [{"complex": 2, "check": "retraction", "input": third, "details": {
+        "check": "retraction", "H(diagonal)": short,
+        "H(C)": [{"degree": 0, "rank": 1, "torsion": []},
+                 {"degree": 1, "rank": 3, "torsion": []}]}}]
+
+
+def test_chaincore_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # the first pair of seed 0 has its product over F_2 read with one
+    # component too many
+    rng = random.Random((0, "chaincore").__repr__())
+    A, B = (acceptance.random_flag_complex(rng, max_vertices=6, max_cells=25) for _ in "AB")
+    first = [(c.ranks, c.boundaries) for c in (chain_complex(A, 2), chain_complex(B, 2))]
+    real = acceptance.tensor_total
+
+    def off_by_one(ca, cb):
+        prod = real(ca, cb)
+        if ca.ring == 2 and [(c.ranks, c.boundaries) for c in (ca, cb)] == first:
+            h = prod.homology()
+            table = HomologyTable(h.reduced, h.ring,
+                                  tuple((d, r + (d == 0), t) for d, r, t in h.entries))
+            prod.homology = lambda: table
+        return prod
+
+    monkeypatch.setattr(acceptance, "tensor_total", off_by_one)
+    failures = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_chaincore,
+                                     "failures")
+    assert failures == [{"pair": 0, "p": 2, "degree": 0, "got": 5, "expected": 4,
+                         "A": {"vertices": ["0", "1", "2", "3"],
+                               "facets": [["0", "1"], ["0", "2"], ["0", "3"]]},
+                         "B": {"vertices": ["0", "1", "2", "3", "4", "5"],
+                               "facets": [["0"], ["1", "3"], ["2", "4"], ["5"]]}}]
+
+
+def test_cupforms_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # rational_is_square wrong on one value: the square of the first draw
+    rng = random.Random((0, "squares").__repr__())
+    first = Fraction(rng.randint(-40, 40), rng.randint(1, 40)) ** 2
+    assert first == Fraction(64, 9)
+    real = cupforms.rational_is_square
+    monkeypatch.setattr(cupforms, "rational_is_square", lambda r: real(r) != (r == first))
+    # the witness of (1,1,1,0) holds Fractions, which cli._emit prints with str
+    failures = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_cupforms,
+                                     "failures", default=str)
+    # 31 of the 10,000 draws are +-8/3, +-16/6, +-24/9, +-32/12 or +-40/15
+    assert failures == [{"case": "rational_is_square", "failures": 31}]
+
+
+def test_support_criterion_reports_a_counterexample(monkeypatch, capsys):
+    # the parity obstruction returns INCONCLUSIVE where it is OBSTRUCTED
+    real = smallness.parity_obstruction
+
+    def wrong(n, q, chi_zero):
+        return Report(NOT_OBSTRUCTED, real(n, q, chi_zero).details)
+
+    monkeypatch.setattr(smallness, "parity_obstruction", wrong)
+    failures = _suite_counterexample(monkeypatch, capsys, acceptance.criterion_support,
+                                     "failures")
+    assert failures == [{"case": "parity q-1=2, d=6, chi=0", "result": {
+        "status": "INCONCLUSIVE", "d": 6, "parities": {"q-1": True, "d": True, "d+q-1": True},
+        "reason": "chi=0 forces odd-degree homology outside the allowed support"}}]
 
 
 def test_diagonal_builds_the_diagonal_once(tmp_path, capsys, monkeypatch):
@@ -1094,9 +1259,6 @@ def test_genus_past_the_guard_exits_at_once(argv):
     (("orbit-codim", "--m", "0"), "a sweep needs m >= 2, got m = 0"),
     (("slm-check", "--m", "1"), "a sweep needs m >= 2, got m = 1"),
     (("lemma-upper", "--m", "1"), "a sweep needs m >= 2, got m = 1"),
-    # read as 0 and exited 0
-    (("orbit-codim", "--m", "3", "--random", "-1"), "random pairs per m must be >= 0, got -1"),
-    (("slm-check", "--m", "2", "--random", "-5"), "random pairs per m must be >= 0, got -5"),
 ])
 def test_a_sweep_that_would_check_nothing_is_an_input_error(capsys, argv, error):
     code, rep = run_json(capsys, *argv)
@@ -1107,7 +1269,7 @@ def test_a_sweep_that_would_check_nothing_is_an_input_error(capsys, argv, error)
 
 @pytest.mark.parametrize("argv, error", [
     # orbit-codim --m 7 printed nothing before a 20 s timeout killed it
-    (("orbit-codim", "--m", "7", "--random", "0"), "m = 7 exceeds MAX_PAIR_SWEEP_M = 6"),
+    (("orbit-codim", "--m", "7"), "m = 7 exceeds MAX_PAIR_SWEEP_M = 6"),
     (("slm-check", "--m", "7"), "m = 7 exceeds MAX_PAIR_SWEEP_M = 6"),
     # lemma-upper --m 8 ran past 60 s
     (("lemma-upper", "--m", "8"), "m = 8 exceeds MAX_FORCED_ZEROS_M = 7"),
@@ -1188,8 +1350,8 @@ def test_composite_or_undecided_ring_is_an_input_error(tmp_path, capsys, ring, e
     ("rank-one", {"k": 2, "m": 3, "top_value": "1"}, ["--m", "3", "--k", "2"],
      "ValueError: rank-one takes --in or --k, --m, not both"),
     ("orbit-codim", "FLAGS", ["--m", "3"], "ValueError: orbit-codim takes --in or --m, not both"),
-    ("slm-check", "FLAGS", ["--random", "0"],
-     "ValueError: slm-check takes --in or --random, not both"),
+    ("slm-check", "FLAGS", ["--m", "4"],
+     "ValueError: slm-check takes --in or --m, not both"),
 ])
 def test_options_beside_in_are_refused(tmp_path, capsys, command, payload, argv, error):
     if payload == "FLAGS":
@@ -1202,11 +1364,13 @@ def test_options_beside_in_are_refused(tmp_path, capsys, command, payload, argv,
 
 
 # sha256 of the details of each command run without --in or options,
-# recorded while the options had their defaults in the parser
+# recorded while the options had their defaults in the parser; those of
+# orbit-codim and slm-check re-recorded when their random pairs left, equal
+# to the earlier runs with --random 0
 DEFAULT_RUN_PINS = {
     "rank-one": "232d0e3dcff64ed885b79dfcd423785b106f1ebf72374931d4479fd8e8d05c88",
-    "orbit-codim": "ec129f707c5b92cc83c8e592afd87449dc90dd8b5270c5305d11a3f07f38072e",
-    "slm-check": "d083f25194a7d763737308e93611fbfb035258f326c654685b0a2115e4fd1e1a",
+    "orbit-codim": "4080f4bc1e1bb9b6dfdafd06cf9762f00a638cdd6565cbbf51ba19f45dc1ac59",
+    "slm-check": "ea5344ee9f248a63c36a2f6084b47c2d0bb04107349b7ede797919189794de62",
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     building_by_vector_sets,
+    disjoint_positions,
     f0_subflag_by_images,
     forced_zero_rule_mismatches,
     forced_zeros_by_nullspace,
@@ -20,6 +21,7 @@ from oracles import (
     nil_stab_dim_by_rank,
     nilpotent_constraint_rows,
     pair_table_by_sum_space,
+    random_disjoint_pair,
     random_flag_reference,
     stab_pair_dim_by_rank,
 )
@@ -39,8 +41,6 @@ from smallmodel.flags import (
     induced_flags,
     orbit_codim,
     prefix_chains,
-    random_disjoint_pair,
-    random_flag,
     slm_inequality,
     split_dims,
     stab_dim,
@@ -94,11 +94,12 @@ def test_to_json_prints_the_rational_rref():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
 def test_random_flag_equals_make_on_the_same_prefixes(m, seed, data):
-    # the oracle replays the draw and sends the prefixes through make's
-    # reduction and its proper / increasing / nested checks
+    # the draw builds its flag with no make: replay it and send the
+    # prefixes through make's reduction and its proper / increasing /
+    # nested checks
     dims = data.draw(st.lists(st.integers(1, m - 1), min_size=1, unique=True).map(sorted))
     rng, replay = random.Random(seed), random.Random(seed)
-    f = random_flag(m, dims, rng)
+    f = random_flag_reference(m, dims, rng)
     while True:
         rows = [[Fraction(replay.randint(-5, 5), replay.randint(1, 5)) for _ in range(m)]
                 for _ in range(m)]
@@ -106,18 +107,6 @@ def test_random_flag_equals_make_on_the_same_prefixes(m, seed, data):
             break
     assert f == RationalFlag.make(m, [rows[:d] for d in dims])
     assert rng.getstate() == replay.getstate()
-
-
-def test_random_flag_equals_the_fraction_draw():
-    # integer rows straight from the randint pairs: the same flags as the
-    # Fraction draw, and the generator left in the same state
-    pick = random.Random(0)
-    for m in range(2, 7):
-        for seed in range(300):
-            dims = sorted(pick.sample(range(1, m), pick.randint(1, m - 1)))
-            rng, replay = random.Random(seed), random.Random(seed)
-            assert random_flag(m, dims, rng) == random_flag_reference(m, dims, replay), (m, seed)
-            assert rng.random() == replay.random()
 
 
 SMALL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
@@ -266,7 +255,8 @@ def test_split_dims_cross_check_random():
     rng = random.Random(5)
     for m in (3, 4):
         for _ in range(5):
-            f = random_flag(m, sorted(rng.sample(range(1, m), rng.randint(1, m - 1))), rng)
+            dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+            f = random_flag_reference(m, dims, rng)
             assert split_dims(f).dim_stab == stab_dim(f)
 
 
@@ -321,7 +311,7 @@ def test_nilpotent_rows_cut_out_dim_n():
     for m in (3, 4, 5):
         for _ in range(6):
             dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
-            cases.append(random_flag(m, dims, rng))
+            cases.append(random_flag_reference(m, dims, rng))
     for e in cases:
         dim_nil = e.m * e.m - sparse_rank(nilpotent_constraint_rows(e))
         assert dim_nil == split_dims(e).dim_n, e
@@ -443,8 +433,8 @@ def test_split_dims_equals_the_formula_and_the_nullspace(fresh_memos):
     cases = [coordinate_flag(m, c) for m in range(2, 6) for c in subset_chains(m)]
     for m in range(2, 7):
         for _ in range(10):
-            cases.append(random_flag(m, sorted(rng.sample(range(1, m), rng.randint(1, m - 1))),
-                                     rng))
+            dims = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+            cases.append(random_flag_reference(m, dims, rng))
     for flag in cases:
         graded, dim_n, dim_levi = _split_formula(flag)
         sd = split_dims(flag)
@@ -537,6 +527,17 @@ def test_chain_enumeration_counts():
     # prefix chains: one per nonempty subset of {1..m-1}
     assert len(prefix_chains(4)) == 7
     assert len(prefix_chains(5)) == 15
+
+
+def test_coordinate_pairs_reach_every_disjoint_position():
+    # every value criteria 2 and 3 read from a pair is a function of its
+    # table, so this is what lets them sweep the coordinate pairs alone
+    sizes = []
+    for m in range(2, 6):
+        reached = {flags._pair_table(e, f) for e, f in acceptance._coordinate_pairs(m)}
+        assert reached == disjoint_positions(m), m
+        sizes.append(len(reached))
+    assert sizes == [1, 17, 189, 2193]
 
 
 def test_random_pair_is_disjoint():
