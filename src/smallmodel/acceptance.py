@@ -84,14 +84,15 @@ def criterion_forced_zeros(max_m: int = 6) -> Report:
 # coordinate-flag chains, which reach every relative position of two
 # disjoint flags (flags._pair_table). Stabilizer and orbit dimensions are
 # invariant under a simultaneous permutation of the coordinates, so for
-# m >= 5 the first chain runs over prefix-chain representatives of the
-# permutation classes while the second runs over all chains; for m <= 4
-# the full product is used unreduced.
+# m >= REDUCED_FROM_M the first chain runs over prefix-chain
+# representatives of the permutation classes while the second runs over
+# all chains; below it the full product is used unreduced.
+REDUCED_FROM_M = 5
 
 
 def _coordinate_pairs(m: int):
     all_chains = flags.subset_chains(m)
-    first = flags.prefix_chains(m) if m >= 5 else all_chains
+    first = flags.prefix_chains(m) if m >= REDUCED_FROM_M else all_chains
     flag_of = {c: flags.coordinate_flag(m, c) for c in all_chains}
     for ce in first:
         se = set(ce)
@@ -109,6 +110,14 @@ def _pair_sweep(max_m: int):
             yield m, e, f
 
 
+def _reduction_note(max_m: int) -> str:
+    """Which m of the sweep up to max_m ran reduced by coordinate symmetry."""
+    if max_m < REDUCED_FROM_M:
+        return f"m<={max_m} exhaustive sweep, not reduced by coordinate symmetry"
+    span = "" if max_m == REDUCED_FROM_M else f"..{max_m}"
+    return f"m={REDUCED_FROM_M}{span} exhaustive sweep reduced by coordinate symmetry"
+
+
 def criterion_orbit_codim(max_m: int = 5) -> Report:
     checked = 0
     violations = []
@@ -120,7 +129,7 @@ def criterion_orbit_codim(max_m: int = 5) -> Report:
     return _criterion(2, "orbit codimension >= flag length",
                       not violations and checked > 0,
                       {"checked": checked, "violations": violations,
-                       "note": "m=5 exhaustive sweep reduced by coordinate symmetry"})
+                       "note": _reduction_note(max_m)})
 
 
 def criterion_slm_pipeline(max_m: int = 5) -> Report:

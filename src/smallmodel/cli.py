@@ -67,6 +67,15 @@ def _to_devnull(stream):
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
+def _note(line):
+    """Print a progress line on stderr, never on stdout; a closed stderr
+    drops it and the rest, and the verdict and its exit code stand."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def _human(obj, indent=""):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -202,7 +211,15 @@ def cmd_multicurves(args, data):
 
 
 def cmd_lemma_sweep(args, data):
-    rep = surfaces.lemma_smallstabilizers_sweep(args.g)
+    t0 = time.perf_counter()
+    kmax = 3 * args.g - 3
+
+    def progress(k, types):
+        _note(f"lemma-sweep g={args.g} k={k}/{kmax}: {types} types "
+              f"({time.perf_counter() - t0:.1f}s)")
+
+    rep = surfaces.lemma_smallstabilizers_sweep(
+        args.g, surfaces._hdims_by_size(args.g, progress))
     return (VERIFIED if rep["passed"] else VIOLATION, rep)
 
 
@@ -236,10 +253,7 @@ def cmd_b2_criterion(args, data):
 def cmd_suite(args, data):
     results = []
     for r in acceptance.run_all(seed=args.seed):
-        try:
-            print(acceptance.line(r), file=sys.stderr, flush=True)
-        except BrokenPipeError:
-            _to_devnull(sys.stderr)
+        _note(acceptance.line(r))
         results.append(r)
     ok = all(r.passed for r in results)
     return (VERIFIED if ok else VIOLATION,

@@ -11,6 +11,8 @@ stabilizer of rank 3g-3) pins the bookkeeping down.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .smallness import Hdim, Orbit, OrbitComplex, PairEntry
@@ -20,7 +22,7 @@ class SurfaceError(ValueError):
     pass
 
 
-# Enumerating all 69,807 types at genus 6 takes 14-19 s (lemma-sweep
+# Enumerating all 69,807 types at genus 6 takes 8.6-10.4 s (lemma-sweep
 # --g 6 on a 2-core machine, Python 3.11), and one size at genus 7
 # (multicurves --g 7 --k 10) did not finish in 20 s: a larger genus is
 # refused at once instead of left running with no output.
@@ -42,6 +44,12 @@ class SurfaceType:
     @property
     def in_formula_range(self) -> bool:
         return 2 * self.g + self.s + self.r > 2
+
+
+# Every piece of a cut graph shares its SurfaceType with the pieces of the
+# same (genus, punctures, boundary) in other graphs: all 69,807 types at
+# genus 6 have 126 such triples among them.
+_surface_type = functools.lru_cache(maxsize=1024)(SurfaceType)
 
 
 def harer_dim(t: SurfaceType) -> int:
@@ -74,35 +82,35 @@ class CutSurfaceGraph:
         v = len(self.piece_genera)
         if v == 0:
             raise SurfaceError("no pieces")
-        adj = [[] for _ in range(v)]
+        nbrs = [0] * v  # bit y of nbrs[x] set when pieces x and y share a curve
         r = [0] * v
         s = [0] * v
         for a, b, side in self.curve_edges:
             if not (0 <= a < v and 0 <= b < v) or side not in (0, 1):
                 raise SurfaceError("bad curve edge")
-            adj[a].append(b)
-            adj[b].append(a)
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
             if side == 0:
                 r[a] += 1
                 s[b] += 1
             else:
                 r[b] += 1
                 s[a] += 1
-        seen = {0}
-        frontier = [0]
+        seen = frontier = 1
         while frontier:
-            for y in adj[frontier.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if len(seen) != v:
+            x = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = nbrs[x] & ~seen
+            seen |= new
+            frontier |= new
+        if seen != (1 << v) - 1:
             raise SurfaceError("cut graph is not connected")
         b1 = len(self.curve_edges) - v + 1
         if sum(self.piece_genera) + b1 != self.closed_genus:
             raise SurfaceError("piece genera and graph cycles do not add up to the genus")
         if len(self.curve_edges) > max(3 * self.closed_genus - 3, 0):
             raise SurfaceError("more curves than a maximal system allows")
-        types = tuple(SurfaceType(g, r[i], s[i]) for i, g in enumerate(self.piece_genera))
+        types = tuple(_surface_type(g, r[i], s[i]) for i, g in enumerate(self.piece_genera))
         for i, t in enumerate(types):
             if not t.in_formula_range:
                 raise SurfaceError(f"piece {i} = {t} is not an essential-cut piece")
@@ -326,12 +334,62 @@ def _canonical(genera, mult):
     return leaf([rank[s] for s in init], len(rank))
 
 
+def _invariant(genera, mult):
+    """A label-free invariant of a cut graph: the sorted tuple, over the
+    pieces, of (genus, loops) followed by the sorted (neighbour genus,
+    neighbour loops, multiplicity, common neighbours) over its curves to
+    other pieces. Each is packed into one integer in base 1 + the number of
+    curves, which exceeds every loop count, multiplicity and number of
+    common neighbours, so no two tuples share an integer. Nothing in it
+    reads a piece index, so isomorphic graphs have equal invariants."""
+    v = len(genera)
+    base = 1 + sum(mult.values())
+    code = [g * base for g in genera]
+    nbrs = [0] * v  # bit y of nbrs[x] set when pieces x != y share a curve
+    for (i, j), k in mult.items():
+        if i == j:
+            code[i] += k
+        else:
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+    sig = [[] for _ in range(v)]
+    for (i, j), k in mult.items():
+        if i != j:
+            common = (nbrs[i] & nbrs[j]).bit_count()
+            sig[i].append((code[j] * base + k) * base + common)
+            sig[j].append((code[i] * base + k) * base + common)
+    return tuple(sorted((code[x], *sorted(sig[x])) for x in range(v)))
+
+
 def _dedupe(raw):
-    """One (genera, mult) pair per isomorphism class: the first raw member."""
+    """One (genera, mult) pair per isomorphism class: the first raw member.
+
+    Isomorphic candidates have equal invariants, so a candidate whose
+    invariant no other candidate shares is alone in its class, and
+    _canonical is computed only for candidates that share one (partition
+    by a cheap invariant, then label canonically inside a part: McKay
+    1981, McKay-Piperno 2014). The classes, and so the first members and
+    their order, are those of _canonical alone."""
+    invariants = [_invariant(genera, mult) for genera, mult in raw]
+    shared = Counter(invariants)
     reps = {}
-    for genera, mult in raw:
-        reps.setdefault(_canonical(genera, mult), (genera, mult))
+    for inv, (genera, mult) in zip(invariants, raw):
+        key = _canonical(genera, mult) if shared[inv] > 1 else None
+        reps.setdefault((inv, key), (genera, mult))
     return list(reps.values())
+
+
+def _raw_candidates(g, k):
+    """Every (genera, mult) the search yields for k curves at genus g, in
+    search order: one or more per isomorphism class."""
+    raw = []
+    for v in range(max(1, k + 1 - g), k + 2):
+        for types in _vertex_type_multisets(g, k, v):
+            genera = [t[0] for t in types]
+            degrees = [t[1] for t in types]
+            raw.extend((tuple(genera), mult)
+                       for mult in _multigraphs_with_degrees(degrees, genera))
+    return raw
 
 
 def _to_cut_graph(g, genera, mult):
@@ -351,14 +409,7 @@ def enumerate_multicurves(g: int, k: int) -> list[CutSurfaceGraph]:
         raise SurfaceError(f"size guard: genus {g} exceeds MAX_GENUS = {MAX_GENUS}")
     if not (1 <= k <= 3 * g - 3):
         raise SurfaceError(f"need 1 <= k <= {3 * g - 3}")
-    raw = []
-    for v in range(max(1, k + 1 - g), k + 2):
-        for types in _vertex_type_multisets(g, k, v):
-            genera = [t[0] for t in types]
-            degrees = [t[1] for t in types]
-            raw.extend((tuple(genera), mult)
-                       for mult in _multigraphs_with_degrees(degrees, genera))
-    reps = _dedupe(raw)
+    reps = _dedupe(_raw_candidates(g, k))
     graphs = [_to_cut_graph(g, genera, mult) for genera, mult in reps]
     graphs.sort(key=lambda cg: (len(cg.piece_genera), cg.piece_genera, cg.curve_edges))
     return graphs
@@ -369,14 +420,19 @@ def enumerate_multicurves(g: int, k: int) -> list[CutSurfaceGraph]:
 # curve systems.
 
 
-def _hdims_by_size(g: int) -> dict:
+def _hdims_by_size(g: int, progress=None) -> dict:
     """{k: stabilizer dimensions of the k-curve types, in enumeration
-    order}: each (g, k) is enumerated once."""
-    return {k: [multicurve_stab_hdim(cg) for cg in enumerate_multicurves(g, k)]
-            for k in range(1, 3 * g - 2)}
+    order}: each (g, k) is enumerated once. progress(k, number of types),
+    when given, is called as each size is done."""
+    hdims = {}
+    for k in range(1, 3 * g - 2):
+        hdims[k] = [multicurve_stab_hdim(cg) for cg in enumerate_multicurves(g, k)]
+        if progress:
+            progress(k, len(hdims[k]))
+    return hdims
 
 
-def lemma_smallstabilizers_sweep(g: int) -> dict:
+def lemma_smallstabilizers_sweep(g: int, hdims: dict | None = None) -> dict:
     """Exhaustive check of hdim(Stab(A u B)) + |A| - 1 + |B| - 1 < 6g - 7.
 
     Exact branch: every type and every split of its c curves into two
@@ -385,12 +441,15 @@ def lemma_smallstabilizers_sweep(g: int) -> dict:
     hdim <= hdim(Stab(B)) - |A|, over all types of B (with the
     maximal-system case |B| = 3g - 3 called out); its left side
     max(|A|, h_B) + |B| - 2 never decreases in |A|, so |A| = 3g - 3
-    decides every size. Each failing type is one row."""
+    decides every size. Each failing type is one row.
+
+    hdims is _hdims_by_size(g), computed here unless the caller has it."""
     if g < 2:
         raise SurfaceError("need genus >= 2")
     bound = 6 * g - 7
     kmax = 3 * g - 3
-    hdims = _hdims_by_size(g)
+    if hdims is None:
+        hdims = _hdims_by_size(g)
     exact_rows = []
     max_lhs = None
     witness = None

@@ -29,7 +29,7 @@ from smallmodel.flags import (
 )
 from smallmodel.normalform import invariant_factors
 from smallmodel.ratlin import integer_row, rank, rref, sparse_rank
-from smallmodel.surfaces import SurfaceError, _dedupe
+from smallmodel.surfaces import SurfaceError, SurfaceType, _canonical, _dedupe
 
 
 def brute_maximal_cliques(adj):
@@ -291,6 +291,59 @@ def canonical_reference(genera, mult):
                    for x in split if col[x] == first)
 
     return leaf([(genera[x], mult.get((x, x), 0)) for x in range(v)])
+
+
+def dedupe_reference(raw):
+    """``surfaces._dedupe`` before it bucketed by an invariant: one
+    (genera, mult) pair per isomorphism class, the first raw member, by
+    the canonical key of every candidate."""
+    reps = {}
+    for genera, mult in raw:
+        reps.setdefault(_canonical(genera, mult), (genera, mult))
+    return list(reps.values())
+
+
+def cut_graph_reference(closed_genus, piece_genera, curve_edges):
+    """The piece types of a cut graph, or the SurfaceError that refuses it,
+    as ``CutSurfaceGraph.__post_init__`` computed them before it walked
+    bitmasks and shared the piece types: adjacency lists, a search over a
+    set, and a fresh SurfaceType per piece."""
+    v = len(piece_genera)
+    if v == 0:
+        raise SurfaceError("no pieces")
+    adj = [[] for _ in range(v)]
+    r = [0] * v
+    s = [0] * v
+    for a, b, side in curve_edges:
+        if not (0 <= a < v and 0 <= b < v) or side not in (0, 1):
+            raise SurfaceError("bad curve edge")
+        adj[a].append(b)
+        adj[b].append(a)
+        if side == 0:
+            r[a] += 1
+            s[b] += 1
+        else:
+            r[b] += 1
+            s[a] += 1
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for y in adj[frontier.pop()]:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    if len(seen) != v:
+        raise SurfaceError("cut graph is not connected")
+    b1 = len(curve_edges) - v + 1
+    if sum(piece_genera) + b1 != closed_genus:
+        raise SurfaceError("piece genera and graph cycles do not add up to the genus")
+    if len(curve_edges) > max(3 * closed_genus - 3, 0):
+        raise SurfaceError("more curves than a maximal system allows")
+    types = tuple(SurfaceType(g, r[i], s[i]) for i, g in enumerate(piece_genera))
+    for i, t in enumerate(types):
+        if not t.in_formula_range:
+            raise SurfaceError(f"piece {i} = {t} is not an essential-cut piece")
+    return types
 
 
 def partitions(total, n, lo):

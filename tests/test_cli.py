@@ -255,6 +255,34 @@ def test_lemma_sweep_subcommand(capsys):
     assert rep["details"]["max_exact_lhs"] == 4
 
 
+def test_lemma_sweep_prints_one_line_per_size(capsys):
+    # --g 6 was silent for its whole run; the lines go to stderr, so the
+    # report on stdout is what it was
+    code = main(["--json", "lemma-sweep", "--g", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["status"] == "verified"
+    lines = captured.err.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        f"lemma-sweep g=3 k={k}/6: {types} types"
+        for k, types in enumerate([2, 5, 9, 12, 8, 5], start=1)]
+    assert all(line.endswith("s)") for line in lines)
+
+
+@pytest.mark.parametrize("m, note", [
+    ("3", "m<=3 exhaustive sweep, not reduced by coordinate symmetry"),
+    ("5", "m=5 exhaustive sweep reduced by coordinate symmetry"),
+    ("6", "m=5..6 exhaustive sweep reduced by coordinate symmetry"),
+])
+def test_orbit_codim_note_follows_m(monkeypatch, capsys, m, note):
+    # the note read "m=5 ..." whatever --m was; the first pairs of each m
+    # stand in for the sweep, which takes seconds at m = 6
+    pairs = acceptance._coordinate_pairs
+    monkeypatch.setattr(acceptance, "_coordinate_pairs",
+                        lambda m: itertools.islice(pairs(m), 3))
+    code, rep = run_json(capsys, "orbit-codim", "--m", m)
+    assert code == 0 and rep["details"]["note"] == note
+
+
 # sha256 of the report without its runtime, pinned before the multicurve
 # search emitted connected graphs only: type indices, witnesses and orbit
 # labels follow the order of the enumerated representatives
@@ -1221,6 +1249,19 @@ def test_a_closed_stderr_keeps_the_suite_verdict():
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.Popen([sys.executable, "-c", code], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stderr.close()
+    out = proc.stdout.read()
+    assert proc.wait(timeout=120) == 0
+    assert json.loads(out)["status"] == "verified"
+
+
+def test_a_closed_stderr_keeps_the_lemma_sweep_verdict():
+    # the progress lines go to stderr; with no reader there the report and
+    # its exit code are what they are with one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "smallmodel", "--json", "lemma-sweep",
+                             "--g", "3"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stderr.close()
     out = proc.stdout.read()
     assert proc.wait(timeout=120) == 0

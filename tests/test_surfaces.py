@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,13 +19,16 @@ from smallmodel.surfaces import (
     multicurve_stab_hdim,
     pants_decompositions,
     _canonical,
+    _dedupe,
+    _invariant,
     _multigraphs_with_degrees,
+    _raw_candidates,
     _vertex_type_multisets,
 )
 from smallmodel.smallness import VERIFIED, check_small, vanishing_certificate
 
-from oracles import (canonical_reference, connected, enumerate_multicurves_by_matching,
-                     vertex_type_multisets)
+from oracles import (canonical_reference, connected, cut_graph_reference, dedupe_reference,
+                     enumerate_multicurves_by_matching, vertex_type_multisets)
 
 
 def test_harer_formulas():
@@ -52,6 +56,71 @@ def test_cut_graph_validation():
         CutSurfaceGraph(2, (1,), ((0, 0, 0), (0, 0, 0)))  # genus bookkeeping off
     with pytest.raises(SurfaceError):
         CutSurfaceGraph(2, (0, 1), ((0, 1, 0),))  # genus-0 piece of degree 1
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, (), ()), "no pieces"),
+    ((2, (1,), ((0, 1, 0),)), "bad curve edge"),  # an end past the last piece
+    ((2, (1,), ((-1, 0, 0),)), "bad curve edge"),
+    ((2, (1,), ((0, 0, 2),)), "bad curve edge"),  # a side outside {0, 1}
+    ((2, (1,), ((0, 0, -1),)), "bad curve edge"),
+    # connected, genera adding up, four curves where a pants system has three
+    ((2, (0, 0, 0), ((0, 1, 0), (0, 1, 0), (1, 2, 0), (1, 2, 0))),
+     "more curves than a maximal system allows"),
+    ((1, (0,), ((0, 0, 0),)), "more curves than a maximal system allows"),
+    ((2, (-1, 3), ((0, 1, 0),)), "negative surface data"),
+])
+def test_cut_graph_refusals(args, message):
+    with pytest.raises(SurfaceError, match=f"^{message}$"):
+        CutSurfaceGraph(*args)
+    with pytest.raises(SurfaceError, match=f"^{message}$"):
+        cut_graph_reference(*args)
+
+
+@st.composite
+def edge_lists(draw):
+    """(closed_genus, piece_genera, curve_edges) with loops, sides 0 and 1,
+    disconnected graphs (no spanning tree drawn), inessential pieces and at
+    most one planted fault: no pieces, an end or a side out of range, a
+    negative genus, or a closed genus off by one."""
+    v = draw(st.integers(1, 5))
+    genera = draw(st.lists(st.integers(0, 2), min_size=v, max_size=v))
+    side = st.integers(0, 1)
+    edges = []
+    if draw(st.booleans()):
+        edges = [(draw(st.integers(0, x - 1)), x, draw(side)) for x in range(1, v)]
+    piece = st.integers(0, v - 1)
+    edges += draw(st.lists(st.tuples(piece, piece, side), max_size=6))
+    genus = sum(genera) + len(edges) - v + 1
+    fault = draw(st.sampled_from([None, None, None, "pieces", "end", "side", "negative",
+                                  "genus"]))
+    if fault == "pieces":
+        genera = []
+    elif fault in ("end", "side") and edges:
+        at = draw(st.integers(0, len(edges) - 1))
+        bad = draw(st.sampled_from([-1, v if fault == "end" else 2]))
+        a, b, c = edges[at]
+        edges[at] = (a, bad, c) if fault == "end" else (a, b, bad)
+    elif fault == "negative":
+        genera[draw(st.integers(0, v - 1))] -= 3
+        genus -= 3
+    elif fault == "genus":
+        genus += draw(st.sampled_from([-1, 1]))
+    return genus, tuple(genera), tuple(edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_lists())
+def test_cut_graph_checks_against_reference(args):
+    # the same accept or refuse, the same message and the same piece types
+    # as the checks on adjacency lists and fresh SurfaceTypes
+    try:
+        expected = cut_graph_reference(*args)
+    except SurfaceError as exc:
+        with pytest.raises(SurfaceError, match=f"^{re.escape(str(exc))}$"):
+            CutSurfaceGraph(*args)
+    else:
+        assert CutSurfaceGraph(*args).piece_types() == expected
 
 
 def test_side_assignment_invariance():
@@ -236,6 +305,17 @@ def test_canonical_key_survives_relabelling(graph, rnd):
 
 
 @settings(max_examples=300, deadline=None)
+@given(cut_graphs(), st.randoms(use_true_random=False))
+def test_invariant_survives_relabelling(graph, rnd):
+    # _dedupe computes _canonical only where invariants collide, which is
+    # exact only if isomorphic graphs have equal invariants
+    genera, mult = graph
+    perm = list(range(len(genera)))
+    rnd.shuffle(perm)
+    assert _invariant(*relabel(genera, mult, perm)) == _invariant(genera, mult)
+
+
+@settings(max_examples=300, deadline=None)
 @given(cut_graphs(), cut_graphs(), st.randoms(use_true_random=False), st.integers(0, 2))
 def test_canonical_key_decides_isomorphism(graph, other, rnd, how):
     # the second graph is a relabelled near-copy of the first (a switch
@@ -272,14 +352,7 @@ def test_canonical_key_splits_what_refinement_cannot():
 def raw_candidates(g):
     """Every (genera, mult) the search yields for genus g, before dedupe,
     in the order enumerate_multicurves hands them to it."""
-    raw = []
-    for k in range(1, 3 * g - 2):
-        for v in range(max(1, k + 1 - g), k + 2):
-            for types in _vertex_type_multisets(g, k, v):
-                genera = tuple(t[0] for t in types)
-                raw.extend((genera, mult)
-                           for mult in _multigraphs_with_degrees([t[1] for t in types], genera))
-    return raw
+    return [c for k in range(1, 3 * g - 2) for c in _raw_candidates(g, k)]
 
 
 def class_indices(keys):
@@ -300,6 +373,14 @@ def test_canonical_key_against_reference():
     assert class_indices(keys) == class_indices(reference)
     assert max(class_indices(keys)) + 1 == 4979
     assert keys == reference
+
+
+def test_dedupe_against_reference():
+    # canonical keys only where the invariant collides keep the classes of
+    # canonical keys everywhere, so the same first members in the same order
+    raw = [c for g in range(2, 6) for c in raw_candidates(g)]
+    assert len(raw) == 5737
+    assert _dedupe(raw) == dedupe_reference(raw)
 
 
 # sha256 of repr([(piece_genera, curve_edges), ...]) over k = 1..3g-3,
