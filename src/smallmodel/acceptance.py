@@ -82,11 +82,12 @@ def criterion_forced_zeros(max_m: int = 6) -> Report:
 #
 # The exhaustive coordinate sweeps quantify over ordered pairs of disjoint
 # coordinate-flag chains, which reach every relative position of two
-# disjoint flags (flags._pair_table). Stabilizer and orbit dimensions are
-# invariant under a simultaneous permutation of the coordinates, so for
-# m >= REDUCED_FROM_M the first chain runs over prefix-chain
-# representatives of the permutation classes while the second runs over
-# all chains; below it the full product is used unreduced.
+# disjoint flags, and every number the criteria read from a pair comes
+# from one evaluation of its position (flags._position). Stabilizer and
+# orbit dimensions are invariant under a simultaneous permutation of the
+# coordinates, so for m >= REDUCED_FROM_M the first chain runs over
+# prefix-chain representatives of the permutation classes while the second
+# runs over all chains; below it the full product is used unreduced.
 REDUCED_FROM_M = 5
 
 
@@ -152,20 +153,18 @@ def criterion_slm_pipeline(max_m: int = 5) -> Report:
 
 def criterion_buildings() -> Report:
     cases = []
-    ok = True
     for m, q in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 2)):
         K = flags.finite_building(m, q, max_m=max(4, m))
         expected_facets = flags.complete_flag_count(m, q)
         h = homology(K, "Z", reduced=True)
         expected_rank = q ** (m * (m - 1) // 2)
         good = flags.building_ok(K, h, m, q)
-        ok = ok and good
         cases.append({"m": m, "q": q, "facets": len(K.facets),
                       "expected_facets": expected_facets,
                       "homology": h.to_json(), "expected_rank": expected_rank,
                       "ok": good})
-    return _criterion(4, "building homology: one degree, rank q^(m(m-1)/2)", ok,
-                      {"cases": cases})
+    return _criterion(4, "building homology: one degree, rank q^(m(m-1)/2)",
+                      all(case["ok"] for case in cases), {"cases": cases})
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +173,13 @@ def criterion_buildings() -> Report:
 
 def criterion_pants() -> Report:
     rows = []
-    ok = True
     for g in range(2, 6):
         types = surfaces.pants_decompositions(g)
         dims = sorted({surfaces.multicurve_stab_hdim(t) for t in types})
-        good = bool(types) and dims == [3 * g - 3]
-        ok = ok and good
         rows.append({"g": g, "types": len(types), "hdims": dims,
-                     "expected": 3 * g - 3, "ok": good})
-    return _criterion(5, "pants stabilizer dimension = 3g-3", ok, {"rows": rows})
+                     "expected": 3 * g - 3, "ok": bool(types) and dims == [3 * g - 3]})
+    return _criterion(5, "pants stabilizer dimension = 3g-3",
+                      all(row["ok"] for row in rows), {"rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +188,15 @@ def criterion_pants() -> Report:
 
 def criterion_multicurve_sweep() -> Report:
     rows = []
-    ok = True
     for g in (2, 3):
         rep = surfaces.lemma_smallstabilizers_sweep(g)
         good = rep["passed"] and rep["max_exact_lhs"] == 6 * g - 8
-        ok = ok and good
         rows.append({"g": g, "passed": rep["passed"],
                      "max_exact_lhs": rep["max_exact_lhs"],
                      "expected_max": 6 * g - 8,
                      "witness": rep["max_exact_witness"], "ok": good})
-    return _criterion(6, "stabilizer sweep < 6g-7, extreme case 6g-8", ok, {"rows": rows})
+    return _criterion(6, "stabilizer sweep < 6g-7, extreme case 6g-8",
+                      all(row["ok"] for row in rows), {"rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +205,11 @@ def criterion_multicurve_sweep() -> Report:
 
 def criterion_certificates() -> Report:
     rows = []
-    ok = True
 
     def examine(label, cert):
-        nonlocal ok
         rep = smallness.check_small(cert)
         van = smallness.vanishing_certificate(cert)
         good = rep.passed and van.passed and bool(rep.details["equality_orbits"])
-        ok = ok and good
         rows.append({"model": label, "check": rep.status, "vanishing": van.status,
                      "equality_orbits": rep.details["equality_orbits"], "ok": good})
 
@@ -224,7 +217,8 @@ def criterion_certificates() -> Report:
         examine(f"curve systems g={g}", surfaces.curve_complex_certificate(g))
     for d in range(2, 7):
         examine(f"join model d={d}", smallness.generate_join_model(d))
-    return _criterion(7, "certificates verified with equality attained", ok, {"rows": rows})
+    return _criterion(7, "certificates verified with equality attained",
+                      all(row["ok"] for row in rows), {"rows": rows})
 
 
 # ---------------------------------------------------------------------------

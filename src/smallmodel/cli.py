@@ -161,9 +161,7 @@ def cmd_lemma_upper(args, data):
 def cmd_orbit_codim(args, data):
     if args.infile:
         e, f = _flag_pair(data)
-        # the bound holds for disjoint flags only, as in slm_inequality
-        if not e.disjoint_from(f):
-            raise flags.FlagError("flags share a subspace")
+        flags.require_disjoint(e, f)
         codim = flags.orbit_codim(e, f)
         ok = codim >= f.length
         return (VERIFIED if ok else VIOLATION,

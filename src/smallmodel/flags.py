@@ -5,14 +5,14 @@ semidirect splitting dimension calculus, induced flags and the
 codimension-chain inequality, plus a finite-field building generator.
 
 Stabilizer and orbit dimensions are Lie-algebra dimensions of
-linear-algebraic matrix groups. A pair of flags (E, F) is read from one
-table of intersection dimensions dim(E_i & F_j), each from the rank of
-a sum of subspaces: any two flags have a common adapted basis, in which
-both stabilizers are spanned by matrix units. The stabilizer of one flag
-is also computed as the nullity of its exact integer constraint system,
-which split_dims checks its formula against, and the coordinate-flag
-combinatorics (forced zero patterns) give an independent route for
-cross-checks.
+linear-algebraic matrix groups. Every number of a pair of flags (E, F) is
+read from one cached evaluation of its relative position (_position), the
+table of intersection dimensions dim(E_i & F_j): any two flags have a
+common adapted basis, in which both stabilizers are spanned by matrix
+units. The stabilizer of one flag is also computed as the nullity of its
+exact integer constraint system, which split_dims checks its formula
+against, and the coordinate-flag combinatorics (forced zero patterns) give
+an independent route for cross-checks.
 
 The ranks of the sums E_i + F_j and the induced images (E_{i+1} & F_j) + E_i
 are memoized, keyed by canonical bases, and so is the per-flag work:
@@ -33,6 +33,7 @@ disjoint flags, so the coordinate sweeps are the whole of criteria 2 and
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -102,7 +103,8 @@ class RationalFlag:
     def dims(self) -> tuple:
         return tuple(len(b) for b in self.subspaces)
 
-    def padded(self):
+    @functools.cached_property
+    def padded(self) -> tuple:
         """Subspace chain with 0 and Q^m attached as conventions."""
         full = tuple((0,) * i + (1,) + (0,) * (self.m - 1 - i) for i in range(self.m))
         return ((),) + self.subspaces + (full,)
@@ -166,8 +168,8 @@ def forced_zeros(w) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer dimensions: one flag by its constraint system, a pair by a
-# table of intersection dimensions.
+# Stabilizer dimensions: one flag by its constraint system, a pair by its
+# relative position.
 
 
 def _containment_rows(m: int, pairs):
@@ -205,57 +207,61 @@ def _sum_dim(a: tuple, b: tuple) -> int:
     return rank(a + b)
 
 
+_Position = collections.namedtuple("_Position", "table stab_pair nil_stab images")
+
+
 @functools.lru_cache(maxsize=1)
-def _pair_table(e: RationalFlag, f: RationalFlag) -> tuple:
-    """Table d[i][j] = dim(E_i & F_j) over the padded flags (E_0 = F_0 = 0
-    and E_a = F_b = Q^m). Cached for the last pair, which orbit_codim,
-    slm_inequality, induced_flags and f0_subflag all read. Each entry is
-    dim E_i + dim F_j - dim(E_i + F_j), the last read from the memo
-    ``_sum_dim`` over the two canonical bases.
+def _position(e: RationalFlag, f: RationalFlag) -> _Position:
+    """The relative position of (E, F), evaluated in one pass over its
+    table d and cached for the last pair, which orbit_codim,
+    slm_inequality, induced_flags and f0_subflag all read: d, then
+    dim(Stab(E) & Stab(F)) and dim(N & Stab(F)), N the unipotent radical of
+    Stab(E), and per graded level of E its proper images (g, l). d runs
+    over the padded flags (E_0 = F_0 = 0 and E_a = F_b = Q^m); each entry is
+    dim E_i + dim F_j - dim(E_i + F_j), the last from the memo ``_sum_dim``.
 
     Any two flags have a common adapted basis (they lie in a common
     apartment: Abramenko-Brown, Buildings, 2008), and
     n[k][l] = d[k][l] - d[k-1][l] - d[k][l-1] + d[k-1][l-1] counts its
-    vectors at E-level k and F-level l."""
+    vectors at E-level k and F-level l. The matrix unit taking a vector at
+    levels (k, l) to one at levels (k', l') preserves both flags when
+    k' <= k and l' <= l; these units span Stab(E) & Stab(F), and the ones
+    with k' <= k - 1 span N & Stab(F). The image (E_k & F_l) + E_{k-1} has
+    dimension g = d[k][l] - d[k-1][l] over E_{k-1}, and level k lists
+    (g, l) when it is neither trivial nor full in E_k / E_{k-1}."""
     if e.m != f.m:
         raise FlagError("ambient dimensions differ")
-    zero = (0,) * (f.length + 2)
-    return (zero,) + tuple(
+    d = ((0,) * (f.length + 2),) + tuple(
         (0, *(len(ei) + len(fj) - _sum_dim(ei, fj) for fj in f.subspaces), len(ei))
         for ei in e.subspaces
     ) + ((0, *f.dims(), e.m),)
+    stab_pair = nil_stab = 0
+    images = []
+    for lo, hi in zip(d, d[1:]):
+        for l in range(1, len(hi)):
+            n = hi[l] - lo[l] - hi[l - 1] + lo[l - 1]
+            stab_pair += n * hi[l]
+            nil_stab += n * lo[l]
+        images.append(tuple((hi[j] - lo[j], j) for j in range(1, len(hi) - 1)
+                            if 0 < hi[j] - lo[j] < hi[-1] - lo[-1]))
+    return _Position(d, stab_pair, nil_stab, tuple(images))
 
 
-def _level_sum(d, shift: int) -> int:
-    """Sum of n[k][l] * d[k - shift][l] over the table d. In the adapted
-    basis the matrix unit taking a vector at levels (k, l) to one at
-    levels (k', l') preserves both flags when k' <= k and l' <= l, and
-    these units span Stab(E) & Stab(F) (shift 0); the ones with
-    k' <= k - 1 span N & Stab(F) (shift 1)."""
-    total = 0
-    for k in range(1, len(d)):
-        for l in range(1, len(d[k])):
-            n = d[k][l] - d[k - 1][l] - d[k][l - 1] + d[k - 1][l - 1]
-            if n:
-                total += n * d[k - shift][l]
-    return total
+def require_disjoint(e: RationalFlag, f: RationalFlag) -> None:
+    """Refuse a pair that shares a subspace: the orbit-codimension bound
+    and the codimension chain hold for disjoint flags only."""
+    if not e.disjoint_from(f):
+        raise FlagError("flags share a subspace")
 
 
 def stab_pair_dim(e: RationalFlag, f: RationalFlag) -> int:
     """dim(Stab(E) & Stab(F))."""
-    return _level_sum(_pair_table(e, f), 0)
-
-
-def _nil_stab_dim(e: RationalFlag, f: RationalFlag) -> int:
-    """dim(N & Stab(F)), where N = {A : A E_k <= E_{k-1}} is the
-    unipotent radical of Stab(E)."""
-    return _level_sum(_pair_table(e, f), 1)
+    return _position(e, f).stab_pair
 
 
 def orbit_codim(e: RationalFlag, f: RationalFlag) -> int:
     """dim Stab(E) - dim(Stab(E) & Stab(F)): the orbit dimension bound."""
-    d = _pair_table(e, f)
-    dims_e = [row[-1] for row in d]
+    dims_e = (0, *e.dims(), e.m)
     stab_e = sum((hi - lo) * hi for lo, hi in zip(dims_e, dims_e[1:]))
     return stab_e - stab_pair_dim(e, f)
 
@@ -292,24 +298,11 @@ def split_dims(flag: RationalFlag) -> SplitDims:
 # chain.
 
 
-def _proper_images(d):
-    """Per graded level i of E, the pairs (g, j) for the members F_j whose
-    image (E_{i+1} & F_j) + E_i is neither trivial nor full in
-    E_{i+1} / E_i; g = d[i+1][j] - d[i][j] is the image's dimension
-    over E_i."""
-    return [
-        [(hi[j] - lo[j], j) for j in range(1, len(lo) - 1) if 0 < hi[j] - lo[j] < hi[-1] - lo[-1]]
-        for lo, hi in zip(d, d[1:])
-    ]
-
-
 def induced_flags(e: RationalFlag, f: RationalFlag):
     """Induced chains per graded piece and their lengths: the distinct
     proper images (E_{i+1} & F_j) + E_i, shortest first."""
-    proper = _proper_images(_pair_table(e, f))
-    padded = e.padded()
     pieces = []
-    for lo, hi, images in zip(padded, padded[1:], proper):
+    for lo, hi, images in zip(e.padded, e.padded[1:], _position(e, f).images):
         # the images of the nested F_j are nested, so distinct ones differ
         # in dimension: one member per dimension builds each of them
         first = {}
@@ -329,26 +322,20 @@ def _induced_image(lo: tuple, hi: tuple, fj: tuple) -> tuple:
 def f0_subflag(e: RationalFlag, f: RationalFlag) -> RationalFlag:
     """Subflag of F whose members induce only trivial or full images in
     every graded piece of E."""
-    if e.m != f.m:
-        raise FlagError("ambient dimensions differ")
-    if not e.disjoint_from(f):
-        raise FlagError("flags share a subspace")
-    cut = {j for images in _proper_images(_pair_table(e, f)) for _, j in images}
+    require_disjoint(e, f)
+    cut = {j for images in _position(e, f).images for _, j in images}
     return RationalFlag(e.m, tuple(fj for j, fj in enumerate(f.subspaces, 1) if j not in cut))
 
 
 def slm_inequality(e: RationalFlag, f: RationalFlag) -> Report:
     """Assemble the codimension chain for a disjoint pair of nonempty
     flags and verify the final stabilizer-dimension inequality."""
-    if e.m != f.m:
-        raise FlagError("ambient dimensions differ")
+    nil_stab = _position(e, f).nil_stab
     if not e.subspaces or not f.subspaces:
         raise FlagError("both flags must be nonempty")
-    if not e.disjoint_from(f):
-        raise FlagError("flags share a subspace")
+    require_disjoint(e, f)
     m = e.m
-    sd = split_dims(e)
-    dim_n_quot = sd.dim_n - _nil_stab_dim(e, f)
+    dim_n_quot = split_dims(e).dim_n - nil_stab
     pieces, lengths = induced_flags(e, f)
     f0 = f0_subflag(e, f)
     codim = dim_n_quot + sum(1 + L for L in lengths)

@@ -433,7 +433,7 @@ def stab_pair_dim_by_rank(e, f):
 def nilpotent_constraint_rows(e):
     """Rows cutting out {A : A E_{i+1} <= E_i} (the strictly block-upper
     algebra of the flag)."""
-    padded = e.padded()
+    padded = e.padded
     return _containment_rows(e.m, zip(padded[1:], padded))
 
 
@@ -447,15 +447,15 @@ def pair_table_by_sum_space(e, f):
     """Table d[i][j] = dim(E_i & F_j) over the padded flags, each entry
     from the canonical basis of E_i + F_j, with no memo."""
     return tuple(
-        tuple(len(a) + len(b) - len(ratlin.sum_space(a, b)) for b in f.padded())
-        for a in e.padded()
+        tuple(len(a) + len(b) - len(ratlin.sum_space(a, b)) for b in f.padded)
+        for a in e.padded
     )
 
 
 def graded_images(e, f):
     """Table of the images (E_{i+1} & F_j) + E_i inside Q^m, one row per
     graded level i of E and one entry per member F_j of F."""
-    padded = e.padded()
+    padded = e.padded
     return tuple(
         tuple(ratlin.sum_space(ratlin.intersection(hi, fj, e.m), lo) for fj in f.subspaces)
         for lo, hi in zip(padded, padded[1:])
@@ -469,7 +469,7 @@ def _proper(w, lo, hi):
 def induced_flags_by_images(e, f):
     """Induced chains per graded piece and their lengths: the distinct
     proper images, shortest first."""
-    padded = e.padded()
+    padded = e.padded
     pieces = [
         sorted({w for w in images if _proper(w, lo, hi)}, key=len)
         for lo, hi, images in zip(padded, padded[1:], graded_images(e, f))
@@ -480,7 +480,7 @@ def induced_flags_by_images(e, f):
 def f0_subflag_by_images(e, f):
     """Subflag of F whose members induce only trivial or full images in
     every graded piece of E."""
-    padded = e.padded()
+    padded = e.padded
     table = graded_images(e, f)
     keep = tuple(
         fj for j, fj in enumerate(f.subspaces)
@@ -590,14 +590,15 @@ def _margin_matrices(rows, cols):
 
 
 def disjoint_positions(m):
-    """The set of tables d[i][j] = dim(E_i & F_j), as ``flags._pair_table``
-    writes them, of every pair of nonempty flags in Q^m that share no
-    subspace, from the margins alone: for each pair of dimension profiles,
-    every nonnegative integer matrix n whose row sums are the graded
-    dimensions of E and whose column sums are those of F (n[k][l] counts
-    the vectors of a common adapted basis at E-level k and F-level l),
-    summed into its cumulative table d. A table with dim E_i = d[i][j] =
-    dim F_j has E_i = F_j, and is dropped."""
+    """The set of tables d[i][j] = dim(E_i & F_j), as ``flags._position``
+    writes them in its one evaluation of a pair's relative position, of
+    every pair of nonempty flags in Q^m that share no subspace, from the
+    margins alone: for each pair of dimension profiles, every nonnegative
+    integer matrix n whose row sums are the graded dimensions of E and
+    whose column sums are those of F (n[k][l] counts the vectors of a
+    common adapted basis at E-level k and F-level l), summed into its
+    cumulative table d. A table with dim E_i = d[i][j] = dim F_j has
+    E_i = F_j, and is dropped."""
     profiles = [(0, *dims, m) for r in range(1, m)
                 for dims in itertools.combinations(range(1, m), r)]
     tables = set()

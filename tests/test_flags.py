@@ -29,7 +29,6 @@ import smallmodel
 from smallmodel import acceptance, flags
 from smallmodel.complexes import homology
 from smallmodel.flags import (
-    _nil_stab_dim,
     FlagError,
     RationalFlag,
     complete_flag_count,
@@ -349,7 +348,7 @@ def test_pair_table_matches_constraint_systems(pair):
     e, f = pair
     assert stab_pair_dim(e, f) == stab_pair_dim_by_rank(e, f)
     assert orbit_codim(e, f) == stab_dim(e) - stab_pair_dim_by_rank(e, f)
-    assert _nil_stab_dim(e, f) == nil_stab_dim_by_rank(e, f)
+    assert flags._position(e, f).nil_stab == nil_stab_dim_by_rank(e, f)
     assert induced_flags(e, f) == induced_flags_by_images(e, f)
     if e.disjoint_from(f):
         assert f0_subflag(e, f) == f0_subflag_by_images(e, f)
@@ -358,8 +357,34 @@ def test_pair_table_matches_constraint_systems(pair):
             f0_subflag(e, f)
 
 
+def test_every_position_at_m_4_equals_the_constraint_systems():
+    # the pair numbers are functions of the position, so one realising
+    # coordinate pair per position checks them all
+    sizes = []
+    for m in range(2, 5):
+        first = {}
+        for e, f in acceptance._coordinate_pairs(m):
+            first.setdefault(flags._position(e, f).table, (e, f))
+        sizes.append(len(first))
+        for e, f in first.values():
+            assert stab_pair_dim(e, f) == stab_pair_dim_by_rank(e, f), (e, f)
+            assert orbit_codim(e, f) == stab_dim(e) - stab_pair_dim_by_rank(e, f), (e, f)
+            assert flags._position(e, f).nil_stab == nil_stab_dim_by_rank(e, f), (e, f)
+            assert induced_flags(e, f) == induced_flags_by_images(e, f), (e, f)
+            assert f0_subflag(e, f) == f0_subflag_by_images(e, f), (e, f)
+    assert sizes == [1, 17, 189]
+
+
+def test_a_pair_evaluates_its_position_once(fresh_memos):
+    e, f = coordinate_flag(4, [{0}, {0, 1, 2}]), coordinate_flag(4, [{1}, {1, 3}])
+    orbit_codim(e, f)
+    slm_inequality(e, f)
+    assert flags._position.cache_info().misses == 1
+    assert e.padded is e.padded
+
+
 def _memos():
-    return (flags._sum_dim, flags._induced_image, flags._pair_table,
+    return (flags._sum_dim, flags._induced_image, flags._position,
             flags._coordinate_flag, flags.split_dims)
 
 
@@ -378,7 +403,7 @@ def test_memoized_pair_table_equals_the_unmemoized_oracle():
     pairs = list(_interleaved_pairs())
     for _ in range(2):
         for e, f in pairs:
-            assert flags._pair_table(e, f) == pair_table_by_sum_space(e, f), (e, f)
+            assert flags._position(e, f).table == pair_table_by_sum_space(e, f), (e, f)
             assert induced_flags(e, f) == induced_flags_by_images(e, f), (e, f)
         # coordinate subspaces recur, so both subspace memos were read
         assert flags._sum_dim.cache_info().hits and flags._induced_image.cache_info().hits
@@ -520,6 +545,15 @@ def test_slm_rejects_shared_subspace():
         slm_inequality(e, e)
 
 
+def test_slm_refuses_an_empty_flag_after_the_ambient_check():
+    e, empty = coordinate_flag(3, [{0}]), RationalFlag.make(3, [])
+    for pair in ((empty, e), (e, empty)):
+        with pytest.raises(FlagError, match="both flags must be nonempty"):
+            slm_inequality(*pair)
+    with pytest.raises(FlagError, match="ambient dimensions differ"):
+        slm_inequality(RationalFlag.make(2, []), e)
+
+
 def test_chain_enumeration_counts():
     # chains of nonempty proper subsets of an m-set
     assert len(subset_chains(2)) == 2
@@ -534,7 +568,7 @@ def test_coordinate_pairs_reach_every_disjoint_position():
     # table, so this is what lets them sweep the coordinate pairs alone
     sizes = []
     for m in range(2, 6):
-        reached = {flags._pair_table(e, f) for e, f in acceptance._coordinate_pairs(m)}
+        reached = {flags._position(e, f).table for e, f in acceptance._coordinate_pairs(m)}
         assert reached == disjoint_positions(m), m
         sizes.append(len(reached))
     assert sizes == [1, 17, 189, 2193]
